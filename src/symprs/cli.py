@@ -422,6 +422,14 @@ def _verify_coclique(max_nodes: int) -> dict:
     return {"ok": not failures, "checks": checks, "failures": failures[:5]}
 
 
+def _size(text: str) -> int:
+    """argparse type for sweep sizes: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"size must be non-negative, got {value}")
+    return value
+
+
 def _verify_payload(args) -> dict:
     max_nodes = min(args.max_nodes, 4) if args.quick else args.max_nodes
     max_rank = min(args.max_rank, 4) if args.quick else args.max_rank
@@ -436,6 +444,11 @@ def _verify_payload(args) -> dict:
     }
     wanted = list(runners) if args.suite == "all" else [args.suite]
     suites = {name: runners[name]() for name in wanted}
+    for result in suites.values():
+        if result["checks"] == 0:
+            # a sweep that checked nothing proves nothing
+            result["ok"] = False
+            result["failures"].append("no checks ran")
     return {
         "ok": all(result["ok"] for result in suites.values()),
         "seed": args.seed,
@@ -553,8 +566,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("restriction", "extension", "weyl", "group", "coclique", "all"),
         default="all",
     )
-    p.add_argument("--max-nodes", type=int, default=5)
-    p.add_argument("--max-rank", type=int, default=6)
+    p.add_argument("--max-nodes", type=_size, default=5)
+    p.add_argument("--max-rank", type=_size, default=6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--quick", action="store_true", help="smaller sweeps")
     return parser

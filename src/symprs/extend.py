@@ -135,7 +135,7 @@ def extend_minimal(
     w0 = w_tilde ^ z0
     if z0.is_zero():
         return _attach_nullvector(s, lam, w0, z0)
-    pairings = [mixed.value(z0, BitVec.basis(s.space.dim, i)) for i in range(s.space.dim)]
+    pairings = list(mixed.matrix @ z0)
     return _attach_hyperbolic(s, lam, w0, z0, pairings)
 
 

@@ -6,6 +6,13 @@ dot product, so every row operation touches whole machine words at once.
 All elimination routines pivot on the lowest-index row and column first,
 which makes every derived object (echelon form, kernel basis, particular
 solutions) deterministic and reproducible across runs.
+
+Bilinear forms are evaluated on the rows of their matrix, never through a
+matrix-vector product: ``row_combination(rows, v)`` is the row vector
+v^T M, the XOR of the rows that ``v`` selects, and ``bilinear`` pairs it
+with ``w`` by one AND and a popcount parity. Callers that pair one vector
+against many keep its row combination (its Gram image) and pay one word
+operation per pairing.
 """
 
 from __future__ import annotations
@@ -27,6 +34,8 @@ __all__ = [
     "echelon_basis",
     "block_diag",
     "subspaces",
+    "row_combination",
+    "bilinear",
 ]
 
 
@@ -74,7 +83,7 @@ class BitVec:
     @classmethod
     def from_string(cls, text: str) -> "BitVec":
         """Parse the wire form: '1001' means coordinates 0 and 3 are set."""
-        if not all(c in "01" for c in text):
+        if not (isinstance(text, str) and all(c in "01" for c in text)):
             raise ValueError(f"not a bit string: {text!r}")
         return cls(len(text), int(text[::-1], 2) if text else 0)
 
@@ -220,7 +229,13 @@ class BitMat:
         return [self.col(j) for j in range(self.ncols)]
 
     def transpose(self) -> "BitMat":
-        return BitMat.from_cols(self.row_vecs(), nrows=self.ncols) if self.nrows else BitMat.zeros(self.ncols, 0)
+        cols = [0] * self.ncols
+        for i, r in enumerate(self.rows):
+            while r:
+                low = r & -r
+                cols[low.bit_length() - 1] |= 1 << i
+                r ^= low
+        return BitMat(self.nrows, cols)
 
     def __xor__(self, other: "BitMat") -> "BitMat":
         if self.shape != other.shape:
@@ -251,9 +266,7 @@ class BitMat:
         return BitMat(other.ncols, out)
 
     def is_symmetric(self) -> bool:
-        return self.nrows == self.ncols and all(
-            self.entry(i, j) == self.entry(j, i) for i in range(self.nrows) for j in range(i)
-        )
+        return self.nrows == self.ncols and self.transpose().rows == self.rows
 
     def is_zero(self) -> bool:
         return not any(self.rows)
@@ -282,6 +295,22 @@ class BitMat:
 
     def __hash__(self) -> int:
         return hash((self.ncols, self.rows))
+
+
+def row_combination(rows: Sequence[int], bits: int) -> int:
+    """XOR of ``rows[i]`` over the set bits i of ``bits``: the row vector
+    bits^T M of the matrix with these rows."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc ^= rows[low.bit_length() - 1]
+        bits ^= low
+    return acc
+
+
+def bilinear(rows: Sequence[int], v: int, w: int) -> int:
+    """v^T M w over GF(2) for the matrix with these rows, on raw ints."""
+    return (row_combination(rows, v) & w).bit_count() & 1
 
 
 @dataclass(frozen=True)

@@ -139,14 +139,16 @@ def parse_graph(text: str) -> Graph:
             raise ValueError('graph JSON needs a "nodes" field')
         nodes = payload["nodes"]
         edges = payload.get("edges", [])
-        if not isinstance(nodes, int):
+        # type() rather than isinstance(): JSON true/false are bools, and
+        # bool is a subclass of int
+        if type(nodes) is not int:
             raise ValueError('"nodes" must be an integer')
-        pairs = []
+        if not isinstance(edges, list):
+            raise ValueError('"edges" must be a list')
         for e in edges:
-            if not (isinstance(e, (list, tuple)) and len(e) == 2):
+            if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
                 raise ValueError(f"bad edge entry {e!r}")
-            pairs.append((int(e[0]), int(e[1])))
-        return Graph(nodes, pairs)
+        return Graph(nodes, [tuple(e) for e in edges])
 
     n: int | None = None
     pairs = []

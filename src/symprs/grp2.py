@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .gf2 import BitMat, BitVec, inverse, rank
+from .gf2 import BitMat, BitVec, bilinear, inverse, rank
 from .srs import SRS
 from .symplectic import SympSpace
 
@@ -57,7 +57,7 @@ class CocycleGroup:
         return (BitVec.zero(self.dim), 0)
 
     def cocycle(self, v: BitVec, w: BitVec) -> int:
-        return v.dot(self.beta @ w)
+        return bilinear(self.beta.rows, v.bits, w.bits)
 
     def quadratic(self, v: BitVec) -> int:
         """q(v) = beta(v, v); (v, a) squares to (0, q(v))."""

@@ -77,13 +77,17 @@ class SRS:
         for p, v in enumerate(deco):
             if v.dim != space.dim:
                 raise SRSError(f"decoration of node {p} has dimension {v.dim}, space has {space.dim}")
-        for p in range(g.n):
-            for q in range(p + 1, g.n):
-                expected = 1 if g.has_edge(p, q) else 0
-                if space.form(deco[p], deco[q]) != expected:
-                    raise SRSError(
-                        f"nodes ({p}, {q}): pairing {1 - expected} but adjacency {expected}"
-                    )
+        # D G D^T = A, compared row by row. Both sides are symmetric with
+        # zero diagonal, so the first row that differs holds the first
+        # failing pair (p, q), and there q > p.
+        for p, (row, adj) in enumerate(zip(space.pairing_rows(deco), g.adj)):
+            diff = row ^ adj
+            if diff:
+                q = (diff & -diff).bit_length() - 1
+                expected = (adj >> q) & 1
+                raise SRSError(
+                    f"nodes ({p}, {q}): pairing {1 - expected} but adjacency {expected}"
+                )
         if rank(self.deco_matrix()) != space.dim:
             raise SRSError("decorations do not span the space")
 
@@ -154,10 +158,7 @@ def restrict(s: SRS, nodes: Sequence[int]) -> SRS:
     basis = echelon_basis(vecs, dim=s.space.dim)
     m = len(basis)
     pivots = [b.support()[0] for b in basis]
-    gram = BitMat.from_rows(
-        [[s.space.form(basis[i], basis[j]) for j in range(m)] for i in range(m)], ncols=m
-    ) if m else BitMat.zeros(0, 0)
-    sub_space = SympSpace(gram)
+    sub_space = SympSpace(BitMat(m, s.space.pairing_rows(basis)))
     new_deco = tuple(BitVec.from_bits([v[p] for p in pivots]) for v in vecs)
     return SRS(sub_graph, sub_space, new_deco)
 
@@ -311,16 +312,25 @@ def srs_from_json(payload: dict) -> SRS:
     """Rebuild and re-validate; declared type and minimality must agree."""
     import json as _json
 
+    if not isinstance(payload, dict):
+        raise SRSError("malformed SRS JSON: not an object")
     try:
         graph = parse_graph(_json.dumps(payload["graph"]))
         gram_rows = payload["gram"]
-        dim = int(payload["dim"])
+        dim = payload["dim"]
         deco_map = payload["deco"]
-    except (KeyError, TypeError) as exc:
-        raise SRSError(f"malformed SRS JSON: {exc}") from exc
+    except KeyError as exc:
+        raise SRSError(f"malformed SRS JSON: missing {exc}") from exc
+    # type() rather than isinstance(): bool is a subclass of int
+    if type(dim) is not int or dim < 0:
+        raise SRSError(f'"dim" must be a non-negative integer, got {dim!r}')
+    if not (isinstance(gram_rows, list) and all(isinstance(r, str) for r in gram_rows)):
+        raise SRSError('"gram" must be a list of bit strings')
+    if not isinstance(deco_map, dict):
+        raise SRSError('"deco" must map node numbers to bit strings')
     if len(gram_rows) != dim:
         raise SRSError(f"gram has {len(gram_rows)} rows, dim is {dim}")
-    space = SympSpace(BitMat.from_rows(list(gram_rows), ncols=dim) if dim else BitMat.zeros(0, 0))
+    space = SympSpace(BitMat.from_rows(gram_rows, ncols=dim) if dim else BitMat.zeros(0, 0))
     deco = []
     for p in range(graph.n):
         key = str(p)
@@ -328,9 +338,15 @@ def srs_from_json(payload: dict) -> SRS:
             raise SRSError(f"missing decoration for node {p}")
         deco.append(BitVec.from_string(deco_map[key]))
     s = SRS(graph, space, tuple(deco))
-    declared_type = tuple(payload.get("type", s.type))
-    if declared_type != tuple(s.type):
-        raise SRSError(f"declared type {declared_type} != computed {tuple(s.type)}")
-    if "minimal" in payload and bool(payload["minimal"]) != s.is_minimal:
+    declared_type = payload.get("type", list(s.type))
+    if not (isinstance(declared_type, list) and len(declared_type) == 2
+            and all(type(x) is int for x in declared_type)):
+        raise SRSError(f'"type" must be a pair of integers, got {declared_type!r}')
+    if tuple(declared_type) != tuple(s.type):
+        raise SRSError(f"declared type {tuple(declared_type)} != computed {tuple(s.type)}")
+    minimal = payload.get("minimal", s.is_minimal)
+    if type(minimal) is not bool:
+        raise SRSError(f'"minimal" must be true or false, got {minimal!r}')
+    if minimal != s.is_minimal:
         raise SRSError("declared minimality flag is wrong")
     return s

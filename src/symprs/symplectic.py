@@ -11,20 +11,32 @@ after the finite 2-groups they give rise to.
 Everything is deterministic: the radical basis comes from kernel
 elimination with lowest-index pivots, and the symplectic basis from a
 fixed greedy pairing, so equal inputs always produce identical bases.
+
+Forms are evaluated on Gram rows (``gf2.bilinear``): the Gram image of a
+vector v is the XOR of the Gram rows that v selects, and <v, w> is the
+parity of that image AND w. Routines that pair one vector with many
+compute its image once. ``pairing_rows`` gives the whole Gram matrix of a
+vector family in O(count x dim) word operations, and the symplectic basis
+carries each candidate's image along with it, so a pair test or a
+projection step costs O(1) word operations instead of a matrix-vector
+product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .gf2 import (
     BitMat,
     BitVec,
+    bilinear,
+    echelon_basis,
     inverse,
     kernel_basis,
     rank,
+    row_combination,
     row_reduce,
 )
 
@@ -88,7 +100,20 @@ class SympSpace:
         """Evaluate <v, w>."""
         if v.dim != self.dim or w.dim != self.dim:
             raise ValueError(f"vector dimension mismatch in space of dim {self.dim}")
-        return v.dot(self.gram @ w)
+        return bilinear(self.gram.rows, v.bits, w.bits)
+
+    def pairing_rows(self, vectors: Sequence[BitVec]) -> list[int]:
+        """Gram matrix of a vector family, as rows: bit q of row p is
+        <vectors[p], vectors[q]>. Every vector must have the space's
+        dimension.
+
+        Computes B G B^T for B with the vectors as rows: first each Gram
+        image v_p^T G, then each row as the XOR of the columns of B that
+        the image selects.
+        """
+        images = [row_combination(self.gram.rows, v.bits) for v in vectors]
+        cols = BitMat(self.dim, (v.bits for v in vectors)).transpose().rows
+        return [row_combination(cols, g) for g in images]
 
     @cached_property
     def radical(self) -> tuple[BitVec, ...]:
@@ -104,37 +129,43 @@ class SympSpace:
         partner, record them as (x_i, y_i), and project the remaining
         candidates onto the orthogonal complement of the plane they span.
         Candidates left over at the end form the radical part z_1..z_k.
+
+        Candidates are int pairs (c, G c) that carry their Gram image. A
+        candidate orthogonal to every recorded plane pairs with some other
+        candidate exactly when its image is nonzero, so the search takes
+        the first candidate with a nonzero image.
         """
-        cands = [BitVec.basis(self.dim, i) for i in range(self.dim)] if self.dim else []
-        xs: list[BitVec] = []
-        ys: list[BitVec] = []
+        rows = self.gram.rows
+        cands = [(1 << i, rows[i]) for i in range(self.dim)]
+        xs: list[int] = []
+        ys: list[int] = []
         while True:
-            found = None
-            for i in range(len(cands)):
-                for j in range(len(cands)):
-                    if j != i and self.form(cands[i], cands[j]):
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
+            i = next((t for t, (_, g) in enumerate(cands) if g), None)
+            if i is None:
                 break
-            i, j = found
-            v, w = cands[i], cands[j]
+            v, gv = cands[i]
+            j = next(t for t, (c, _) in enumerate(cands) if (gv & c).bit_count() & 1)
+            w, gw = cands[j]
             xs.append(v)
             ys.append(w)
-            rest = [cands[t] for t in range(len(cands)) if t not in (i, j)]
             projected = []
-            for c in rest:
-                if self.form(c, w):
-                    c = c ^ v
-                if self.form(c, v):
-                    c = c ^ w
-                projected.append(c)
+            for t, (c, g) in enumerate(cands):
+                if t == i or t == j:
+                    continue
+                if (g & w).bit_count() & 1:
+                    c ^= v
+                    g ^= gv
+                if (g & v).bit_count() & 1:
+                    c ^= w
+                    g ^= gw
+                projected.append((c, g))
             cands = projected
-        for z in cands:
-            assert (self.gram @ z).is_zero(), "leftover basis vector outside the radical"
-        return SymplecticBasis(tuple(xs), tuple(ys), tuple(cands))
+        assert not any(g for _, g in cands), "leftover basis vector outside the radical"
+
+        def vecs(bits: list[int]) -> tuple[BitVec, ...]:
+            return tuple(BitVec(self.dim, b) for b in bits)
+
+        return SymplecticBasis(vecs(xs), vecs(ys), vecs([c for c, _ in cands]))
 
     @cached_property
     def type(self) -> SpaceType:
@@ -180,7 +211,7 @@ class MixedForm:
     matrix: BitMat
 
     def value(self, v: BitVec, w: BitVec) -> int:
-        return v.dot(self.matrix @ w)
+        return bilinear(self.matrix.rows, v.bits, w.bits)
 
 
 def _radical_coords(s: SympSpace) -> BitMat:
@@ -246,14 +277,8 @@ def orthogonal_project(s: SympSpace, wbasis: list[BitVec], v: BitVec) -> tuple[B
     is computed from a symplectic basis of W as
     vW = sum_i <v, Y_i> X_i + <v, X_i> Y_i.
     """
-    from .gf2 import echelon_basis
-
     basis = echelon_basis(wbasis, dim=s.dim)
-    m = len(basis)
-    sub_gram = BitMat.from_rows(
-        [[s.form(basis[i], basis[j]) for j in range(m)] for i in range(m)], ncols=m
-    )
-    sub = SympSpace(sub_gram)
+    sub = SympSpace(BitMat(len(basis), s.pairing_rows(basis)))
 
     def lift(coeff: BitVec) -> BitVec:
         out = BitVec.zero(s.dim)

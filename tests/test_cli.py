@@ -254,3 +254,52 @@ def test_stdin_graph(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, "type", "--graph", "-")
     assert code == 0
     assert json.loads(out)["type"] == [2, 0]
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"nodes": 2, "edges": [[0, 1.7]]}', "bad edge entry"),
+    ('{"nodes": true}', '"nodes" must be an integer'),
+    ('{"nodes": 2, "edges": [[false, true]]}', "bad edge entry"),
+    ('{"nodes": 2, "edges": null}', '"edges" must be a list'),
+])
+def test_graph_json_rejects_non_integers(tmp_path, capsys, text, message):
+    code, out, err = run(capsys, "type", "--graph", write_graph(tmp_path, text))
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+def test_iso_rejects_non_string_decoration(tmp_path, capsys):
+    code, out, _ = run(capsys, "minimal", "--graph", write_graph(tmp_path, A4_EDGES))
+    good = write_graph(tmp_path, out, "good.json")
+    bad = json.loads(out)
+    bad["deco"]["0"] = 5
+    bad_path = write_graph(tmp_path, json.dumps(bad), "bad.json")
+    code, out, err = run(capsys, "iso", good, bad_path)
+    assert (code, out) == (1, "")
+    assert "not a bit string: 5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-nodes", "-3", "--max-rank", "-1"],
+    ["--max-nodes", "-1"],
+    ["--suite", "weyl", "--max-rank", "-2"],
+])
+def test_verify_negative_sizes_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", *argv])
+    assert info.value.code == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--suite", "weyl", "--max-rank", "0"],
+    ["--suite", "restriction", "--max-nodes", "0"],
+])
+def test_verify_with_zero_checks_fails(capsys, argv):
+    code, out, _ = run(capsys, "verify", *argv)
+    payload = json.loads(out)
+    (suite,) = payload["suites"].values()
+    assert code == 1
+    assert payload["ok"] is False
+    assert suite["checks"] == 0 and suite["ok"] is False
+    assert suite["failures"] == ["no checks ran"]

@@ -205,6 +205,28 @@ def test_json_rejects_tampering():
         srs_from_json(broken)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("dim", True, '"dim" must be a non-negative integer'),
+    ("dim", 3.0, '"dim" must be a non-negative integer'),
+    ("dim", "3", '"dim" must be a non-negative integer'),
+    ("gram", [[0, 1, 0], [1, 0, 1], [0, 1, 0]], '"gram" must be a list of bit strings'),
+    ("gram", "010", '"gram" must be a list of bit strings'),
+    ("deco", ["100", "010", "001"], '"deco" must map node numbers'),
+    ("type", 5, '"type" must be a pair of integers'),
+    ("type", [1.0, 1], '"type" must be a pair of integers'),
+    ("minimal", 1, '"minimal" must be true or false'),
+])
+def test_json_rejects_wrong_value_types(field, value, message):
+    payload = dict(srs_to_json(minimal_srs(A3)), **{field: value})
+    with pytest.raises(SRSError, match=message):
+        srs_from_json(payload)
+
+
+def test_json_rejects_non_objects():
+    with pytest.raises(SRSError, match="not an object"):
+        srs_from_json([1, 2])
+
+
 def test_empty_graph_edge_case():
     s = minimal_srs(Graph(0))
     assert s.type == (0, 0)
