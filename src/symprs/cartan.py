@@ -8,6 +8,13 @@ reducing a root's simple-root coordinates mod 2 intertwines the two
 actions. For the simply laced families the parity graph is the diagram
 itself, and the minimal SRS admits the explicit decorations built here,
 one family at a time, inside a standard space of the appropriate type.
+
+Orbits and group orders run on raw ints. A matrix there is the tuple of
+its column images: M v is ``gf2.row_combination(cols, v)``, a product's
+columns are the left factor's images of the right factor's columns, and
+an identity test is one tuple comparison. The stabilizer chain keeps a
+byte table of each strong generator, so its images of a matrix cost one
+lookup per column. ``BitMat`` and ``BitVec`` appear only at the interface.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .gf2 import BitMat, BitVec, echelon_basis, inverse
+from .gf2 import BitMat, BitVec, byte_table, echelon_basis, inverse, row_combination
 from .graph import Graph, automorphisms, dynkin_graph
 from .srs import SRS, minimal_srs, radical_subspaces
 from .symplectic import standard_space
@@ -285,18 +292,59 @@ def weyl_rep(c: CartanDatum) -> WeylRep:
     return WeylRep(c, s, tuple(gens), images, distinct == pairs, pairs - distinct)
 
 
+Columns = tuple[int, ...]  # a matrix as its column images (see the module docstring)
+
+
+def _columns(m: BitMat) -> Columns:
+    return m.transpose().rows
+
+
+def _compose(a: Columns, b: Columns) -> Columns:
+    # row_combination(a, col) for each column, inlined: this is the hot loop
+    # of the stabilizer chain.
+    out = []
+    for col in b:
+        acc = 0
+        while col:
+            low = col & -col
+            acc ^= a[low.bit_length() - 1]
+            col ^= low
+        out.append(acc)
+    return tuple(out)
+
+
+def _table_compose(table: list[list[int]], b: Columns) -> Columns:
+    """_compose(a, b) read from byte_table(a), for a of dimension 1..16."""
+    if len(table) == 1:
+        (lo,) = table
+        return tuple([lo[col] for col in b])
+    lo, hi = table
+    return tuple([lo[col & 255] ^ hi[col >> 8] for col in b])
+
+
+def _inverse_columns(m: Columns) -> Columns:
+    # BitMat(dim, m) is the transpose of m; its inverse has m^-1's columns as rows.
+    inv = inverse(BitMat(len(m), m))
+    assert inv is not None, "products of invertible generators are invertible"
+    return inv.rows
+
+
 def weyl_orbit(rep: WeylRep, v: BitVec) -> list[BitVec]:
     """Orbit of one vector under the generated matrix group, sorted."""
-    seen = {v}
-    queue = deque([v])
+    dim = rep.datum.rank
+    if v.dim != dim:
+        raise ValueError(f"dimension mismatch {dim} != {v.dim}")
+    gens = [_columns(m) for m in rep.generators]
+    seen = {v.bits}
+    queue = deque(seen)
     while queue:
         w = queue.popleft()
-        for m in rep.generators:
-            image = m @ w
+        for m in gens:
+            image = row_combination(m, w)
             if image not in seen:
                 seen.add(image)
                 queue.append(image)
-    return sorted(seen, key=lambda u: u.bits)
+    return [BitVec(dim, bits) for bits in sorted(seen)]
 
 
 def group_order(
@@ -307,21 +355,34 @@ def group_order(
     ``method="bfs"`` enumerates elements outright and raises past ``cap``;
     ``method="chain"`` runs a deterministic stabilizer chain on vectors
     and handles orders far beyond enumeration (the cap is ignored).
+    Generators must be square, of one dimension and invertible; anything
+    else raises ValueError before any work starts.
     """
     gens = list(generators)
-    if method == "chain":
-        return _stabilizer_chain_order(gens)
-    if method != "bfs":
+    if method not in ("bfs", "chain"):
         raise ValueError(f"unknown method {method!r}")
     if not gens:
         return 1
-    identity = BitMat.identity(gens[0].ncols)
+    dim = gens[0].ncols
+    for g in gens:
+        if g.nrows != g.ncols:
+            raise ValueError(f"generator is not square: {g.shape}")
+        if g.ncols != dim:
+            raise ValueError(f"generators of mixed dimension {dim} and {g.ncols}")
+    if method == "chain" and dim > 16:
+        raise ValueError("stabilizer chain scans all vectors; dimension capped at 16")
+    if any(inverse(g) is None for g in gens):
+        raise ValueError("singular generator: not a group")
+    if method == "chain":
+        return _stabilizer_chain_order(gens)
+    cols = [_columns(g) for g in gens]
+    identity = tuple(1 << j for j in range(dim))
     seen = {identity}
-    queue = deque([identity])
+    queue = deque(seen)
     while queue:
         m = queue.popleft()
-        for g in gens:
-            image = g @ m
+        for g in cols:
+            image = _compose(g, m)
             if image not in seen:
                 if len(seen) >= cap:
                     raise RuntimeError(f"group exceeds enumeration cap {cap}")
@@ -340,74 +401,82 @@ def _stabilizer_chain_order(gen_list: list[BitMat]) -> int:
     installed where it got stuck, after which the levels between are
     re-verified deepest first. Iteration orders are fixed throughout, so
     the chain and the result are deterministic.
-    """
-    if not gen_list:
-        return 1
-    dim = gen_list[0].ncols
-    if dim > 16:
-        raise ValueError("stabilizer chain scans all vectors; dimension capped at 16")
-    identity = BitMat.identity(dim)
-    external = sorted({g for g in gen_list if g != identity}, key=lambda m: m.rows)
-    points: list[BitVec] = []
-    own: list[list[BitMat]] = []  # generators first seen stuck at each level
-    forward: list[dict[BitVec, BitMat]] = []  # orbit point -> coset representative
-    backward: list[dict[BitVec, BitMat]] = []  # orbit point -> representative inverse
 
-    def moved_point(m: BitMat) -> BitVec:
-        for bits in range(1, 1 << dim):
-            v = BitVec(dim, bits)
-            if m @ v != v:
-                return v
+    Each base point is the least vector (as an int) that the generator
+    installed with it moves. That vector is always a standard basis vector
+    e_j, so the image of a base point is read off as column j. Generators are square, invertible and
+    of one dimension <= 16 (checked by ``group_order``).
+    """
+    dim = gen_list[0].ncols
+    identity = tuple(1 << j for j in range(dim))
+    ordered = sorted(set(gen_list), key=lambda m: m.rows)
+    external = [cols for cols in map(_columns, ordered) if cols != identity]
+    base: list[int] = []  # coordinate j of each base point e_j
+    # (generator, its byte table, its inverse) first stuck at each level
+    own: list[list[tuple[Columns, list[list[int]], Columns]]] = []
+    forward: list[dict[int, Columns]] = []  # orbit point -> coset representative
+    backward: list[dict[int, Columns]] = []  # orbit point -> representative inverse
+
+    def moved_coordinate(m: Columns) -> int:
+        # Vectors below e_j are combinations of fixed basis vectors.
+        for j, col in enumerate(m):
+            if col != 1 << j:
+                return j
         raise AssertionError("identity was filtered out")
 
-    def acting(i: int) -> list[BitMat]:
-        return [g for lvl in range(i, len(points)) for g in own[lvl]]
+    def acting(i: int) -> list[tuple[Columns, list[list[int]], Columns]]:
+        return [g for lvl in range(i, len(base)) for g in own[lvl]]
 
-    def rebuild(i: int, gens: list[BitMat]) -> list[BitVec]:
-        inverses = {id(s): inverse(s) for s in gens}
-        forward[i] = {points[i]: identity}
-        backward[i] = {points[i]: identity}
-        order_found = [points[i]]
-        queue = deque(order_found)
+    def rebuild(i: int, gens: list[tuple[Columns, list[list[int]], Columns]]) -> list[int]:
+        point = 1 << base[i]
+        fwd = forward[i] = {point: identity}
+        bwd = backward[i] = {point: identity}
+        orbit = [point]
+        queue = deque(orbit)
         while queue:
             v = queue.popleft()
-            for s in gens:
-                w = s @ v
-                if w not in forward[i]:
-                    forward[i][w] = s @ forward[i][v]
-                    back = inverses[id(s)]
-                    assert back is not None
-                    backward[i][w] = backward[i][v] @ back
-                    order_found.append(w)
+            for s, table, s_inv in gens:
+                w = row_combination(s, v)
+                if w not in fwd:
+                    fwd[w] = _table_compose(table, fwd[v])
+                    bwd[w] = _compose(bwd[v], s_inv)
+                    orbit.append(w)
                     queue.append(w)
-        return order_found
+        return orbit
 
-    def sift(m: BitMat, start: int) -> tuple[BitMat, int]:
-        for i in range(start, len(points)):
-            w = m @ points[i]
+    def sift(m: Columns, start: int) -> tuple[Columns, int]:
+        for i in range(start, len(base)):
+            j = base[i]
+            w = m[j]
+            if w == 1 << j:
+                continue  # m fixes the base point; its representative is the identity
             back = backward[i].get(w)
             if back is None:
                 return m, i
-            m = back @ m
-        return m, len(points)
+            m = _compose(back, m)
+        return m, len(base)
 
-    def install(idx: int, m: BitMat):
-        if idx == len(points):
-            points.append(moved_point(m))
+    def install(idx: int, m: Columns):
+        if idx == len(base):
+            base.append(moved_coordinate(m))
             own.append([])
             forward.append({})
             backward.append({})
-        own[idx].append(m)
+        own[idx].append((m, byte_table(m), _inverse_columns(m)))
 
     def verify(i: int):
         # pre: levels deeper than i are complete; only they get touched.
         gens = acting(i)
         orbit = rebuild(i, gens)
+        fwd, bwd = forward[i], backward[i]
         for v in orbit:
-            rep = forward[i][v]
-            for s in gens:
-                schreier = backward[i][s @ v] @ (s @ rep)
-                residue, j = sift(schreier, i + 1)
+            rep = fwd[v]
+            for _, table, _ in gens:
+                image = _table_compose(table, rep)
+                w = image[base[i]]
+                if image == fwd[w]:
+                    continue  # the Schreier generator is the identity
+                residue, j = sift(_compose(bwd[w], image), i + 1)
                 if residue != identity:
                     install(j, residue)
                     for level in range(j, i, -1):

@@ -261,9 +261,14 @@ def witness_to_json(w: ExtensionWitness) -> dict:
 
 
 def witness_from_json(payload: dict) -> ExtensionWitness:
+    if not isinstance(payload, dict):
+        raise ValueError(f"malformed witness JSON: expected an object, got {type(payload).__name__}")
     try:
+        case = payload["case"]
+        if case not in (NEW_NULLVECTOR, NEW_HYPERBOLIC):
+            raise ValueError(f"malformed witness JSON: unknown case {case!r}")
         return ExtensionWitness(
-            payload["case"],
+            case,
             BitVec.from_string(payload["w0"]),
             BitVec.from_string(payload["z0"]),
             BitVec.from_string(payload["new_deco"]),

@@ -12,7 +12,9 @@ matrix-vector product: ``row_combination(rows, v)`` is the row vector
 v^T M, the XOR of the rows that ``v`` selects, and ``bilinear`` pairs it
 with ``w`` by one AND and a popcount parity. Callers that pair one vector
 against many keep its row combination (its Gram image) and pay one word
-operation per pairing.
+operation per pairing. Callers that combine the rows of one fixed matrix
+hundreds of thousands of times build its ``byte_table`` once and read each
+combination with one lookup per byte of the selector.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ __all__ = [
     "subspaces",
     "row_combination",
     "bilinear",
+    "byte_table",
+    "table_combination",
 ]
 
 
@@ -311,6 +315,36 @@ def row_combination(rows: Sequence[int], bits: int) -> int:
 def bilinear(rows: Sequence[int], v: int, w: int) -> int:
     """v^T M w over GF(2) for the matrix with these rows, on raw ints."""
     return (row_combination(rows, v) & w).bit_count() & 1
+
+
+def byte_table(rows: Sequence[int]) -> list[list[int]]:
+    """Every row combination of each run of 8 rows, precomputed.
+
+    Entry ``[k][b]`` is ``row_combination(rows[8k:8k+8], b)``: one list of
+    256 ints per started byte of the row index, each filled from the entry
+    without its lowest set bit. This is the one-level table of the
+    Four-Russians method; ``table_combination`` then costs one lookup per
+    byte instead of one XOR per set bit.
+    """
+    table = []
+    for start in range(0, len(rows), 8):
+        chunk = rows[start:start + 8]
+        combos = [0] * 256
+        for b in range(1, 1 << len(chunk)):
+            low = b & -b
+            combos[b] = combos[b ^ low] ^ chunk[low.bit_length() - 1]
+        table.append(combos)
+    return table
+
+
+def table_combination(table: Sequence[Sequence[int]], bits: int) -> int:
+    """``row_combination(rows, bits)`` read from ``byte_table(rows)``;
+    ``bits`` may not select a row index past the table."""
+    acc = 0
+    for combos in table:
+        acc ^= combos[bits & 255]
+        bits >>= 8
+    return acc
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,22 @@ radical times the sign. Nondegenerate spaces give the extraspecial groups
 one-dimensional radicals the almost extraspecial ones. Decorations of an
 SRS lift to group elements, and a Burnside-basis argument decides whether
 the lifts generate and whether they do so minimally.
+
+Arithmetic runs on raw ints. Each group builds a byte table of beta's row
+combinations once (``gf2.byte_table``), so beta(v, w) costs one lookup
+per byte of v and a popcount parity. ``BitVec`` appears only at the
+interface: elements arrive and leave as ``(BitVec, sign)`` pairs. The
+commutator is still evaluated through the group law, never read off the
+form, so checking "commutator = form" tests the law.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator
 
-from .gf2 import BitMat, BitVec, bilinear, inverse, rank
+from .gf2 import BitMat, BitVec, byte_table, inverse, rank, row_combination, table_combination
 from .srs import SRS
 from .symplectic import SympSpace
 
@@ -34,9 +42,13 @@ Element = tuple[BitVec, int]
 
 
 class CocycleGroup:
-    """The group on space x F_2 twisted by a fixed splitting of the form."""
+    """The group on space x F_2 twisted by a fixed splitting of the form.
 
-    __slots__ = ("space", "beta")
+    Methods take and return ``(BitVec, sign)`` elements but compute on
+    ``(bits, sign)`` ints, with beta read from the group's byte table.
+    """
+
+    __slots__ = ("space", "beta", "dim", "_row")
 
     def __init__(self, space: SympSpace, beta: BitMat):
         if beta.nrows != space.dim or beta.ncols != space.dim:
@@ -45,10 +57,22 @@ class CocycleGroup:
             raise ValueError("cocycle does not split the form: beta + beta^T != gram")
         self.space = space
         self.beta = beta
+        self.dim = space.dim
+        table = byte_table(beta.rows)
+        # v -> v^T beta; a single byte needs no loop over the table.
+        self._row = table[0].__getitem__ if len(table) == 1 else partial(table_combination, table)
 
-    @property
-    def dim(self) -> int:
-        return self.space.dim
+    def _bits(self, v: BitVec) -> int:
+        """The bits of an element's vector, after checking its dimension."""
+        if v.dim != self.dim:
+            raise ValueError(f"dimension mismatch {v.dim} != {self.dim}")
+        return v.bits
+
+    def _q(self, v: int) -> int:
+        return (self._row(v) & v).bit_count() & 1
+
+    def _mul(self, v: int, a: int, w: int, b: int) -> tuple[int, int]:
+        return v ^ w, a ^ b ^ ((self._row(v) & w).bit_count() & 1)
 
     def order(self) -> int:
         return 1 << (self.dim + 1)
@@ -57,62 +81,75 @@ class CocycleGroup:
         return (BitVec.zero(self.dim), 0)
 
     def cocycle(self, v: BitVec, w: BitVec) -> int:
-        return bilinear(self.beta.rows, v.bits, w.bits)
+        return (self._row(self._bits(v)) & self._bits(w)).bit_count() & 1
 
     def quadratic(self, v: BitVec) -> int:
         """q(v) = beta(v, v); (v, a) squares to (0, q(v))."""
-        return self.cocycle(v, v)
+        return self._q(self._bits(v))
 
     def multiply(self, g: Element, h: Element) -> Element:
         (v, a), (w, b) = g, h
-        return (v ^ w, a ^ b ^ self.cocycle(v, w))
+        bits, sign = self._mul(self._bits(v), a, self._bits(w), b)
+        return (BitVec(self.dim, bits), sign)
 
     def inverse(self, g: Element) -> Element:
         v, a = g
-        return (v, a ^ self.quadratic(v))
+        return (v, a ^ self._q(self._bits(v)))
 
     def commutator(self, g: Element, h: Element) -> Element:
-        # Works out to (0, <v, w>): the group remembers the form.
-        lhs = self.multiply(self.multiply(g, h), self.multiply(self.inverse(g), self.inverse(h)))
-        return lhs
+        """gh . g^-1 h^-1 through the group law. Works out to (0, <v, w>),
+        so the group remembers the form; it is never read off the form."""
+        (v, a), (w, b) = g, h
+        v, w = self._bits(v), self._bits(w)
+        row = self._row
+        # _mul and _q inlined, with the row of v shared by beta(v, v) and
+        # beta(v, w): this runs for every pair of elements in the checks.
+        row_v = row(v)
+        beta_vw = (row_v & w).bit_count() & 1
+        gh_bits, gh_sign = v ^ w, a ^ b ^ beta_vw
+        inv_g = a ^ ((row_v & v).bit_count() & 1)
+        inv_h = b ^ ((row(w) & w).bit_count() & 1)
+        inv_bits, inv_sign = v ^ w, inv_g ^ inv_h ^ beta_vw
+        sign = gh_sign ^ inv_sign ^ ((row(gh_bits) & inv_bits).bit_count() & 1)
+        return (BitVec(self.dim, gh_bits ^ inv_bits), sign)
 
     def element_order(self, g: Element) -> int:
         v, a = g
-        if v.is_zero():
+        bits = self._bits(v)
+        if not bits:
             return 1 if a == 0 else 2
-        return 4 if self.quadratic(v) else 2
+        return 4 if self._q(bits) else 2
 
     def elements(self) -> Iterator[Element]:
         for bits in range(1 << self.dim):
-            for a in (0, 1):
-                yield (BitVec(self.dim, bits), a)
+            v = BitVec(self.dim, bits)
+            yield (v, 0)
+            yield (v, 1)
 
     def center(self) -> list[Element]:
         """The radical paired with the sign coordinate, 2^(k+1) elements."""
-        rad = self.space.radical
+        rad = [z.bits for z in self.space.radical]
         out = []
         for bits in range(1 << len(rad)):
-            z = BitVec.zero(self.dim)
-            for i in range(len(rad)):
-                if bits >> i & 1:
-                    z ^= rad[i]
+            z = BitVec(self.dim, row_combination(rad, bits))
             out.extend([(z, 0), (z, 1)])
         return out
 
     def closure(self, gens: Iterable[Element]) -> set[Element]:
-        seen = {self.identity()}
+        steps = [(self._bits(w), b) for w, b in gens]
+        mul = self._mul
+        seen = {(0, 0)}
         frontier = list(seen)
-        gens = list(gens)
         while frontier:
             nxt = []
-            for g in frontier:
-                for s in gens:
-                    h = self.multiply(g, s)
+            for v, a in frontier:
+                for w, b in steps:
+                    h = mul(v, a, w, b)
                     if h not in seen:
                         seen.add(h)
                         nxt.append(h)
             frontier = nxt
-        return seen
+        return {(BitVec(self.dim, bits), sign) for bits, sign in seen}
 
     def __repr__(self) -> str:
         n, k = self.space.type
@@ -203,7 +240,7 @@ def extraspecial_sign(grp: CocycleGroup) -> str:
     n, k = grp.space.type
     if k != 0 or n == 0:
         raise ValueError(f"sign needs an extraspecial group; space has type ({n},{k})")
-    ones = sum(grp.quadratic(BitVec(grp.dim, bits)) for bits in range(1 << grp.dim))
+    ones = sum(grp._q(bits) for bits in range(1 << grp.dim))
     if ones == (1 << (2 * n - 1)) - (1 << (n - 1)):
         return "plus"
     if ones == (1 << (2 * n - 1)) + (1 << (n - 1)):

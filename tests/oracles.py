@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from collections import deque
+from typing import Iterable, Sequence
 
-from symprs.gf2 import BitMat, BitVec, rank
+from symprs.gf2 import BitMat, BitVec, inverse, rank
 from symprs.graph import Graph
 from symprs.srs import SRS, SRSError
 from symprs.symplectic import SymplecticBasis, SympSpace, standard_space
@@ -21,6 +22,155 @@ def form(space: SympSpace, v: BitVec, w: BitVec) -> int:
 def cocycle(beta: BitMat, v: BitVec, w: BitVec) -> int:
     """beta(v, w) as one matrix-vector product, then a dot product."""
     return v.dot(beta @ w)
+
+
+Element = tuple[BitVec, int]
+
+
+class CocycleLaw:
+    """The group law of ``grp2.CocycleGroup`` on BitVec elements, with every
+    cocycle value taken from ``cocycle`` above."""
+
+    def __init__(self, beta: BitMat):
+        self.beta = beta
+        self.dim = beta.ncols
+
+    def identity(self) -> Element:
+        return (BitVec.zero(self.dim), 0)
+
+    def cocycle(self, v: BitVec, w: BitVec) -> int:
+        return cocycle(self.beta, v, w)
+
+    def quadratic(self, v: BitVec) -> int:
+        return self.cocycle(v, v)
+
+    def multiply(self, g: Element, h: Element) -> Element:
+        (v, a), (w, b) = g, h
+        return (v ^ w, a ^ b ^ self.cocycle(v, w))
+
+    def inverse(self, g: Element) -> Element:
+        v, a = g
+        return (v, a ^ self.quadratic(v))
+
+    def commutator(self, g: Element, h: Element) -> Element:
+        return self.multiply(self.multiply(g, h), self.multiply(self.inverse(g), self.inverse(h)))
+
+    def element_order(self, g: Element) -> int:
+        """The least k with g^k = 1, by repeated multiplication."""
+        power, k = g, 1
+        while power != self.identity():
+            power, k = self.multiply(power, g), k + 1
+        return k
+
+    def closure(self, gens: Iterable[Element]) -> set[Element]:
+        seen = {self.identity()}
+        frontier = list(seen)
+        gens = list(gens)
+        while frontier:
+            nxt = []
+            for g in frontier:
+                for s in gens:
+                    h = self.multiply(g, s)
+                    if h not in seen:
+                        seen.add(h)
+                        nxt.append(h)
+            frontier = nxt
+        return seen
+
+
+def stabilizer_chain_order(gen_list: list[BitMat]) -> int:
+    """Order via a base and strong generating set on F_2 vector points.
+
+    Schreier-Sims with sifting. Level i acts with every strong generator
+    stored at levels >= i (those fix the first i base points); verifying a
+    level means checking that all its Schreier generators sift to the
+    identity through the deeper chain, and any residue that survives is
+    installed where it got stuck, after which the levels between are
+    re-verified deepest first. Iteration orders are fixed throughout, so
+    the chain and the result are deterministic.
+    """
+    if not gen_list:
+        return 1
+    dim = gen_list[0].ncols
+    if dim > 16:
+        raise ValueError("stabilizer chain scans all vectors; dimension capped at 16")
+    identity = BitMat.identity(dim)
+    external = sorted({g for g in gen_list if g != identity}, key=lambda m: m.rows)
+    points: list[BitVec] = []
+    own: list[list[BitMat]] = []  # generators first seen stuck at each level
+    forward: list[dict[BitVec, BitMat]] = []  # orbit point -> coset representative
+    backward: list[dict[BitVec, BitMat]] = []  # orbit point -> representative inverse
+
+    def moved_point(m: BitMat) -> BitVec:
+        for bits in range(1, 1 << dim):
+            v = BitVec(dim, bits)
+            if m @ v != v:
+                return v
+        raise AssertionError("identity was filtered out")
+
+    def acting(i: int) -> list[BitMat]:
+        return [g for lvl in range(i, len(points)) for g in own[lvl]]
+
+    def rebuild(i: int, gens: list[BitMat]) -> list[BitVec]:
+        inverses = {id(s): inverse(s) for s in gens}
+        forward[i] = {points[i]: identity}
+        backward[i] = {points[i]: identity}
+        order_found = [points[i]]
+        queue = deque(order_found)
+        while queue:
+            v = queue.popleft()
+            for s in gens:
+                w = s @ v
+                if w not in forward[i]:
+                    forward[i][w] = s @ forward[i][v]
+                    back = inverses[id(s)]
+                    assert back is not None
+                    backward[i][w] = backward[i][v] @ back
+                    order_found.append(w)
+                    queue.append(w)
+        return order_found
+
+    def sift(m: BitMat, start: int) -> tuple[BitMat, int]:
+        for i in range(start, len(points)):
+            w = m @ points[i]
+            back = backward[i].get(w)
+            if back is None:
+                return m, i
+            m = back @ m
+        return m, len(points)
+
+    def install(idx: int, m: BitMat):
+        if idx == len(points):
+            points.append(moved_point(m))
+            own.append([])
+            forward.append({})
+            backward.append({})
+        own[idx].append(m)
+
+    def verify(i: int):
+        # pre: levels deeper than i are complete; only they get touched.
+        gens = acting(i)
+        orbit = rebuild(i, gens)
+        for v in orbit:
+            rep = forward[i][v]
+            for s in gens:
+                schreier = backward[i][s @ v] @ (s @ rep)
+                residue, j = sift(schreier, i + 1)
+                if residue != identity:
+                    install(j, residue)
+                    for level in range(j, i, -1):
+                        verify(level)
+
+    for g in external:
+        residue, j = sift(g, 0)
+        if residue != identity:
+            install(j, residue)
+            for level in range(j, -1, -1):
+                verify(level)
+    order = 1
+    for trans in forward:
+        order *= len(trans)
+    return order
 
 
 def validate_pairwise(g: Graph, space: SympSpace, deco: Sequence[BitVec]) -> None:

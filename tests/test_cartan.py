@@ -258,6 +258,19 @@ def test_group_order_cap_and_unknown_method():
         group_order(gens, method="magic")
 
 
+def test_group_order_rejects_bad_generators():
+    bad_sets = [
+        ("not square", [BitMat(3, (1, 2))]),
+        ("mixed dimension", [BitMat.identity(2), BitMat.identity(3)]),
+        ("singular", [BitMat(2, (1, 1))]),
+        ("singular", [BitMat.identity(2), BitMat(2, (0, 2))]),
+    ]
+    for reason, gens in bad_sets:
+        for method in ("bfs", "chain"):
+            with pytest.raises(ValueError, match=reason):
+                group_order(gens, method=method)
+
+
 def test_e8_image_order_via_chain():
     # The mod-2 Weyl image of E8 is twice the simple orthogonal group
     # O8+(2); the -1 of the Weyl group is invisible.

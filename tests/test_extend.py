@@ -245,6 +245,13 @@ def test_witness_json_round_trip():
         assert witness_from_json(witness_to_json(wit)) == wit
     with pytest.raises(ValueError, match="malformed"):
         witness_from_json({"case": NEW_NULLVECTOR})
+    fields = {"w0": "", "z0": "", "new_deco": ""}
+    for case in (5, "new_radical", None, True):
+        with pytest.raises(ValueError, match="unknown case"):
+            witness_from_json({"case": case, **fields})
+    for payload in ([1], "new_nullvector", None, 3):
+        with pytest.raises(ValueError, match="expected an object"):
+            witness_from_json(payload)
 
 
 def test_hyperbolic_witness_pairs_with_new_coordinate():

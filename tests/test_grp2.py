@@ -46,6 +46,21 @@ def test_cocycle_validation():
     make_group(space)
 
 
+def test_mismatched_dimensions_raise():
+    grp = make_group(standard_space(1, 0))
+    good = (BitVec.zero(2), 0)
+    for bad in [(BitVec.zero(3), 0), (BitVec.zero(1), 1), (BitVec(9, 256), 0)]:
+        for op in (grp.multiply, grp.commutator):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                op(good, bad)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                op(bad, good)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            grp.element_order(bad)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            grp.closure([good, bad])
+
+
 def test_group_axioms_exhaustively():
     rng = random.Random(5)
     for dim in (1, 2, 3):

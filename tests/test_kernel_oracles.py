@@ -1,19 +1,24 @@
-"""The Gram-row form kernel against the per-pair oracles in ``oracles``.
+"""The int kernels against the BitVec/BitMat oracles in ``oracles``.
 
 Random alternating Gram matrices of dimension 0..40 and random, partly
 invalid decoration families: form and cocycle values, the symplectic
 basis, and SRS acceptance with its exact error message must all agree.
+The 2-group law on (bits, sign) ints must agree with the BitVec law, the
+byte table with ``row_combination``, and the int stabilizer chain with the
+BitMat chain and with enumeration.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from symprs.gf2 import BitMat, BitVec, bilinear
+from symprs.cartan import group_order
+from symprs.gf2 import BitMat, BitVec, bilinear, byte_table, row_combination, table_combination
 from symprs.graph import Graph
-from symprs.grp2 import CocycleGroup
+from symprs.grp2 import CocycleGroup, make_group
 from symprs.srs import SRS, SRSError
 from symprs.symplectic import SympSpace
 
@@ -148,3 +153,62 @@ def test_validation_names_first_bad_pair():
     message = "nodes (0, 2): pairing 0 but adjacency 1"
     assert _outcome(lambda: SRS(graph, space, tuple(deco))) == message
     assert _outcome(oracles.validate_pairwise, graph, space, deco) == message
+
+
+@FAST
+@given(st.data())
+def test_byte_table_matches_row_combination(data):
+    width = data.draw(st.integers(0, 40))
+    rows = data.draw(st.lists(st.integers(0, (1 << width) - 1), max_size=40))
+    table = byte_table(rows)
+    assert len(table) == -(-len(rows) // 8) and all(len(c) == 256 for c in table)
+    for _ in range(8):
+        bits = data.draw(st.integers(0, (1 << len(rows)) - 1))
+        assert table_combination(table, bits) == row_combination(rows, bits)
+
+
+def _element(draw, dim: int):
+    return (_vec(draw, dim), draw(st.integers(0, 1)))
+
+
+@FAST
+@given(st.data())
+def test_group_law_matches_oracle(data):
+    space = data.draw(spaces(max_dim=10))
+    d = space.dim
+    diagonal = data.draw(st.none() | st.builds(BitVec, st.just(d), st.integers(0, (1 << d) - 1)))
+    grp = make_group(space, diagonal)
+    law = oracles.CocycleLaw(grp.beta)
+    for _ in range(8):
+        g, h = _element(data.draw, d), _element(data.draw, d)
+        assert grp.multiply(g, h) == law.multiply(g, h)
+        assert grp.inverse(g) == law.inverse(g)
+        assert grp.commutator(g, h) == law.commutator(g, h)
+        assert grp.element_order(g) == law.element_order(g)
+    gens = [_element(data.draw, d) for _ in range(data.draw(st.integers(0, 4)))]
+    assert grp.closure(gens) == law.closure(gens)
+
+
+@st.composite
+def invertible(draw, dim: int) -> BitMat:
+    """P L U for a permutation P and unit lower/upper triangular L, U: every
+    invertible matrix has this form."""
+    perm = draw(st.permutations(range(dim)))
+    lower = [1 << i | draw(st.integers(0, (1 << i) - 1)) for i in range(dim)]
+    upper = [1 << i | draw(st.integers(0, (1 << dim) - 1)) >> (i + 1) << (i + 1) for i in range(dim)]
+    return BitMat(dim, (1 << perm[i] for i in range(dim))) @ BitMat(dim, lower) @ BitMat(dim, upper)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_group_order_chain_matches_oracle_and_bfs(data):
+    dim = data.draw(st.integers(0, 5))
+    gens = data.draw(st.lists(invertible(dim), max_size=3))
+    order = group_order(gens, method="chain")
+    assert order == oracles.stabilizer_chain_order(gens)
+    cap = 4096
+    if order <= cap:
+        assert group_order(gens, cap=cap) == order
+    else:
+        with pytest.raises(RuntimeError, match="cap"):
+            group_order(gens, cap=cap)
