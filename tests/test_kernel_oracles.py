@@ -194,8 +194,9 @@ def invertible(draw, dim: int) -> BitMat:
     """P L U for a permutation P and unit lower/upper triangular L, U: every
     invertible matrix has this form."""
     perm = draw(st.permutations(range(dim)))
-    lower = [1 << i | draw(st.integers(0, (1 << i) - 1)) for i in range(dim)]
-    upper = [1 << i | draw(st.integers(0, (1 << dim) - 1)) >> (i + 1) << (i + 1) for i in range(dim)]
+    lower = [(1 << i) | draw(st.integers(0, (1 << i) - 1)) for i in range(dim)]
+    upper = [(1 << i) | (draw(st.integers(0, (1 << dim) - 1)) >> (i + 1) << (i + 1))
+             for i in range(dim)]
     return BitMat(dim, (1 << perm[i] for i in range(dim))) @ BitMat(dim, lower) @ BitMat(dim, upper)
 
 
