@@ -78,6 +78,19 @@ class CocycleLaw:
         return seen
 
 
+def extraspecial_sign(beta: BitMat) -> str:
+    """Plus or minus by counting the vectors v with q(v) = beta(v, v) = 1
+    over the whole nondegenerate space of dimension 2n."""
+    d = beta.ncols
+    n = d // 2
+    ones = sum(cocycle(beta, v, v) for v in (BitVec(d, bits) for bits in range(1 << d)))
+    if ones == (1 << (2 * n - 1)) - (1 << (n - 1)):
+        return "plus"
+    if ones == (1 << (2 * n - 1)) + (1 << (n - 1)):
+        return "minus"
+    raise AssertionError(f"nondegenerate q must hit an Arf count, got {ones}")
+
+
 def stabilizer_chain_order(gen_list: list[BitMat]) -> int:
     """Order via a base and strong generating set on F_2 vector points.
 

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from symprs.cartan import group_order
+from symprs.cartan import cartan_datum, group_order, weyl_rep
 from symprs.gf2 import BitMat, BitVec, bilinear, byte_table, row_combination, table_combination
 from symprs.graph import Graph
-from symprs.grp2 import CocycleGroup, make_group
+from symprs.grp2 import CocycleGroup, extraspecial_sign, make_group
 from symprs.srs import SRS, SRSError
 from symprs.symplectic import SympSpace
 
@@ -189,6 +189,16 @@ def test_group_law_matches_oracle(data):
     assert grp.closure(gens) == law.closure(gens)
 
 
+@FAST
+@given(st.data())
+def test_extraspecial_sign_matches_counting_oracle(data):
+    space = data.draw(spaces(max_dim=10).filter(lambda s: s.type.k == 0 and s.type.n > 0))
+    d = space.dim
+    diagonal = data.draw(st.none() | st.builds(BitVec, st.just(d), st.integers(0, (1 << d) - 1)))
+    grp = make_group(space, diagonal)
+    assert extraspecial_sign(grp) == oracles.extraspecial_sign(grp.beta)
+
+
 @st.composite
 def invertible(draw, dim: int) -> BitMat:
     """P L U for a permutation P and unit lower/upper triangular L, U: every
@@ -213,3 +223,27 @@ def test_group_order_chain_matches_oracle_and_bfs(data):
     else:
         with pytest.raises(RuntimeError, match="cap"):
             group_order(gens, cap=cap)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.data())
+def test_group_order_chain_matches_oracle_above_one_byte(data):
+    # Small invertible blocks on scattered coordinates of a space of
+    # dimension 9..12: the columns reach past the first byte, the group
+    # stays small enough for the oracle.
+    dim = data.draw(st.integers(9, 12))
+    block = data.draw(st.integers(1, 5))
+    coords = data.draw(st.permutations(range(dim)))[:block]
+    gens = []
+    for small in data.draw(st.lists(invertible(block), min_size=1, max_size=2)):
+        rows = [1 << i for i in range(dim)]
+        for i, row in enumerate(small.rows):
+            rows[coords[i]] = sum(1 << coords[j] for j in range(block) if row >> j & 1)
+        gens.append(BitMat(dim, rows))
+    assert group_order(gens, method="chain") == oracles.stabilizer_chain_order(gens)
+
+
+def test_group_order_chain_matches_oracle_on_weyl_images_above_one_byte():
+    for family, rank in [("A", 9), ("D", 10), ("A", 11), ("D", 12)]:
+        gens = list(weyl_rep(cartan_datum(family, rank)).generators)
+        assert group_order(gens, method="chain") == oracles.stabilizer_chain_order(gens), (family, rank)
