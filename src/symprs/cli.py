@@ -36,7 +36,7 @@ from .extend import (
     extend_minimal,
     witness_to_json,
 )
-from .gf2 import BitMat, BitVec, inverse, rank
+from .gf2 import BitVec
 from .graph import Graph, dynkin_graph, graph_classes, parse_graph
 from .grp2 import burnside_check, extraspecial_sign, lift_decoration, make_group
 from .srs import (
@@ -49,7 +49,7 @@ from .srs import (
     srs_isomorphic,
     srs_to_json,
 )
-from .symplectic import SympSpace, default_completion_choices
+from .symplectic import SympSpace, random_completion_choices
 
 from .graph import DYNKIN_FAMILIES
 
@@ -279,8 +279,7 @@ def _verify_extension(max_nodes: int, trials: int, rng) -> dict:
     lam = BitVec.from_string("010001")
     base, _ = extend_minimal(probe, lam)
     for _ in range(trials):
-        proj, radform = _random_choices(rng, probe.space)
-        other, _ = extend_minimal(probe, lam, (proj, radform))
+        other, _ = extend_minimal(probe, lam, random_completion_choices(rng, probe.space))
         checks += 1
         if srs_isomorphic(base, other) is None:
             failures.append("choice-dependent extension class on D6 probe")
@@ -298,31 +297,6 @@ def _verify_extension(max_nodes: int, trials: int, rng) -> dict:
                 if restrict(out, range(4)) != seed:
                     failures.append("double extension forgot its seed")
     return {"ok": not failures, "checks": checks, "failures": failures[:5]}
-
-
-def _random_choices(rng, space):
-    """A random valid (projection, radical form) pair for a space."""
-    d = space.dim
-    k = space.type.k
-    if d == 0 or k == 0:
-        return default_completion_choices(space)
-    while True:
-        extension = [list(v) for v in space.radical]
-        for _ in range(d - k):
-            extension.append([rng.randrange(2) for _ in range(d)])
-        cols = BitMat.from_cols([BitVec.from_bits(v) for v in extension], nrows=d)
-        back = inverse(cols)
-        if back is None:
-            continue
-        kill = BitMat(d, tuple((1 << i) if i < k else 0 for i in range(d)))
-        proj = cols @ kill @ back
-        rows = [[rng.randrange(2) for _ in range(k)] for _ in range(k)]
-        for i in range(k):
-            for j in range(i):
-                rows[i][j] = rows[j][i]
-        radform = BitMat.from_rows([BitVec.from_bits(r) for r in rows], ncols=k)
-        if rank(radform) == k:
-            return proj, radform
 
 
 def _verify_weyl(max_rank: int) -> dict:

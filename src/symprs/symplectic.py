@@ -49,6 +49,7 @@ __all__ = [
     "orthogonal_project",
     "mixed_completion",
     "default_completion_choices",
+    "random_completion_choices",
 ]
 
 
@@ -267,6 +268,39 @@ def default_completion_choices(s: SympSpace) -> tuple[BitMat, BitMat]:
     kill = BitMat(s.dim, [0] * (2 * n) + [1 << (2 * n + j) for j in range(k)])
     proj = t @ kill @ t_inv
     return proj, BitMat.identity(k)
+
+
+def random_completion_choices(rng, s: SympSpace) -> tuple[BitMat, BitMat]:
+    """A random valid (proj, radform) pair drawn from ``rng`` (a
+    ``random.Random``): first a projection onto the radical along a random
+    complement, then a random symmetric nondegenerate radical form with an
+    unrestricted diagonal."""
+    dim = s.dim
+    k = len(s.radical)
+    if dim == 0:
+        return BitMat.zeros(0, 0), BitMat.zeros(0, 0)
+    # extend the radical basis by random vectors to a full basis, then
+    # project onto the radical along the random complement
+    cols = list(s.radical)
+    while len(cols) < dim:
+        cand = BitVec(dim, rng.getrandbits(dim))
+        if rank(BitMat.from_cols(cols + [cand], nrows=dim)) == len(cols) + 1:
+            cols.append(cand)
+    basis = BitMat.from_cols(cols[k:] + cols[:k], nrows=dim)
+    kill = BitMat(dim, [0] * (dim - k) + [1 << (dim - k + j) for j in range(k)])
+    proj = basis @ kill @ inverse(basis)
+    while True:
+        rows = [0] * k
+        for i in range(k):
+            if rng.getrandbits(1):
+                rows[i] |= 1 << i
+            for j in range(i + 1, k):
+                if rng.getrandbits(1):
+                    rows[i] |= 1 << j
+                    rows[j] |= 1 << i
+        radform = BitMat(k, rows)
+        if rank(radform) == k:
+            return proj, radform
 
 
 def orthogonal_project(s: SympSpace, wbasis: list[BitVec], v: BitVec) -> tuple[BitVec, BitVec]:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from symprs.gf2 import BitMat, BitVec, rank
+from symprs.gf2 import BitMat
 from symprs.symplectic import SympSpace
 
 
@@ -17,45 +17,6 @@ def random_space(rng: random.Random, dim: int) -> SympSpace:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
     return SympSpace(BitMat(dim, rows))
-
-
-def random_projection(rng: random.Random, s: SympSpace) -> BitMat:
-    """A random idempotent map onto the radical of s."""
-    k = len(s.radical)
-    dim = s.dim
-    if dim == 0:
-        return BitMat.zeros(0, 0)
-    # extend the radical basis by random vectors to a full basis, then
-    # project onto the radical along the random complement
-    cols = list(s.radical)
-    while len(cols) < dim:
-        cand = BitVec(dim, rng.getrandbits(dim))
-        trial = BitMat.from_cols(cols + [cand], nrows=dim)
-        if rank(trial) == len(cols) + 1:
-            cols.append(cand)
-    basis = BitMat.from_cols(cols[k:] + cols[:k], nrows=dim)
-    from symprs.gf2 import inverse
-
-    inv = inverse(basis)
-    assert inv is not None
-    kill = BitMat(dim, [0] * (dim - k) + [1 << (dim - k + j) for j in range(k)])
-    return basis @ kill @ inv
-
-
-def random_radform(rng: random.Random, k: int) -> BitMat:
-    """A random symmetric nondegenerate k x k form (diagonal unrestricted)."""
-    while True:
-        rows = [0] * k
-        for i in range(k):
-            if rng.getrandbits(1):
-                rows[i] |= 1 << i
-            for j in range(i + 1, k):
-                if rng.getrandbits(1):
-                    rows[i] |= 1 << j
-                    rows[j] |= 1 << i
-        m = BitMat(k, rows)
-        if rank(m) == k:
-            return m
 
 
 def random_graph_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:

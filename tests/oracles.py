@@ -186,6 +186,17 @@ def stabilizer_chain_order(gen_list: list[BitMat]) -> int:
     return order
 
 
+def automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every relabeling that maps g onto itself, trying all n! of them in
+    lexicographic order."""
+    return [p for p in itertools.permutations(range(g.n)) if g.relabel(p) == g]
+
+
+def is_isomorphic(g: Graph, h: Graph) -> bool:
+    """Whether some relabeling of g is h, trying all n! of them."""
+    return g.n == h.n and any(g.relabel(p) == h for p in itertools.permutations(range(g.n)))
+
+
 def validate_pairwise(g: Graph, space: SympSpace, deco: Sequence[BitVec]) -> None:
     """The SRS axioms checked one pair of nodes at a time; raises SRSError
     with the same message as ``SRS`` construction."""

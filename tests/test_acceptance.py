@@ -9,7 +9,7 @@ import random
 import time
 from collections import Counter
 
-from conftest import random_projection, random_radform, random_space
+from conftest import random_space
 from oracles import all_srs
 
 from symprs.cartan import ade_srs, ade_table, cartan_datum, group_order, roots, weyl_rep
@@ -26,7 +26,7 @@ from symprs.srs import (
     restrict,
     srs_isomorphic,
 )
-from symprs.symplectic import mixed_completion, standard_space
+from symprs.symplectic import mixed_completion, random_completion_choices, standard_space
 
 import pytest
 
@@ -248,11 +248,8 @@ def test_criterion_7_completion_choices():
     rng = random.Random(7)
     for dim in list(range(1, 11)) * 2:
         space = random_space(rng, dim)
-        k = space.type.k
         for _ in range(100):
-            completed = mixed_completion(
-                space, random_projection(rng, space), random_radform(rng, k)
-            )
+            completed = mixed_completion(space, *random_completion_choices(rng, space))
             assert rank(completed.matrix) == dim
     bases = [
         dynkin_graph("A", 3),
@@ -271,8 +268,7 @@ def test_criterion_7_completion_choices():
         for lam in (BitVec(g.n, rng.getrandbits(g.n)), BitVec(g.n, rng.getrandbits(g.n))):
             results = []
             for _ in range(10):
-                choices = (random_projection(rng, s.space), random_radform(rng, s.space.type.k))
-                out, _ = extend_minimal(s, lam, choices)
+                out, _ = extend_minimal(s, lam, random_completion_choices(rng, s.space))
                 results.append(out)
             for other in results[1:]:
                 assert srs_isomorphic(results[0], other) is not None, (g.edge_list(), lam)

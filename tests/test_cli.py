@@ -5,6 +5,7 @@ import json
 import pytest
 
 from symprs.cli import main
+from symprs.graph import MAX_NODES
 
 A4_EDGES = "n 4\ne 0 1\ne 1 2\ne 2 3\n"
 
@@ -266,6 +267,14 @@ def test_graph_json_rejects_non_integers(tmp_path, capsys, text, message):
     code, out, err = run(capsys, "type", "--graph", write_graph(tmp_path, text))
     assert (code, out) == (1, "")
     assert message in err
+
+
+@pytest.mark.parametrize("n", [MAX_NODES + 1, 10**20])
+@pytest.mark.parametrize("text", ['{{"nodes": {n}}}', "n {n}\n"])
+def test_type_rejects_node_counts_past_the_cap(tmp_path, capsys, text, n):
+    code, out, err = run(capsys, "type", "--graph", write_graph(tmp_path, text.format(n=n)))
+    assert (code, out) == (1, "")
+    assert err == f"error: {n} nodes exceeds the node cap of {MAX_NODES}\n"
 
 
 def test_iso_rejects_non_string_decoration(tmp_path, capsys):

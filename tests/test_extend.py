@@ -19,8 +19,7 @@ from symprs.extend import (
 from symprs.gf2 import BitVec
 from symprs.graph import Graph, all_graphs, dynkin_graph
 from symprs.srs import SRSError, minimal_srs, restrict, srs_isomorphic
-
-from conftest import random_projection, random_radform
+from symprs.symplectic import random_completion_choices
 
 
 def indicators(n):
@@ -130,9 +129,7 @@ def test_choice_independence_up_to_isomorphism():
     for lam in [BitVec.from_string("10010"), BitVec.from_string("11100"), BitVec.zero(5)]:
         results = [extend_minimal(s, lam)[0]]
         for _ in range(6):
-            proj = random_projection(rng, s.space)
-            radform = random_radform(rng, s.type.k)
-            results.append(extend_minimal(s, lam, (proj, radform))[0])
+            results.append(extend_minimal(s, lam, random_completion_choices(rng, s.space))[0])
         for other in results[1:]:
             assert srs_isomorphic(results[0], other) is not None
 
@@ -146,9 +143,7 @@ def test_explicit_choices_change_data_not_class():
     base, _ = extend_minimal(s, lam)
     found_different = False
     for _ in range(12):
-        proj = random_projection(rng, s.space)
-        radform = random_radform(rng, s.type.k)
-        out, _ = extend_minimal(s, lam, (proj, radform))
+        out, _ = extend_minimal(s, lam, random_completion_choices(rng, s.space))
         if out != base:
             found_different = True
     assert found_different

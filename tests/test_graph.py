@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import random_graph_edges
 from symprs.graph import (
+    MAX_NODES,
     Graph,
+    _node_invariants,
     all_graphs,
     automorphisms,
     connected_graph_classes,
@@ -50,6 +56,13 @@ def test_parse_json():
     g = parse_graph('{"nodes": 3, "edges": [[0, 1], [1, 2]]}')
     assert g.edge_list() == [(0, 1), (1, 2)]
     assert parse_graph('{"nodes": 2}').edges == frozenset()
+
+
+@pytest.mark.parametrize("n", [MAX_NODES + 1, 10**20])
+@pytest.mark.parametrize("text", ['{{"nodes": {n}}}', "n {n}\n"])
+def test_node_cap_checked_before_allocating(text, n):
+    with pytest.raises(ValueError, match="node cap"):
+        parse_graph(text.format(n=n))
 
 
 def test_parse_roundtrip_json():
@@ -202,13 +215,81 @@ def test_all_graphs_counts():
     assert sum(1 for _ in all_graphs(4)) == 64
 
 
+# sha256 of repr([g.edge_list() for g in graph_classes(n)]): pins the
+# representatives and their order
+CLASS_DIGESTS = {
+    1: "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
+    2: "5966fecad2e05ece63219feec68426a1929fcff75826ae6ba102aa266f514976",
+    3: "97898bbf759c44571d144a1ef11128f17e7d9436eec4eda5e3f7ac62f5c8628a",
+    4: "4fbf815746528c147b083a8f8b88ca730875c298a9e0b7e3e6e4fd9f9999d473",
+    5: "e743e93bb1ea4e47c44d7bede0f476551aed7a80e36503008c51ba65976c4516",
+    6: "d3fafacad89f9984fe1d29dd2f38a0ea6d0e71c34f5cf9a96d0f2e25e672fd6e",
+    7: "f4903dc3b8471aa938545fa2c9fae58eeadb710bddcf3c5574521486af4da396",
+}
+
+
 def test_graph_class_counts():
-    expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
+    expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
     for n, count in expected.items():
         classes = graph_classes(n)
         assert len(classes) == count
+        digest = hashlib.sha256(repr([g.edge_list() for g in classes]).encode()).hexdigest()
+        assert digest == CLASS_DIGESTS[n]
         # spot check pairwise distinctness on the small levels
         if n <= 4:
             for a, b in itertools.combinations(classes, 2):
                 assert not is_isomorphic(a, b)
     assert len(connected_graph_classes(6)) == 112
+
+
+GRAPH_SEARCH = settings(deadline=None, max_examples=150)
+
+
+@st.composite
+def graphs(draw, max_n: int, min_n: int = 0) -> Graph:
+    n = draw(st.integers(min_n, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, [p for p, k in zip(pairs, keep) if k])
+
+
+@GRAPH_SEARCH
+@given(graphs(max_n=6))
+def test_automorphisms_match_oracle(g):
+    assert automorphisms(g) == oracles.automorphisms(g)
+
+
+@GRAPH_SEARCH
+@given(st.data())
+def test_is_isomorphic_matches_oracle_on_equal_degree_sequences(data):
+    """h is a relabeled copy of g after random degree-preserving edge
+    swaps (a-b, c-d -> a-d, c-b), so the degrees always agree and the
+    pair may or may not be isomorphic."""
+    g = data.draw(graphs(max_n=7, min_n=4))
+    perm = data.draw(st.permutations(range(g.n)))
+    edges = {(min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in g.edges}
+    for _ in range(data.draw(st.integers(0, 8))):
+        if len(edges) < 2:
+            break
+        old = data.draw(st.lists(st.sampled_from(sorted(edges)), min_size=2, max_size=2,
+                                 unique=True))
+        (a, b), (c, d) = old
+        if data.draw(st.booleans()):
+            c, d = d, c
+        new = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            edges = (edges - set(old)) | new
+    h = Graph(g.n, edges)
+    assert sorted(map(g.degree, range(g.n))) == sorted(map(h.degree, range(h.n)))
+    assert is_isomorphic(g, h) == oracles.is_isomorphic(g, h)
+
+
+def test_is_isomorphic_separates_invariant_tied_graphs():
+    # the cube Q3 and the Wagner graph: 3-regular and triangle-free, so every
+    # node invariant ties, but Q3 is bipartite and the Wagner graph is not
+    cube = Graph(8, [(a, a ^ 1 << i) for a in range(8) for i in range(3) if not a >> i & 1])
+    wagner = Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+    assert sorted(_node_invariants(cube)) == sorted(_node_invariants(wagner))
+    assert not is_isomorphic(cube, wagner)
+    assert not oracles.is_isomorphic(cube, wagner)
+    assert is_isomorphic(cube, cube.relabel([3, 6, 0, 5, 2, 7, 1, 4]))

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import random_graph_edges
 from symprs.gf2 import BitMat, BitVec, inverse, rank
-from symprs.graph import Graph, dynkin_graph, parse_graph
+from symprs.graph import MAX_NODES, Graph, dynkin_graph, parse_graph
 from symprs.srs import (
     SRS,
     SRSError,
@@ -219,6 +219,13 @@ def test_json_rejects_tampering():
 def test_json_rejects_wrong_value_types(field, value, message):
     payload = dict(srs_to_json(minimal_srs(A3)), **{field: value})
     with pytest.raises(SRSError, match=message):
+        srs_from_json(payload)
+
+
+@pytest.mark.parametrize("n", [MAX_NODES + 1, 10**20])
+def test_json_rejects_node_counts_past_the_cap(n):
+    payload = dict(srs_to_json(minimal_srs(A3)), graph={"nodes": n, "edges": []})
+    with pytest.raises(ValueError, match="node cap"):
         srs_from_json(payload)
 
 

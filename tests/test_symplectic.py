@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import random_projection, random_radform, random_space
+from conftest import random_space
 from symprs.gf2 import BitMat, BitVec, rank
 from symprs.symplectic import (
     SpaceType,
@@ -14,6 +14,7 @@ from symprs.symplectic import (
     default_completion_choices,
     mixed_completion,
     orthogonal_project,
+    random_completion_choices,
     standard_space,
 )
 
@@ -169,10 +170,8 @@ def test_mixed_completion_nondegenerate_random_sweep():
     for _ in range(25):
         dim = rng.randrange(0, 9)
         s = random_space(rng, dim)
-        k = len(s.radical)
         for _ in range(10):
-            proj = random_projection(rng, s)
-            radform = random_radform(rng, k)
+            proj, radform = random_completion_choices(rng, s)
             done = mixed_completion(s, proj, radform)
             assert rank(done.matrix) == dim
             # the completion agrees with the original form on ker(proj)
