@@ -27,9 +27,7 @@ from .extend import (
     ExtensionWitness,
     build_by_extension,
     double_extend_extraspecial,
-    extend_extraspecial,
     extend_minimal,
-    extend_nullspace,
     replay,
     witness_from_json,
     witness_to_json,
@@ -96,9 +94,7 @@ __all__ = [
     "double_extend_extraspecial",
     "dynkin_graph",
     "enumerate_quotients",
-    "extend_extraspecial",
     "extend_minimal",
-    "extend_nullspace",
     "extraspecial_sign",
     "graph_classes",
     "graph_to_json",

@@ -5,53 +5,40 @@ One verb per task: classify a graph's minimal system (``type``), print it
 by a node (``extend``), compare two systems (``iso``), look up the simply
 laced tables (``ade``), inspect a Weyl group's mod-2 image (``weyl``),
 build the associated 2-group (``group``), check the coclique bound
-(``coclique``), and run the self-verification sweeps (``verify``).
+(``coclique``), and run the self-verification sweeps of ``symprs.verify``
+(``verify``). This module only parses arguments, dispatches to the
+library and renders the result.
 
 Output is JSON by default (keys sorted, so runs are byte-identical) or
 ``--format text`` for a human. Exit codes: 0 on success, 1 when a
 computation fails or a verification suite finds a counterexample, 2 for
-usage errors.
+usage errors, including an integer option not written in ASCII decimal
+digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from collections import Counter
 
-from .cartan import (
-    ade_srs,
-    ade_table,
-    cartan_datum,
-    group_order,
-    parity_graph,
-    roots,
-    weyl_rep,
-)
-from .extend import (
-    build_by_extension,
-    double_extend_extraspecial,
-    extend_minimal,
-    witness_to_json,
-)
-from .gf2 import BitVec
-from .graph import Graph, dynkin_graph, graph_classes, parse_graph
+from . import verify
+from .cartan import ade_srs, ade_table, cartan_datum, group_order, roots, weyl_rep
+from .extend import extend_minimal, witness_to_json
+from .gf2 import BitVec, bilinear
+from .graph import DYNKIN_FAMILIES, Graph, parse_graph
 from .grp2 import burnside_check, extraspecial_sign, lift_decoration, make_group
 from .srs import (
     SRSError,
     coclique_bound_check,
     enumerate_quotients,
     minimal_srs,
-    restrict,
     srs_from_json,
     srs_isomorphic,
     srs_to_json,
 )
-from .symplectic import SympSpace, random_completion_choices
-
-from .graph import DYNKIN_FAMILIES
+from .symplectic import SympSpace
 
 __all__ = ["main"]
 
@@ -102,14 +89,25 @@ def _quotients_payload(args) -> dict:
     return payload
 
 
+def _decimal(text: str, signed: bool = False) -> int:
+    """An integer written in ASCII decimal digits, with a leading '-' only
+    when ``signed``. Bare ``int`` would also read '1_0' as 10, and accept
+    '+3', ' 3' and non-ASCII digits; none of those is a number here."""
+    digits = text[1:] if signed and text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        kind = "an integer" if signed else "a non-negative integer"
+        raise argparse.ArgumentTypeError(f"expected {kind} in decimal digits, got {text!r}")
+    return int(text)
+
+
 def _parse_attach(text: str, node_count: int) -> BitVec:
     lam = BitVec.zero(node_count)
     if text.strip() == "":
         return lam
     for part in text.split(","):
         try:
-            node = int(part)
-        except ValueError:
+            node = _decimal(part.strip())
+        except argparse.ArgumentTypeError:
             raise ValueError(f"bad node {part!r} in attach list") from None
         if not 0 <= node < node_count:
             raise ValueError(f"attach node {node} out of range for {node_count} nodes")
@@ -180,7 +178,11 @@ def _group_payload(args) -> dict:
     grp = make_group(s.space, diagonal)
     lifts = lift_decoration(s, grp)
     report = burnside_check(grp, lifts)
-    orders = Counter(grp.element_order(el) for el in grp.elements())
+    # (0, 0) has order 1 and (0, 1) order 2; for v != 0 both (v, a) square
+    # to (0, q(v)), so they have order 4 if q(v) = 1 and 2 otherwise.
+    rows = grp.beta.rows
+    q_ones = sum(bilinear(rows, v, v) for v in range(1 << grp.dim))
+    counts = {1: 1, 2: 1 + 2 * ((1 << grp.dim) - 1 - q_ones), 4: 2 * q_ones}
     try:
         sign = extraspecial_sign(grp)
     except ValueError:
@@ -191,7 +193,7 @@ def _group_payload(args) -> dict:
         "type": [n, k],
         "center_order": len(grp.center()),
         "sign": sign,
-        "element_orders": {str(o): orders[o] for o in sorted(orders)},
+        "element_orders": {str(o): count for o, count in counts.items() if count},
         "lifts_generate": report.generates,
         "lifts_minimal": report.minimal,
     }
@@ -210,224 +212,11 @@ def _coclique_payload(args) -> dict:
     }
 
 
-# Verification sweeps. Each returns {"ok", "checks", failures...}; verify
-# aggregates them and the process exits 1 if any suite found a
-# counterexample, printing the smallest one it hit.
-
-
-def _verify_restriction(max_nodes: int, rng) -> dict:
-    cases = Counter()
-    checks = 0
-    failures = []
-    for size in range(max_nodes + 1):
-        for g in graph_classes(size):
-            for s in enumerate_quotients(g):
-                n0, k0 = s.type
-                for v in range(g.n):
-                    sub = restrict(s, [u for u in range(g.n) if u != v])
-                    step = (sub.type.n - n0, sub.type.k - k0)
-                    checks += 1
-                    if step == (0, -1):
-                        cases["nullvector_dropped"] += 1
-                    elif step == (-1, 1):
-                        cases["hyperbolic_collapsed"] += 1
-                    elif step == (0, 0) and not s.is_minimal:
-                        cases["type_kept"] += 1
-                    else:
-                        failures.append(
-                            f"graph {g.edge_list()} class ({n0},{k0}) node {v}: "
-                            f"type step {step}, minimal={s.is_minimal}"
-                        )
-    return {"ok": not failures, "checks": checks, "cases": dict(cases), "failures": failures[:5]}
-
-
-def _verify_extension(max_nodes: int, trials: int, rng) -> dict:
-    checks = 0
-    failures = []
-    # Any insertion order rebuilds the minimal class.
-    for size in range(max_nodes + 1):
-        for g in graph_classes(size):
-            orders = [list(range(size)), list(range(size - 1, -1, -1))]
-            shuffled = list(range(size))
-            rng.shuffle(shuffled)
-            orders.append(shuffled)
-            for order in orders:
-                built = build_by_extension(g, order)
-                checks += 1
-                if built.graph != g or srs_isomorphic(built, minimal_srs(g)) is None:
-                    failures.append(f"graph {g.edge_list()} order {order}: wrong class")
-    # Exhaustive single extensions on small graphs: round trip and the
-    # count of indicators that only add a nullvector.
-    small = min(max_nodes, 4)
-    for size in range(small + 1):
-        for g in graph_classes(size):
-            s = minimal_srs(g)
-            n0, k0 = s.type
-            null = 0
-            for bits in range(1 << size):
-                lam = BitVec(size, bits)
-                out, wit = extend_minimal(s, lam)
-                checks += 1
-                if restrict(out, range(size)) != s:
-                    failures.append(f"graph {g.edge_list()} lam {lam}: round trip broken")
-                null += wit.case == "new_nullvector"
-            if null != 1 << (2 * n0):
-                failures.append(f"graph {g.edge_list()}: {null} nullvector cases, not 2^{2 * n0}")
-            checks += 1
-    # Completion choices never change the isomorphism class.
-    probe = minimal_srs(dynkin_graph("D", 6))
-    lam = BitVec.from_string("010001")
-    base, _ = extend_minimal(probe, lam)
-    for _ in range(trials):
-        other, _ = extend_minimal(probe, lam, random_completion_choices(rng, probe.space))
-        checks += 1
-        if srs_isomorphic(base, other) is None:
-            failures.append("choice-dependent extension class on D6 probe")
-    # The double extension dichotomy on a nondegenerate seed.
-    seed = minimal_srs(dynkin_graph("A", 4))
-    for bits_p in range(4):
-        for bits_q in range(4):
-            for edge in (False, True):
-                lam_p = BitVec(4, bits_p)
-                lam_q = BitVec(4, bits_q)
-                out, wp, wq = double_extend_extraspecial(seed, lam_p, lam_q, edge)
-                checks += 1
-                if out.type not in ((3, 0), (2, 2)):
-                    failures.append(f"double extension type {tuple(out.type)}")
-                if restrict(out, range(4)) != seed:
-                    failures.append("double extension forgot its seed")
-    return {"ok": not failures, "checks": checks, "failures": failures[:5]}
-
-
-def _verify_weyl(max_rank: int) -> dict:
-    checks = 0
-    failures = []
-    cases = []
-    for family in DYNKIN_FAMILIES:
-        low = {"A": 1, "B": 2, "C": 2, "D": 4, "E": 6, "F": 4, "G": 2}[family]
-        high = {"A": max_rank, "B": max_rank, "C": max_rank, "D": max_rank, "E": 8, "F": 4, "G": 2}[
-            family
-        ]
-        for rank in range(low, high + 1):
-            if family == "E" and rank not in (6, 7, 8):
-                continue
-            cases.append((family, rank))
-    for family, rank in cases:
-        if rank > max_rank:
-            continue
-        c = cartan_datum(family, rank)
-        rep = weyl_rep(c)
-        gram = rep.srs.space.gram
-        if parity_graph(c) != dynkin_graph(family, rank):
-            failures.append(f"{family}{rank}: parity graph off the table")
-        checks += 1
-        for m in rep.generators:
-            checks += 1
-            if m.transpose() @ gram @ m != gram:
-                failures.append(f"{family}{rank}: non-symplectic generator")
-        for beta in roots(c):
-            image = rep.root_images[beta]
-            for i in range(c.rank):
-                coeff = sum(c.matrix[i][j] * beta[j] for j in range(c.rank))
-                reflected = beta[:i] + (beta[i] - coeff,) + beta[i + 1 :]
-                checks += 1
-                if rep.root_images[reflected] != rep.generators[i] @ image:
-                    failures.append(f"{family}{rank}: intertwining fails at {beta}")
-                    break
-    return {"ok": not failures, "checks": checks, "failures": failures[:5]}
-
-
-def _verify_group(max_nodes: int, rng) -> dict:
-    checks = 0
-    failures = []
-    limit = min(max_nodes, 5)
-    for size in range(limit + 1):
-        for g in graph_classes(size):
-            s = minimal_srs(g)
-            grp = make_group(s.space)
-            elems = list(grp.elements())
-            zero = BitVec.zero(size)
-            for a, aa in elems:
-                for b, bb in elems:
-                    checks += 1
-                    if grp.commutator((a, aa), (b, bb)) != (zero, s.space.form(a, b)):
-                        failures.append(f"graph {g.edge_list()}: commutator is not the form")
-                        break
-            n, k = s.type
-            if len(grp.center()) != 1 << (k + 1):
-                failures.append(f"graph {g.edge_list()}: center size")
-            checks += 1
-            lifts = lift_decoration(s, grp)
-            report = burnside_check(grp, lifts)
-            closure = grp.closure(lifts)
-            checks += 1
-            if report.generates != (len(closure) == grp.order()):
-                failures.append(f"graph {g.edge_list()}: Burnside disagrees with closure")
-            if k == 0 and size > 0:
-                four = sum(1 for el in elems if grp.element_order(el) == 4)
-                expected = "plus" if four // 2 == (1 << (size - 1)) - (1 << (size // 2 - 1)) else "minus"
-                checks += 1
-                if extraspecial_sign(grp) != expected:
-                    failures.append(f"graph {g.edge_list()}: sign vs order-4 count")
-    return {"ok": not failures, "checks": checks, "failures": failures[:5]}
-
-
-def _verify_coclique(max_nodes: int) -> dict:
-    checks = 0
-    failures = []
-    for size in range(max_nodes + 1):
-        for g in graph_classes(size):
-            report = coclique_bound_check(g)
-            checks += 1
-            if not report.holds:
-                failures.append(f"graph {g.edge_list()}: bound violated")
-    # Even paths meet the bound exactly, alone and in disjoint unions.
-    for m in (1, 2, 3):
-        g = dynkin_graph("A", 2 * m)
-        report = coclique_bound_check(g)
-        checks += 1
-        if report.n != report.bound:
-            failures.append(f"A{2 * m}: bound not tight")
-    union = Graph(6, [(0, 1), (2, 3), (4, 5)])
-    report = coclique_bound_check(union)
-    checks += 1
-    if report.n != report.bound:
-        failures.append("disjoint edges: bound not tight")
-    return {"ok": not failures, "checks": checks, "failures": failures[:5]}
-
-
-def _size(text: str) -> int:
-    """argparse type for sweep sizes: a non-negative integer."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"size must be non-negative, got {value}")
-    return value
-
-
 def _verify_payload(args) -> dict:
-    max_nodes = min(args.max_nodes, 4) if args.quick else args.max_nodes
-    max_rank = min(args.max_rank, 4) if args.quick else args.max_rank
-    trials = 2 if args.quick else 6
-    rng = random.Random(args.seed)
-    runners = {
-        "restriction": lambda: _verify_restriction(max_nodes, rng),
-        "extension": lambda: _verify_extension(max_nodes, trials, rng),
-        "weyl": lambda: _verify_weyl(max_rank),
-        "group": lambda: _verify_group(max_nodes, rng),
-        "coclique": lambda: _verify_coclique(max_nodes),
-    }
-    wanted = list(runners) if args.suite == "all" else [args.suite]
-    suites = {name: runners[name]() for name in wanted}
-    for result in suites.values():
-        if result["checks"] == 0:
-            # a sweep that checked nothing proves nothing
-            result["ok"] = False
-            result["failures"].append("no checks ran")
-    return {
-        "ok": all(result["ok"] for result in suites.values()),
-        "seed": args.seed,
-        "suites": suites,
-    }
+    names = verify.SUITES if args.suite == "all" else (args.suite,)
+    if args.quick:
+        return verify.run(names, min(args.max_nodes, 4), min(args.max_rank, 4), 2, args.seed)
+    return verify.run(names, args.max_nodes, args.max_rank, 6, args.seed)
 
 
 def _render_text(verb: str, payload: dict) -> list[str]:
@@ -525,10 +314,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("b", help="SRS JSON file")
     p = add("ade", "classical decorations and class table of a diagram", _ade_payload)
     p.add_argument("--family", required=True, choices=("A", "D", "E"))
-    p.add_argument("--rank", required=True, type=int)
+    p.add_argument("--rank", required=True, type=_decimal)
     p = add("weyl", "mod-2 Weyl representation of a Cartan datum", _weyl_payload)
     p.add_argument("--family", required=True, choices=DYNKIN_FAMILIES)
-    p.add_argument("--rank", required=True, type=int)
+    p.add_argument("--rank", required=True, type=_decimal)
     p = add("group", "the 2-group presented by a graph's minimal system", _group_payload)
     p.add_argument("--graph", required=True)
     p.add_argument("--diagonal", help="bit string twisting q on the marked coordinates")
@@ -537,12 +326,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("verify", "run self-verification sweeps", _verify_payload)
     p.add_argument(
         "--suite",
-        choices=("restriction", "extension", "weyl", "group", "coclique", "all"),
+        choices=(*verify.SUITES, "all"),
         default="all",
     )
-    p.add_argument("--max-nodes", type=_size, default=5)
-    p.add_argument("--max-rank", type=_size, default=6)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-nodes", type=_decimal, default=5)
+    p.add_argument("--max-rank", type=_decimal, default=6)
+    p.add_argument("--seed", type=lambda text: _decimal(text, signed=True), default=0)
     p.add_argument("--quick", action="store_true", help="smaller sweeps")
     return parser
 

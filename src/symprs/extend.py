@@ -13,11 +13,12 @@ radical part decides between the two possible outcomes:
   node gets w0 + y, type (n, k) -> (n + 1, k - 1).
 
 Extraspecial (k = 0) and totally-degenerate (n = 0) inputs admit direct
-constructions that the general route reproduces exactly; both are
-provided. Every choice made along the way is recorded in a witness so a
-run can be replayed and audited. Folding extensions over all nodes of a
-graph builds its minimal SRS from nothing, in any node order, and all
-orders agree up to isomorphism.
+constructions that the general route reproduces exactly; the tests keep
+both as independent oracles (``tests/oracles.py``). Every choice made
+along the way is recorded in a witness so a run can be replayed and
+audited. Folding extensions over all nodes of a graph builds its minimal
+SRS from nothing, in any node order, and all orders agree up to
+isomorphism.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .symplectic import MixedForm, SympSpace, default_completion_choices, mixed_
 __all__ = [
     "ExtensionWitness",
     "lift_indicator",
-    "extend_extraspecial",
-    "extend_nullspace",
     "extend_minimal",
     "double_extend_extraspecial",
     "build_by_extension",
@@ -83,37 +82,6 @@ def lift_indicator(s: SRS, lam: BitVec) -> BitVec:
     return inv @ lam
 
 
-def extend_extraspecial(s: SRS, lam: BitVec) -> tuple[SRS, ExtensionWitness]:
-    """Extension of a nondegenerate system: always a new nullvector.
-
-    The lifted form is represented by a unique w0, and the new node gets
-    w0 + z for a fresh radical direction z, giving type (n, 1).
-    """
-    _require_minimal(s, lam)
-    if not s.type.is_extraspecial:
-        raise SRSError(f"space has type {tuple(s.type)}, not extraspecial")
-    c = lift_indicator(s, lam)
-    w0 = solve(s.space.gram, c)
-    assert w0 is not None
-    return _attach_nullvector(s, lam, w0, BitVec.zero(s.space.dim))
-
-
-def extend_nullspace(s: SRS, lam: BitVec) -> tuple[SRS, ExtensionWitness]:
-    """Extension of a totally degenerate system (type (0, k), no edges).
-
-    A zero indicator adjoins one more nullvector; otherwise the kernel of
-    the lifted form pairs against a new vector y, creating the first
-    hyperbolic plane: type (1, k - 1), new node decorated by y.
-    """
-    _require_minimal(s, lam)
-    if s.type.n != 0:
-        raise SRSError(f"space has type {tuple(s.type)}, not totally degenerate")
-    c = lift_indicator(s, lam)
-    if c.is_zero():
-        return _attach_nullvector(s, lam, BitVec.zero(s.space.dim), c)
-    return _attach_hyperbolic(s, lam, BitVec.zero(s.space.dim), c, list(c))
-
-
 def extend_minimal(
     s: SRS, lam: BitVec, choices: tuple[BitMat, BitMat] | None = None
 ) -> tuple[SRS, ExtensionWitness]:
@@ -133,46 +101,35 @@ def extend_minimal(
     assert w_tilde is not None, "mixed completion is nondegenerate"
     z0 = proj @ w_tilde
     w0 = w_tilde ^ z0
-    if z0.is_zero():
-        return _attach_nullvector(s, lam, w0, z0)
-    pairings = list(mixed.matrix @ z0)
-    return _attach_hyperbolic(s, lam, w0, z0, pairings)
+    return _attach(s, lam, w0, z0, 0 if z0.is_zero() else (mixed.matrix @ z0).bits)
 
 
-def _attach_nullvector(s: SRS, lam: BitVec, w0: BitVec, z0: BitVec) -> tuple[SRS, ExtensionWitness]:
-    d = s.space.dim
-    space = SympSpace(block_diag(s.space.gram, BitMat.zeros(1, 1)))
-    new_deco = w0.pad(d + 1) ^ BitVec.basis(d + 1, d)
-    out = SRS(
-        _extended_graph(s.graph, lam),
-        space,
-        tuple(v.pad(d + 1) for v in s.deco) + (new_deco,),
-    )
-    n, k = s.type
-    assert out.type == (n, k + 1)
-    return out, ExtensionWitness(NEW_NULLVECTOR, w0, z0, new_deco)
-
-
-def _attach_hyperbolic(
-    s: SRS, lam: BitVec, w0: BitVec, z0: BitVec, pairings: list[int]
+def _attach(
+    s: SRS, lam: BitVec, w0: BitVec, z0: BitVec, pairings: int
 ) -> tuple[SRS, ExtensionWitness]:
+    """Adjoin one coordinate that pairs with old coordinate i as bit i of
+    ``pairings`` says, and decorate the new node by w0 plus it.
+
+    Zero pairings adjoin a nullvector: type (n, k) -> (n, k + 1). Otherwise
+    the new coordinate is the partner of a hyperbolic pair, type
+    (n + 1, k - 1), and ``x_choice`` is the lowest coordinate it pairs with.
+    """
     d = s.space.dim
-    x_index = next((i for i, bit in enumerate(pairings) if bit), None)
-    assert x_index is not None, "the radical part pairs nontrivially with something"
-    rows = [old | (pairings[i] << d) for i, old in enumerate(s.space.gram.rows)]
-    rows.append(sum(bit << i for i, bit in enumerate(pairings)))
-    space = SympSpace(BitMat(d + 1, rows))
+    rows = [old | ((pairings >> i & 1) << d) for i, old in enumerate(s.space.gram.rows)]
+    rows.append(pairings)
     new_deco = w0.pad(d + 1) ^ BitVec.basis(d + 1, d)
     out = SRS(
         _extended_graph(s.graph, lam),
-        space,
+        SympSpace(BitMat(d + 1, rows)),
         tuple(v.pad(d + 1) for v in s.deco) + (new_deco,),
     )
     n, k = s.type
+    if not pairings:
+        assert out.type == (n, k + 1)
+        return out, ExtensionWitness(NEW_NULLVECTOR, w0, z0, new_deco)
     assert out.type == (n + 1, k - 1)
-    return out, ExtensionWitness(
-        NEW_HYPERBOLIC, w0, z0, new_deco, BitVec.basis(d + 1, x_index)
-    )
+    x_choice = BitVec(d + 1, pairings & -pairings)
+    return out, ExtensionWitness(NEW_HYPERBOLIC, w0, z0, new_deco, x_choice)
 
 
 def double_extend_extraspecial(

@@ -6,7 +6,8 @@ import itertools
 from collections import deque
 from typing import Iterable, Sequence
 
-from symprs.gf2 import BitMat, BitVec, inverse, rank
+from symprs.extend import NEW_HYPERBOLIC, NEW_NULLVECTOR, ExtensionWitness, lift_indicator
+from symprs.gf2 import BitMat, BitVec, block_diag, inverse, rank, solve
 from symprs.graph import Graph
 from symprs.srs import SRS, SRSError
 from symprs.symplectic import SymplecticBasis, SympSpace, standard_space
@@ -303,3 +304,49 @@ def span_of(vectors: list[BitVec], dim: int) -> set[BitVec]:
 def subsets(items):
     for r in range(len(items) + 1):
         yield from itertools.combinations(items, r)
+
+
+def _one_node_more(s: SRS, lam: BitVec, gram: BitMat, new_deco: BitVec) -> SRS:
+    """s on the graph with one node attached to lam's support, in the space
+    of ``gram``, the new node decorated by ``new_deco``."""
+    n, d = s.graph.n, s.space.dim
+    graph = Graph(n + 1, list(s.graph.edges) + [(q, n) for q in lam.support()])
+    return SRS(graph, SympSpace(gram), tuple(v.pad(d + 1) for v in s.deco) + (new_deco,))
+
+
+def extend_extraspecial(s: SRS, lam: BitVec) -> tuple[SRS, ExtensionWitness]:
+    """Extension of a nondegenerate system: always a new nullvector.
+
+    The lifted form is represented by a unique w0, and the new node gets
+    w0 + z for a fresh radical direction z, giving type (n, 1).
+    """
+    c = lift_indicator(s, lam)
+    if not s.type.is_extraspecial:
+        raise SRSError(f"space has type {tuple(s.type)}, not extraspecial")
+    d = s.space.dim
+    w0 = solve(s.space.gram, c)
+    new_deco = w0.pad(d + 1) ^ BitVec.basis(d + 1, d)
+    out = _one_node_more(s, lam, block_diag(s.space.gram, BitMat.zeros(1, 1)), new_deco)
+    return out, ExtensionWitness(NEW_NULLVECTOR, w0, BitVec.zero(d), new_deco)
+
+
+def extend_nullspace(s: SRS, lam: BitVec) -> tuple[SRS, ExtensionWitness]:
+    """Extension of a totally degenerate system (type (0, k), no edges).
+
+    A zero indicator adjoins one more nullvector; otherwise the kernel of
+    the lifted form c pairs against a new vector y, creating the first
+    hyperbolic plane: type (1, k - 1), new node decorated by y.
+    """
+    c = lift_indicator(s, lam)
+    if s.type.n != 0:
+        raise SRSError(f"space has type {tuple(s.type)}, not totally degenerate")
+    d = s.space.dim
+    y = BitVec.basis(d + 1, d)
+    zero = BitVec.zero(d)
+    if c.is_zero():
+        out = _one_node_more(s, lam, BitMat.zeros(d + 1, d + 1), y)
+        return out, ExtensionWitness(NEW_NULLVECTOR, zero, c, y)
+    # The old form is zero, so y pairs with coordinate i exactly when c_i = 1.
+    gram = BitMat(d + 1, [c[i] << d for i in range(d)] + [c.bits])
+    x = BitVec.basis(d + 1, c.support()[0])
+    return _one_node_more(s, lam, gram, y), ExtensionWitness(NEW_HYPERBOLIC, zero, c, y, x)

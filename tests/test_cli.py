@@ -5,7 +5,8 @@ import json
 import pytest
 
 from symprs.cli import main
-from symprs.graph import MAX_NODES
+from symprs.graph import MAX_NODES, Graph
+from symprs.srs import CocliqueReport
 
 A4_EDGES = "n 4\ne 0 1\ne 1 2\ne 2 3\n"
 
@@ -208,6 +209,13 @@ def test_verify_single_suite(capsys):
     assert list(payload["suites"]) == ["weyl"]
 
 
+def test_verify_weyl_sweep_reaches_e8(capsys):
+    # E7 and E8 run only from rank 8 up; the count pins every Cartan type swept.
+    code, out, _ = run(capsys, "verify", "--suite", "weyl", "--max-rank", "8")
+    assert code == 0
+    assert json.loads(out)["suites"]["weyl"]["checks"] == 12465
+
+
 def test_verify_output_is_deterministic(capsys):
     _, first, _ = run(capsys, "verify", "--quick", "--seed", "7")
     _, second, _ = run(capsys, "verify", "--quick", "--seed", "7")
@@ -312,3 +320,63 @@ def test_verify_with_zero_checks_fails(capsys, argv):
     assert payload["ok"] is False
     assert suite["checks"] == 0 and suite["ok"] is False
     assert suite["failures"] == ["no checks ran"]
+
+
+@pytest.mark.parametrize("suite, name, fake, argv, checks, first", [
+    ("restriction", "restrict", lambda s, nodes: s, ["--max-nodes", "3"], 80,
+     "graph [] class (0,1) node 0: type step (0, 0), minimal=True"),
+    ("extension", "srs_isomorphic", lambda a, b: None, ["--max-nodes", "3", "--quick"], 109,
+     "graph [] order []: wrong class"),
+    ("weyl", "parity_graph", lambda c: Graph(0), ["--max-rank", "3"], 240,
+     "A1: parity graph off the table"),
+    ("group", "extraspecial_sign", lambda grp: "neither", ["--max-nodes", "4"], 12479,
+     "graph [(0, 1)]: sign vs order-4 count"),
+    ("coclique", "coclique_bound_check", lambda g: CocliqueReport(1, 0, 0, False, ()),
+     ["--max-nodes", "3"], 12, "graph []: bound violated"),
+])
+def test_verify_reports_a_failing_suite(capsys, monkeypatch, suite, name, fake, argv, checks, first):
+    monkeypatch.setattr(f"symprs.verify.{name}", fake)
+    code, out, _ = run(capsys, "verify", "--suite", suite, *argv)
+    payload = json.loads(out)
+    result = payload["suites"][suite]
+    assert code == 1
+    assert payload["ok"] is False and result["ok"] is False
+    assert result["checks"] == checks
+    assert 1 <= len(result["failures"]) <= 5
+    assert result["failures"][0] == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["ade", "--family", "A", "--rank", "1_0"],
+    ["ade", "--family", "D", "--rank", "+6"],
+    ["weyl", "--family", "A", "--rank", "\u0663"],
+    ["weyl", "--family", "G", "--rank", " 2"],
+    ["verify", "--max-nodes", "1_0"],
+    ["verify", "--max-rank", "\uff13"],
+    ["verify", "--seed", "1_0"],
+    ["verify", "--seed=--7"],
+    ["verify", "--seed", "+7"],
+    ["verify", "--seed", "-"],
+])
+def test_integer_options_take_only_ascii_decimal_digits(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "decimal digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("attach", ["1_0", "\u0663", "+1", "0,,1", "-1"])
+def test_extend_rejects_non_decimal_attach_nodes(tmp_path, capsys, attach):
+    path = write_graph(tmp_path, A4_EDGES)
+    code, out, err = run(capsys, "extend", "--graph", path, "--attach", attach)
+    assert (code, out) == (1, "")
+    assert "bad node '" in err
+
+
+def test_integer_options_accept_signed_seeds_and_spaced_attach(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "coclique", "--max-nodes", "1", "--seed", "-7")
+    assert code == 0 and json.loads(out)["seed"] == -7
+    path = write_graph(tmp_path, A4_EDGES)
+    _, spaced, _ = run(capsys, "extend", "--graph", path, "--attach", " 0 , 3 ")
+    _, plain, _ = run(capsys, "extend", "--graph", path, "--attach", "0,3")
+    assert spaced == plain

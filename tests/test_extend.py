@@ -3,14 +3,13 @@ import random
 
 import pytest
 
+from oracles import extend_extraspecial, extend_nullspace
 from symprs.extend import (
     NEW_HYPERBOLIC,
     NEW_NULLVECTOR,
     build_by_extension,
     double_extend_extraspecial,
-    extend_extraspecial,
     extend_minimal,
-    extend_nullspace,
     lift_indicator,
     replay,
     witness_from_json,
