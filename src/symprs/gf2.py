@@ -3,9 +3,10 @@
 Vectors and matrix rows are Python ints used as bitsets: bit ``i`` holds
 coordinate ``i``, XOR is vector addition, and AND + popcount parity is the
 dot product, so every row operation touches whole machine words at once.
-All elimination routines pivot on the lowest-index row and column first,
-which makes every derived object (echelon form, kernel basis, particular
-solutions) deterministic and reproducible across runs.
+Every rank, kernel, solve and inverse is one call of ``_eliminate``. It
+pivots on the lowest-index row and column first, so every derived object is
+deterministic, and it carries right-hand sides or the identity along as
+augmented columns above the pivoted ones.
 
 Bilinear forms are evaluated on the rows of their matrix, never through a
 matrix-vector product: ``row_combination(rows, v)`` is the row vector
@@ -130,12 +131,6 @@ class BitVec:
             raise ValueError(f"cannot pad dimension {self.dim} down to {dim}")
         return BitVec(dim, self.bits)
 
-    def take(self, dim: int) -> "BitVec":
-        """Truncate to the first ``dim`` coordinates."""
-        if dim > self.dim:
-            raise ValueError(f"cannot take {dim} coordinates from dimension {self.dim}")
-        return BitVec(dim, self.bits & ((1 << dim) - 1))
-
     def __str__(self) -> str:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.dim))
 
@@ -225,12 +220,6 @@ class BitMat:
         for i, r in enumerate(self.rows):
             bits |= ((r >> j) & 1) << i
         return BitVec(self.nrows, bits)
-
-    def row_vecs(self) -> list[BitVec]:
-        return [BitVec(self.ncols, r) for r in self.rows]
-
-    def col_vecs(self) -> list[BitVec]:
-        return [self.col(j) for j in range(self.ncols)]
 
     def transpose(self) -> "BitMat":
         cols = [0] * self.ncols
@@ -364,34 +353,43 @@ class RowEchelon:
         return len(self.pivots)
 
 
-def row_reduce(m: BitMat) -> RowEchelon:
-    """Reduced row echelon form with lowest-index pivoting.
+def _eliminate(rows: list[int], ncols: int) -> list[int]:
+    """Reduce ``rows`` in place to RREF on their low ``ncols`` bits and
+    return the pivot columns.
 
     Scans columns left to right, picks the first available row as pivot,
     and clears the pivot column everywhere else, so the result is the
-    unique RREF reached by a fixed elimination order.
+    unique RREF reached by a fixed elimination order. Bits at ``ncols`` and
+    above are never pivoted on; they ride along as augmented columns.
     """
-    work = list(m.rows)
-    trans = [1 << i for i in range(m.nrows)]
     pivots: list[int] = []
-    r = 0
-    for c in range(m.ncols):
-        pivot = next((i for i in range(r, m.nrows) if (work[i] >> c) & 1), None)
+    for c in range(ncols):
+        r = len(pivots)
+        bit = 1 << c
+        pivot = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
         if pivot is None:
             continue
-        work[r], work[pivot] = work[pivot], work[r]
-        trans[r], trans[pivot] = trans[pivot], trans[r]
-        for i in range(m.nrows):
-            if i != r and (work[i] >> c) & 1:
-                work[i] ^= work[r]
-                trans[i] ^= trans[r]
+        top = rows[pivot]
+        rows[pivot], rows[r] = rows[r], top
+        for i, row in enumerate(rows):
+            if i != r and row & bit:
+                rows[i] = row ^ top
         pivots.append(c)
-        r += 1
-    return RowEchelon(BitMat(m.ncols, work), tuple(pivots), BitMat(m.nrows, trans))
+    return pivots
+
+
+def row_reduce(m: BitMat) -> RowEchelon:
+    """Reduced row echelon form with lowest-index pivoting; the transform
+    is the augmented part of the eliminated ``[m | I]``."""
+    rows = [row | 1 << (m.ncols + i) for i, row in enumerate(m.rows)]
+    pivots = _eliminate(rows, m.ncols)
+    mask = (1 << m.ncols) - 1
+    return RowEchelon(BitMat(m.ncols, (r & mask for r in rows)), tuple(pivots),
+                      BitMat(m.nrows, (r >> m.ncols for r in rows)))
 
 
 def rank(m: BitMat) -> int:
-    return row_reduce(m).rank
+    return len(_eliminate(list(m.rows), m.ncols))
 
 
 def kernel_basis(m: BitMat) -> list[BitVec]:
@@ -400,59 +398,59 @@ def kernel_basis(m: BitMat) -> list[BitVec]:
     Free columns are visited in increasing index order and each basis vector
     has a 1 in exactly one free position, so the output is canonical.
     """
-    ech = row_reduce(m)
-    pivot_set = set(ech.pivots)
+    rows = list(m.rows)
+    pivots = _eliminate(rows, m.ncols)
+    pivot_set = set(pivots)
     basis = []
     for f in range(m.ncols):
         if f in pivot_set:
             continue
         bits = 1 << f
-        for r, p in enumerate(ech.pivots):
-            if (ech.rref.rows[r] >> f) & 1:
+        for r, p in enumerate(pivots):
+            if (rows[r] >> f) & 1:
                 bits |= 1 << p
         basis.append(BitVec(m.ncols, bits))
     return basis
 
 
-def solve(m: BitMat, b: BitVec) -> BitVec | None:
-    """A particular solution of ``m @ x = b``, or None if inconsistent.
+def _solve_rows(m: BitMat, right: Sequence[int]) -> list[int] | None:
+    """Rows of the solution X of ``m @ X = B`` with free variables zero, from
+    one elimination of ``[m | B]`` (B given by its rows); None if a nonzero
+    augmented part is left below the rank."""
+    rows = [row | extra << m.ncols for row, extra in zip(m.rows, right)]
+    pivots = _eliminate(rows, m.ncols)
+    if any(rows[len(pivots):]):
+        return None
+    out = [0] * m.ncols
+    for r, p in enumerate(pivots):
+        out[p] = rows[r] >> m.ncols
+    return out
 
-    Free variables are set to zero, so the solution is deterministic.
-    Dimension mismatches are contract violations and raise.
-    """
+
+def solve(m: BitMat, b: BitVec) -> BitVec | None:
+    """The particular solution of ``m @ x = b`` with free variables zero, or
+    None if inconsistent. Dimension mismatches are contract violations and raise."""
     if b.dim != m.nrows:
         raise ValueError(f"rhs dimension {b.dim} != row count {m.nrows}")
-    ech = row_reduce(m)
-    y = ech.transform @ b
-    if y.bits >> ech.rank:
-        return None
-    bits = 0
-    for r, p in enumerate(ech.pivots):
-        bits |= ((y.bits >> r) & 1) << p
-    return BitVec(m.ncols, bits)
+    x = _solve_rows(m, [(b.bits >> i) & 1 for i in range(m.nrows)])
+    return None if x is None else BitVec(m.ncols, sum(bit << j for j, bit in enumerate(x)))
 
 
 def solve_mat(m: BitMat, b: BitMat) -> BitMat | None:
-    """Solve ``m @ X = b`` column by column; None if any column fails."""
+    """Solve ``m @ X = b`` by one elimination of ``[m | b]``; None if any
+    column is inconsistent."""
     if b.nrows != m.nrows:
         raise ValueError(f"rhs rows {b.nrows} != lhs rows {m.nrows}")
-    cols = []
-    for j in range(b.ncols):
-        x = solve(m, b.col(j))
-        if x is None:
-            return None
-        cols.append(x)
-    return BitMat.from_cols(cols, nrows=m.ncols)
+    x = _solve_rows(m, b.rows)
+    return None if x is None else BitMat(b.ncols, x)
 
 
 def inverse(m: BitMat) -> BitMat | None:
     """Two-sided inverse of a square matrix, or None if singular."""
     if m.nrows != m.ncols:
         raise ValueError(f"not square: {m.shape}")
-    ech = row_reduce(m)
-    if ech.rank != m.nrows:
-        return None
-    return ech.transform
+    x = _solve_rows(m, [1 << i for i in range(m.nrows)])
+    return None if x is None else BitMat(m.nrows, x)
 
 
 def echelon_basis(vectors: Sequence[BitVec], dim: int | None = None) -> list[BitVec]:
@@ -461,8 +459,10 @@ def echelon_basis(vectors: Sequence[BitVec], dim: int | None = None) -> list[Bit
         if not vectors:
             raise ValueError("cannot infer dimension from zero vectors")
         dim = vectors[0].dim
-    ech = row_reduce(BitMat.from_rows(list(vectors), ncols=dim) if vectors else BitMat.zeros(0, dim))
-    return [ech.rref.row(i) for i in range(ech.rank)]
+    if any(v.dim != dim for v in vectors):
+        raise ValueError("ragged rows")
+    rows = [v.bits for v in vectors]
+    return [BitVec(dim, rows[i]) for i in range(len(_eliminate(rows, dim)))]
 
 
 def block_diag(a: BitMat, b: BitMat) -> BitMat:

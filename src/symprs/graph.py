@@ -27,7 +27,6 @@ __all__ = [
     "dynkin_graph",
     "all_graphs",
     "graph_classes",
-    "connected_graph_classes",
     "DYNKIN_FAMILIES",
 ]
 
@@ -299,6 +298,8 @@ def dynkin_graph(family: str, rank: int) -> Graph:
     D_{2m+1} attaches its one extra node to node 1. E6 and E8 attach nodes
     p and q to nodes 0 and 1 of the A-chain; E7 attaches one node to node 2.
     """
+    if rank > MAX_NODES:  # before any edge list is built
+        raise ValueError(f"{rank} nodes exceeds the node cap of {MAX_NODES}")
     if family == "A":
         if rank < 1:
             raise ValueError("A requires rank >= 1")
@@ -383,7 +384,3 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
                 bucket.append((g, inv))
                 out.append(g)
     return tuple(out)
-
-
-def connected_graph_classes(n: int) -> tuple[Graph, ...]:
-    return tuple(g for g in graph_classes(n) if g.is_connected())

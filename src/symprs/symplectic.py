@@ -37,7 +37,6 @@ from .gf2 import (
     kernel_basis,
     rank,
     row_combination,
-    row_reduce,
 )
 
 __all__ = [
@@ -215,17 +214,6 @@ class MixedForm:
         return bilinear(self.matrix.rows, v.bits, w.bits)
 
 
-def _radical_coords(s: SympSpace) -> BitMat:
-    """A k x dim matrix C with C @ r = radical-basis coordinates of r."""
-    k = len(s.radical)
-    if k == 0:
-        return BitMat.zeros(0, s.dim)
-    rad = BitMat.from_cols(list(s.radical), nrows=s.dim)
-    ech = row_reduce(rad)
-    assert ech.rank == k
-    return BitMat(s.dim, ech.transform.rows[:k])
-
-
 def mixed_completion(s: SympSpace, proj: BitMat, radform: BitMat) -> MixedForm:
     """Complete a degenerate form to a nondegenerate one via radical choices.
 
@@ -249,7 +237,10 @@ def mixed_completion(s: SympSpace, proj: BitMat, radform: BitMat) -> MixedForm:
         raise ValueError("radical form not symmetric")
     if rank(radform) != k:
         raise ValueError("radical form degenerate")
-    coords = _radical_coords(s) @ proj
+    # radical basis vector i is the kernel vector of free Gram column f_i, its
+    # highest set bit, and no other basis vector sets bit f_i: so bit f_i of
+    # a radical vector is its i-th coordinate, and coords maps into them
+    coords = BitMat(s.dim, (1 << (v.bits.bit_length() - 1) for v in s.radical)) @ proj
     completed = s.gram ^ (coords.transpose() @ radform @ coords)
     assert rank(completed) == s.dim, "mixed completion came out degenerate"
     return MixedForm(s, proj, radform, completed)

@@ -7,7 +7,7 @@ from collections import deque
 from typing import Iterable, Sequence
 
 from symprs.extend import NEW_HYPERBOLIC, NEW_NULLVECTOR, ExtensionWitness, lift_indicator
-from symprs.gf2 import BitMat, BitVec, block_diag, inverse, rank, solve
+from symprs.gf2 import BitMat, BitVec, RowEchelon, block_diag, inverse, rank
 from symprs.graph import Graph
 from symprs.srs import SRS, SRSError
 from symprs.symplectic import SymplecticBasis, SympSpace, standard_space
@@ -350,3 +350,85 @@ def extend_nullspace(s: SRS, lam: BitVec) -> tuple[SRS, ExtensionWitness]:
     gram = BitMat(d + 1, [c[i] << d for i in range(d)] + [c.bits])
     x = BitVec.basis(d + 1, c.support()[0])
     return _one_node_more(s, lam, gram, y), ExtensionWitness(NEW_HYPERBOLIC, zero, c, y, x)
+
+
+# Gaussian elimination with the transform kept in a second list, one
+# elimination per solve and per right-hand-side column: the routines
+# ``gf2`` ran before its single augmented elimination, kept to check it.
+
+
+def row_reduce(m: BitMat) -> RowEchelon:
+    """Reduced row echelon form with lowest-index pivoting.
+
+    Scans columns left to right, picks the first available row as pivot,
+    and clears the pivot column everywhere else, so the result is the
+    unique RREF reached by a fixed elimination order.
+    """
+    work = list(m.rows)
+    trans = [1 << i for i in range(m.nrows)]
+    pivots: list[int] = []
+    r = 0
+    for c in range(m.ncols):
+        pivot = next((i for i in range(r, m.nrows) if (work[i] >> c) & 1), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        trans[r], trans[pivot] = trans[pivot], trans[r]
+        for i in range(m.nrows):
+            if i != r and (work[i] >> c) & 1:
+                work[i] ^= work[r]
+                trans[i] ^= trans[r]
+        pivots.append(c)
+        r += 1
+    return RowEchelon(BitMat(m.ncols, work), tuple(pivots), BitMat(m.nrows, trans))
+
+
+def kernel_basis(m: BitMat) -> list[BitVec]:
+    """Basis of the right kernel {v : m @ v = 0}, one vector per free column.
+
+    Free columns are visited in increasing index order and each basis vector
+    has a 1 in exactly one free position, so the output is canonical.
+    """
+    ech = row_reduce(m)
+    pivot_set = set(ech.pivots)
+    basis = []
+    for f in range(m.ncols):
+        if f in pivot_set:
+            continue
+        bits = 1 << f
+        for r, p in enumerate(ech.pivots):
+            if (ech.rref.rows[r] >> f) & 1:
+                bits |= 1 << p
+        basis.append(BitVec(m.ncols, bits))
+    return basis
+
+
+def solve(m: BitMat, b: BitVec) -> BitVec | None:
+    """A particular solution of ``m @ x = b``, or None if inconsistent.
+
+    Free variables are set to zero, so the solution is deterministic.
+    Dimension mismatches are contract violations and raise.
+    """
+    if b.dim != m.nrows:
+        raise ValueError(f"rhs dimension {b.dim} != row count {m.nrows}")
+    ech = row_reduce(m)
+    y = ech.transform @ b
+    if y.bits >> ech.rank:
+        return None
+    bits = 0
+    for r, p in enumerate(ech.pivots):
+        bits |= ((y.bits >> r) & 1) << p
+    return BitVec(m.ncols, bits)
+
+
+def solve_mat(m: BitMat, b: BitMat) -> BitMat | None:
+    """Solve ``m @ X = b`` column by column; None if any column fails."""
+    if b.nrows != m.nrows:
+        raise ValueError(f"rhs rows {b.nrows} != lhs rows {m.nrows}")
+    cols = []
+    for j in range(b.ncols):
+        x = solve(m, b.col(j))
+        if x is None:
+            return None
+        cols.append(x)
+    return BitMat.from_cols(cols, nrows=m.ncols)

@@ -108,7 +108,7 @@ def _fork_variant(family: str, rank: int, k: int, fork: list[str]) -> SRS:
     a standard space of nullity k by truncating the z coordinates."""
     g = dynkin_graph(family, rank)
     n = (rank - 2) // 2
-    core = [BitVec.from_string(s).take(2 * n + k) for s in EXPLICIT_DECORATIONS[(family, rank)][:-2]]
+    core = [BitVec.from_string(s[:2 * n + k]) for s in EXPLICIT_DECORATIONS[(family, rank)][:-2]]
     return SRS(g, standard_space(n, k), tuple(core + [BitVec.from_string(s) for s in fork]))
 
 

@@ -285,6 +285,13 @@ def test_type_rejects_node_counts_past_the_cap(tmp_path, capsys, text, n):
     assert err == f"error: {n} nodes exceeds the node cap of {MAX_NODES}\n"
 
 
+@pytest.mark.parametrize("verb, family", [("ade", "A"), ("weyl", "C")])
+def test_rank_past_the_node_cap_is_a_clean_error(capsys, verb, family):
+    code, out, err = run(capsys, verb, "--family", family, "--rank", str(MAX_NODES + 1))
+    assert (code, out) == (1, "")
+    assert err == f"error: {MAX_NODES + 1} nodes exceeds the node cap of {MAX_NODES}\n"
+
+
 def test_iso_rejects_non_string_decoration(tmp_path, capsys):
     code, out, _ = run(capsys, "minimal", "--graph", write_graph(tmp_path, A4_EDGES))
     good = write_graph(tmp_path, out, "good.json")

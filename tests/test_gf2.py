@@ -176,7 +176,7 @@ def test_subspaces_are_echelon_bases():
         m = BitMat.from_rows(list(basis), ncols=4)
         ech = row_reduce(m)
         assert ech.rank == len(basis)
-        assert ech.rref.row_vecs()[: len(basis)] == list(basis)
+        assert [ech.rref.row(i) for i in range(len(basis))] == list(basis)
 
 
 def test_zero_dimension_edge_cases():

@@ -11,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import symprs.graph as graph_module
 from conftest import random_graph_edges
+from symprs.cartan import ade_srs, cartan_datum
 from symprs.graph import (
     MAX_NODES,
     Graph,
     _node_invariants,
     all_graphs,
     automorphisms,
-    connected_graph_classes,
     dynkin_graph,
     graph_classes,
     graph_to_json,
@@ -198,6 +199,17 @@ def test_dynkin_rank_validation():
             dynkin_graph(family, rank)
 
 
+def test_dynkin_rejects_rank_past_the_cap_before_building_edges(monkeypatch):
+    def built(*args):
+        raise AssertionError("edge list built before the rank check")
+
+    monkeypatch.setattr(graph_module, "_path", built)
+    monkeypatch.setattr(graph_module, "Graph", built)
+    for make, family in [(dynkin_graph, "A"), (dynkin_graph, "D"), (ade_srs, "A"), (cartan_datum, "C")]:
+        with pytest.raises(ValueError, match=f"{MAX_NODES + 1} nodes exceeds the node cap"):
+            make(family, MAX_NODES + 1)
+
+
 def test_is_isomorphic_relabeling():
     rng = random.Random(31)
     for _ in range(40):
@@ -239,7 +251,7 @@ def test_graph_class_counts():
         if n <= 4:
             for a, b in itertools.combinations(classes, 2):
                 assert not is_isomorphic(a, b)
-    assert len(connected_graph_classes(6)) == 112
+    assert sum(g.is_connected() for g in graph_classes(6)) == 112
 
 
 GRAPH_SEARCH = settings(deadline=None, max_examples=150)

@@ -5,7 +5,8 @@ invalid decoration families: form and cocycle values, the symplectic
 basis, and SRS acceptance with its exact error message must all agree.
 The 2-group law on (bits, sign) ints must agree with the BitVec law, the
 byte table with ``row_combination``, and the int stabilizer chain with the
-BitMat chain and with enumeration.
+BitMat chain and with enumeration. Every rank, kernel, echelon basis,
+solve and inverse must equal the two-list elimination it replaced.
 """
 
 from __future__ import annotations
@@ -16,7 +17,21 @@ from hypothesis import strategies as st
 
 import oracles
 from symprs.cartan import cartan_datum, group_order, weyl_rep
-from symprs.gf2 import BitMat, BitVec, bilinear, byte_table, row_combination, table_combination
+from symprs.gf2 import (
+    BitMat,
+    BitVec,
+    bilinear,
+    byte_table,
+    echelon_basis,
+    inverse,
+    kernel_basis,
+    rank,
+    row_combination,
+    row_reduce,
+    solve,
+    solve_mat,
+    table_combination,
+)
 from symprs.graph import Graph
 from symprs.grp2 import CocycleGroup, extraspecial_sign, make_group
 from symprs.srs import SRS, SRSError
@@ -86,7 +101,7 @@ def test_bilinear_on_rectangular_matrices(data):
                                          min_size=nrows, max_size=nrows)))
     v, w = _vec(data.draw, nrows), _vec(data.draw, ncols)
     assert bilinear(m.rows, v.bits, w.bits) == v.dot(m @ w)
-    assert m.transpose().rows == tuple(c.bits for c in m.col_vecs())
+    assert m.transpose().rows == tuple(m.col(j).bits for j in range(ncols))
     assert m.is_symmetric() == (
         nrows == ncols and all(m.entry(i, j) == m.entry(j, i) for i in range(nrows) for j in range(i))
     )
@@ -247,3 +262,57 @@ def test_group_order_chain_matches_oracle_on_weyl_images_above_one_byte():
     for family, rank in [("A", 9), ("D", 10), ("A", 11), ("D", 12)]:
         gens = list(weyl_rep(cartan_datum(family, rank)).generators)
         assert group_order(gens, method="chain") == oracles.stabilizer_chain_order(gens), (family, rank)
+
+
+def _rows(draw, nrows: int, ncols: int) -> list[int]:
+    return [draw(st.integers(0, (1 << ncols) - 1)) for _ in range(nrows)]
+
+
+@st.composite
+def matrices(draw, nrows: int | None = None, ncols: int | None = None, max_dim: int = 40) -> BitMat:
+    """Random, sparse (1/8 of the bits) or low-rank (a product through a
+    random inner dimension) matrices, so rank deficiency is common."""
+    nrows = draw(st.integers(0, max_dim)) if nrows is None else nrows
+    ncols = draw(st.integers(0, max_dim)) if ncols is None else ncols
+    style = draw(st.sampled_from(["random", "sparse", "low rank"]))
+    if style == "random":
+        return BitMat(ncols, _rows(draw, nrows, ncols))
+    if style == "sparse":
+        a, b, c = (_rows(draw, nrows, ncols) for _ in range(3))
+        return BitMat(ncols, (x & y & z for x, y, z in zip(a, b, c)))
+    inner = draw(st.integers(0, min(nrows, ncols)))
+    return BitMat(inner, _rows(draw, nrows, inner)) @ BitMat(ncols, _rows(draw, inner, ncols))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_elimination_matches_two_list_oracle(data):
+    m = data.draw(matrices())
+    slow = oracles.row_reduce(m)
+    ech = row_reduce(m)
+    assert (ech.rref, ech.pivots, ech.transform) == (slow.rref, slow.pivots, slow.transform)
+    assert rank(m) == slow.rank
+    assert kernel_basis(m) == oracles.kernel_basis(m)
+    rows = [m.row(i) for i in range(m.nrows)]
+    assert echelon_basis(rows, dim=m.ncols) == [slow.rref.row(i) for i in range(slow.rank)]
+
+    # right-hand sides in the column space, anywhere, or mixed column by column
+    k = data.draw(st.integers(0, 8))
+    image = m @ BitMat(k, _rows(data.draw, m.ncols, k))
+    noise = BitMat(k, _rows(data.draw, m.nrows, k))
+    keep = data.draw(st.sampled_from([(1 << k) - 1, 0, data.draw(st.integers(0, (1 << k) - 1))]))
+    b = BitMat(k, ((x & keep) | (y & ~keep) for x, y in zip(image.rows, noise.rows)))
+    assert solve_mat(m, b) == oracles.solve_mat(m, b)
+    for j in range(k):
+        assert solve(m, b.col(j)) == oracles.solve(m, b.col(j))
+    if keep == (1 << k) - 1:
+        assert solve_mat(m, b) is not None
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_inverse_matches_two_list_oracle(data):
+    dim = data.draw(st.integers(0, 40))
+    m = data.draw(invertible(dim) | matrices(dim, dim))
+    slow = oracles.row_reduce(m)
+    assert inverse(m) == (slow.transform if slow.rank == dim else None)

@@ -14,6 +14,7 @@ from symprs.graph import MAX_NODES, Graph, dynkin_graph, parse_graph
 from symprs.srs import (
     SRS,
     SRSError,
+    SympMap,
     coclique_bound_check,
     enumerate_quotients,
     minimal_srs,
@@ -24,7 +25,6 @@ from symprs.srs import (
     srs_isomorphic,
     srs_to_json,
     universal_map,
-    validate_srs,
 )
 from symprs.symplectic import SympSpace
 
@@ -45,7 +45,7 @@ def test_validate_reports_first_bad_pair():
     space = SympSpace(A3.adjacency())
     deco = (BitVec.basis(3, 0), BitVec.basis(3, 0), BitVec.basis(3, 2))
     with pytest.raises(SRSError, match=r"\(0, 1\)"):
-        validate_srs(A3, space, deco)
+        SRS(A3, space, deco)
 
 
 def test_validate_requires_span():
@@ -53,7 +53,7 @@ def test_validate_requires_span():
     space = SympSpace(BitMat.from_rows(["0110", "1000", "1000", "0000"]))
     deco = (BitVec.basis(4, 0), BitVec.basis(4, 1))
     with pytest.raises(SRSError, match="span"):
-        validate_srs(g, space, deco)
+        SRS(g, space, deco)
 
 
 def test_restrict_minimal_chain_is_exact():
@@ -138,6 +138,21 @@ def test_isomorphism_after_coordinate_change():
         found = srs_isomorphic(s, moved)
         assert found is not None and found.is_isomorphism
         assert found.matrix == t
+
+
+PLANE = SympSpace(BitMat.from_rows(["01", "10"]))
+NULL_PLANE = SympSpace(BitMat.zeros(2, 2))
+
+
+def test_symp_map_rejects_a_map_that_breaks_the_form():
+    # injective, so the kernel condition holds and only the form fails
+    with pytest.raises(ValueError, match="map does not preserve the forms"):
+        SympMap(NULL_PLANE, PLANE, BitMat.identity(2))
+
+
+def test_symp_map_names_a_kernel_outside_the_radical():
+    with pytest.raises(ValueError, match="kernel not contained in the radical"):
+        SympMap(PLANE, NULL_PLANE, BitMat.zeros(2, 2))
 
 
 def test_isomorphic_rejects_different_graphs():
