@@ -27,7 +27,7 @@ from . import verify
 from .cartan import ade_srs, ade_table, cartan_datum, group_order, roots, weyl_rep
 from .extend import extend_minimal, witness_to_json
 from .gf2 import BitVec, bilinear
-from .graph import DYNKIN_FAMILIES, Graph, parse_graph
+from .graph import DYNKIN_FAMILIES, Graph, graph_to_json, parse_graph
 from .grp2 import burnside_check, extraspecial_sign, lift_decoration, make_group
 from .srs import (
     SRSError,
@@ -64,7 +64,7 @@ def _type_payload(args) -> dict:
     n, k = space.type
     return {
         "nodes": g.n,
-        "edge_count": len(g.edges),
+        "edge_count": len(g.edge_list()),
         "dim": space.dim,
         "type": [n, k],
         "extraspecial": space.type.is_extraspecial,
@@ -161,7 +161,7 @@ def _weyl_payload(args) -> dict:
         "family": args.family,
         "rank": args.rank,
         "root_count": len(roots(c)),
-        "parity_graph": {"nodes": rep.srs.graph.n, "edges": [list(e) for e in rep.srs.graph.edge_list()]},
+        "parity_graph": graph_to_json(rep.srs.graph),
         "generators": [m.to_strings() for m in rep.generators],
         "faithful_on_roots": rep.faithful_on_roots,
         "collision_count": rep.collision_count,

@@ -69,10 +69,6 @@ def _require_minimal(s: SRS, lam: BitVec):
         raise ValueError(f"indicator dimension {lam.dim} != node count {s.graph.n}")
 
 
-def _extended_graph(g: Graph, lam: BitVec) -> Graph:
-    return Graph(g.n + 1, list(g.edges) + [(q, g.n) for q in lam.support()])
-
-
 def lift_indicator(s: SRS, lam: BitVec) -> BitVec:
     """Coefficients of the unique linear form taking value lam(q) on each
     decoration; exists and is unique because the decorations are a basis."""
@@ -119,7 +115,7 @@ def _attach(
     rows.append(pairings)
     new_deco = w0.pad(d + 1) ^ BitVec.basis(d + 1, d)
     out = SRS(
-        _extended_graph(s.graph, lam),
+        s.graph._with_node(lam.bits),
         SympSpace(BitMat(d + 1, rows)),
         tuple(v.pad(d + 1) for v in s.deco) + (new_deco,),
     )
@@ -156,13 +152,7 @@ def double_extend_extraspecial(
     assert w_p is not None and w_q is not None
     orthogonal = s.space.form(w_p, w_q) == 0
     d = s.space.dim
-    n = s.graph.n
-    edges = list(s.graph.edges)
-    edges += [(v, n) for v in lam_p.support()]
-    edges += [(v, n + 1) for v in lam_q.support()]
-    if pq_edge:
-        edges.append((n, n + 1))
-    graph = Graph(n + 2, edges)
+    graph = s.graph._with_node(lam_p.bits)._with_node(lam_q.bits | pq_edge << s.graph.n)
     hyperbolic = orthogonal == pq_edge
     tail = BitMat.from_rows(["01", "10"]) if hyperbolic else BitMat.zeros(2, 2)
     space = SympSpace(block_diag(s.space.gram, tail))

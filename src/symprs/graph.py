@@ -38,31 +38,42 @@ DYNKIN_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
 
 class Graph:
-    """An undirected simple graph on nodes 0..n-1."""
+    """An undirected simple graph on nodes 0..n-1: bit b of ``adj[a]`` is set iff a-b is an edge."""
 
-    __slots__ = ("n", "edges", "adj")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise ValueError(f"negative node count {n}")
         if n > MAX_NODES:
             raise ValueError(f"{n} nodes exceeds the node cap of {MAX_NODES}")
-        seen: set[tuple[int, int]] = set()
         adj = [0] * n
         for a, b in edges:
             if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"edge ({a}, {b}) out of range for {n} nodes")
             if a == b:
                 raise ValueError(f"self-loop at node {a}")
-            edge = (min(a, b), max(a, b))
-            if edge in seen:
-                raise ValueError(f"duplicate edge {edge}")
-            seen.add(edge)
+            if adj[a] >> b & 1:
+                raise ValueError(f"duplicate edge {(min(a, b), max(a, b))}")
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", frozenset(seen))
         object.__setattr__(self, "adj", tuple(adj))
+
+    @classmethod
+    def _from_adj(cls, rows: Iterable[int]) -> "Graph":
+        """Trusted: symmetric loop-free rows taken from graphs already held; checks only the cap."""
+        adj = tuple(rows)
+        if len(adj) > MAX_NODES:
+            raise ValueError(f"{len(adj)} nodes exceeds the node cap of {MAX_NODES}")
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", len(adj))
+        object.__setattr__(g, "adj", adj)
+        return g
+
+    def _with_node(self, nbrs: int) -> "Graph":
+        """This graph plus a node n adjacent to the nodes whose bits ``nbrs`` sets."""
+        return Graph._from_adj([r | (nbrs >> v & 1) << self.n for v, r in enumerate(self.adj)] + [nbrs])
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
@@ -76,8 +87,12 @@ class Graph:
     def neighbors(self, a: int) -> tuple[int, ...]:
         return tuple(b for b in range(self.n) if (self.adj[a] >> b) & 1)
 
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.edge_list())
+
     def edge_list(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        return [(a, b) for a in range(self.n) for b in range(a + 1, self.n) if self.adj[a] >> b & 1]
 
     def adjacency(self) -> BitMat:
         return BitMat(self.n, self.adj)
@@ -86,7 +101,8 @@ class Graph:
         """Apply node relabeling: node i becomes perm[i]."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation")
-        return Graph(self.n, [(perm[a], perm[b]) for a, b in self.edges])
+        inverse = sorted(range(self.n), key=perm.__getitem__)
+        return Graph._from_adj(sum(1 << perm[b] for b in self.neighbors(v)) for v in inverse)
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -107,10 +123,10 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        return self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash(self.adj)
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_list()})"
@@ -153,13 +169,13 @@ def parse_graph(text: str) -> Graph:
         if parts[0] == "n":
             if n is not None:
                 raise ValueError(f"line {lineno}: repeated node-count line")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise ValueError(f"line {lineno}: malformed node-count line {raw!r}")
             n = int(parts[1])
         elif parts[0] == "e":
             if n is None:
                 raise ValueError(f"line {lineno}: edge before node-count line")
-            if len(parts) != 3 or not (parts[1].isdigit() and parts[2].isdigit()):
+            if len(parts) != 3 or not all(f.isascii() and f.isdigit() for f in parts[1:]):
                 raise ValueError(f"line {lineno}: malformed edge line {raw!r}")
             pairs.append((int(parts[1]), int(parts[2])))
         else:
@@ -179,9 +195,7 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
         raise ValueError("repeated node in selection")
     if any(not 0 <= v < g.n for v in nodes):
         raise ValueError("node selection out of range")
-    index = {v: i for i, v in enumerate(nodes)}
-    edges = [(index[a], index[b]) for a, b in g.edges if a in index and b in index]
-    return Graph(len(nodes), edges)
+    return Graph._from_adj(sum((g.adj[v] >> u & 1) << i for i, u in enumerate(nodes)) for v in nodes)
 
 
 def max_coclique(g: Graph) -> tuple[int, ...]:
@@ -271,8 +285,6 @@ def _isomorphisms(g: Graph, h: Graph, gp: list, hp: list, first_only: bool) -> l
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return False
     gp, hp = _node_invariants(g), _node_invariants(h)
     if sorted(gp) != sorted(hp):
         return False
@@ -363,8 +375,8 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
     searches inside buckets keyed by the sorted node invariants. Every
     n-node class arises this way because deleting a node of any
     representative lands in some smaller class. Counts follow the classical
-    sequence 1, 2, 4, 11, 34, 156, 1044, 12346; n = 8 takes about 9 s cold
-    (Python 3.11, 2-vCPU x86-64 host), larger n is out of scope.
+    sequence 1, 2, 4, 11, 34, 156, 1044, 12346; n = 8 takes about 10.5 s
+    cold (Python 3.11, 2-vCPU x86-64 host), larger n is out of scope.
     """
     if n < 0:
         raise ValueError("negative node count")
@@ -374,10 +386,8 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
     # sorted invariants (they fix the edge count) -> [(representative, invariants)]
     buckets: dict[tuple, list[tuple[Graph, list[tuple]]]] = {}
     for base in graph_classes(n - 1):
-        base_edges = list(base.edges)
         for mask in range(1 << (n - 1)):
-            edges = base_edges + [(v, n - 1) for v in range(n - 1) if (mask >> v) & 1]
-            g = Graph(n, edges)
+            g = base._with_node(mask)
             inv = _node_invariants(g)
             bucket = buckets.setdefault(tuple(sorted(inv)), [])
             if not any(_isomorphisms(g, rep, inv, rep_inv, first_only=True) for rep, rep_inv in bucket):

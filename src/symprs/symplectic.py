@@ -169,9 +169,9 @@ class SympSpace:
 
     @cached_property
     def type(self) -> SpaceType:
-        r = rank(self.gram)
-        assert r % 2 == 0, "alternating form with odd rank"
-        return SpaceType(r // 2, self.dim - r)
+        k = len(self.radical)
+        assert (self.dim - k) % 2 == 0, "alternating form with odd rank"
+        return SpaceType((self.dim - k) // 2, k)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SympSpace):

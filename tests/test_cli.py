@@ -1,12 +1,17 @@
 """End-to-end tests for the srs command line tool."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from symprs.cli import main
 from symprs.graph import MAX_NODES, Graph
 from symprs.srs import CocliqueReport
+from test_golden import GOLDEN, _argv
 
 A4_EDGES = "n 4\ne 0 1\ne 1 2\ne 2 3\n"
 
@@ -19,7 +24,7 @@ def run(capsys, *argv):
 
 def write_graph(tmp_path, text, name="g.graph"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -247,6 +252,29 @@ def test_missing_file_is_a_clean_error(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("text", ["n \u0663\ne \u0660 \u0661\n", "n \u00b3\n"])
+def test_type_rejects_graph_numbers_not_in_ascii_digits(tmp_path, capsys, text):
+    code, out, err = run(capsys, "type", "--graph", write_graph(tmp_path, text))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 1: malformed node-count line")
+
+
+def run_process(*argv):
+    """``python -m symprs.cli`` in a fresh interpreter, with src on the path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    command = [sys.executable, "-m", "symprs.cli", *argv]
+    return subprocess.run(command, capture_output=True, env=env, timeout=300, check=False)
+
+
+def test_cli_as_a_process(tmp_path):
+    done = run_process(*_argv("type_path4"))
+    assert b"exit %d\n" % done.returncode + done.stdout == (GOLDEN / "type_path4.out").read_bytes()
+    done = run_process("type", "--graph", str(tmp_path / "missing.g"))
+    assert done.returncode == 1
+    assert done.stderr.startswith(b"error:") and b"Traceback" not in done.stderr
+    assert run_process("ade", "--family", "A", "--rank", "x").returncode == 2
 
 
 def test_usage_error_exits_two(capsys):

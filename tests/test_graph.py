@@ -14,6 +14,8 @@ import oracles
 import symprs.graph as graph_module
 from conftest import random_graph_edges
 from symprs.cartan import ade_srs, cartan_datum
+from symprs.extend import double_extend_extraspecial, extend_minimal
+from symprs.gf2 import BitVec
 from symprs.graph import (
     MAX_NODES,
     Graph,
@@ -28,6 +30,7 @@ from symprs.graph import (
     max_coclique,
     parse_graph,
 )
+from symprs.srs import minimal_srs
 
 EDGE_TEXT = """
 # a 4-cycle
@@ -82,6 +85,8 @@ def test_parse_roundtrip_json():
         "n 3\ne 0 1\ne 1 0",  # duplicate
         "n 3\nq 0 1",  # unknown directive
         "n x",  # malformed count
+        "n \u0663\ne \u0660 \u0661",  # Arabic-Indic digits
+        "n \u00b3",  # superscript three: str.isdigit() but not a decimal
         "# nothing",  # missing node count
     ],
 )
@@ -305,3 +310,53 @@ def test_is_isomorphic_separates_invariant_tied_graphs():
     assert not is_isomorphic(cube, wagner)
     assert not oracles.is_isomorphic(cube, wagner)
     assert is_isomorphic(cube, cube.relabel([3, 6, 0, 5, 2, 7, 1, 4]))
+
+
+@GRAPH_SEARCH
+@given(graphs(max_n=10))
+def test_graph_is_its_adjacency_rows(g):
+    assert Graph.__slots__ == ("n", "adj")
+    h = Graph._from_adj(g.adj)
+    assert h == g and hash(h) == hash(g)
+    assert isinstance(g.edges, frozenset) and g.edges == set(g.edge_list())
+    assert g.edge_list() == sorted(g.edge_list())
+
+
+@GRAPH_SEARCH
+@given(graphs(max_n=10), st.data())
+def test_derived_graphs_equal_the_graphs_of_their_edge_lists(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    assert g.relabel(perm) == Graph(g.n, [(perm[a], perm[b]) for a, b in g.edge_list()])
+    nodes = perm[: data.draw(st.integers(0, g.n))]
+    index = {v: i for i, v in enumerate(nodes)}
+    kept = [(index[a], index[b]) for a, b in g.edge_list() if a in index and b in index]
+    assert induced_subgraph(g, nodes) == Graph(len(nodes), kept)
+    lam = BitVec(g.n, data.draw(st.integers(0, (1 << g.n) - 1)))
+    out, _ = extend_minimal(minimal_srs(g), lam)
+    assert out.graph == Graph(g.n + 1, g.edge_list() + [(v, g.n) for v in lam.support()])
+
+
+EXTRASPECIAL = [g for n in (0, 2, 4) for g in all_graphs(n) if minimal_srs(g).type.is_extraspecial]
+
+
+@GRAPH_SEARCH
+@given(st.sampled_from(EXTRASPECIAL), st.data())
+def test_double_extension_graph_equals_the_graph_of_its_edge_list(g, data):
+    lam_p, lam_q = (BitVec(g.n, data.draw(st.integers(0, (1 << g.n) - 1))) for _ in "pq")
+    pq_edge = data.draw(st.booleans())
+    out, _, _ = double_extend_extraspecial(minimal_srs(g), lam_p, lam_q, pq_edge)
+    n = g.n
+    edges = g.edge_list() + [(v, n) for v in lam_p.support()] + [(v, n + 1) for v in lam_q.support()]
+    assert out.graph == Graph(n + 2, edges + [(n, n + 1)] * pq_edge)
+
+
+@pytest.mark.parametrize("edges", [[(0, 1), (0, 1)], [(0, 1), (1, 0)], [(1, 0), (0, 1)], [(1, 0), (1, 0)]])
+def test_duplicate_edge_in_either_orientation(edges):
+    with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+        Graph(3, edges)
+
+
+def test_trusted_constructor_keeps_the_node_cap():
+    assert Graph._from_adj([0] * MAX_NODES).n == MAX_NODES
+    with pytest.raises(ValueError, match="node cap"):
+        Graph._from_adj([0] * (MAX_NODES + 1))
