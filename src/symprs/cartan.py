@@ -46,6 +46,12 @@ __all__ = [
 
 MAX_ROOTS = 10_000
 MAX_GROUP_ORDER_BFS = 1_000_000
+_MAX_CHAIN_DIM = 16  # the stabilizer chain scans all 2^dim vectors
+
+
+def _check_chain_dim(dim: int) -> None:
+    if dim > _MAX_CHAIN_DIM:
+        raise ValueError(f"stabilizer chain scans all vectors; dimension capped at {_MAX_CHAIN_DIM}")
 
 
 @dataclass(frozen=True)
@@ -165,16 +171,17 @@ def parity_graph(c: CartanDatum) -> Graph:
 
 
 def _core(m: int) -> list[frozenset]:
-    if m == 0:
-        return []
-    if m == 1:
-        return [frozenset({("x", 1)}), frozenset({("y", 1)})]
-    flipped = [
-        frozenset(("y" if kind == "x" else "x", i) for kind, i in v) for v in _core(m - 1)
-    ]
-    head = frozenset({("x", m), ("x", m - 1)})
-    tail = frozenset({("y", m), ("y", m - 1)})
-    return [head, *flipped, tail]
+    """The even-path core G(2m): head_m = {x_m, x_(m-1)}, then G(2m - 2) with
+    x and y swapped, then tail_m = {y_m, y_(m-1)}, index 0 left out. As a
+    loop: the p-th vectors from the two ends are head_(m-p) and tail_(m-p),
+    swapped p times."""
+    heads, tails = [], []
+    for p in range(m):
+        near, far = ("x", "y") if p % 2 == 0 else ("y", "x")
+        indices = [i for i in (m - p, m - p - 1) if i]
+        heads.append(frozenset((near, i) for i in indices))
+        tails.append(frozenset((far, i) for i in indices))
+    return heads + tails[::-1]
 
 
 def _materialize(symbolic: Sequence[frozenset], n: int, k: int) -> tuple[BitVec, ...]:
@@ -374,8 +381,8 @@ def group_order(
             raise ValueError(f"generator is not square: {g.shape}")
         if g.ncols != dim:
             raise ValueError(f"generators of mixed dimension {dim} and {g.ncols}")
-    if method == "chain" and dim > 16:
-        raise ValueError("stabilizer chain scans all vectors; dimension capped at 16")
+    if method == "chain":
+        _check_chain_dim(dim)
     if any(inverse(g) is None for g in gens):
         raise ValueError("singular generator: not a group")
     if method == "chain":
@@ -410,7 +417,7 @@ def _stabilizer_chain_order(gen_list: list[BitMat]) -> int:
     Each base point is the least vector (as an int) that the generator
     installed with it moves. That vector is always a standard basis vector
     e_j, so the image of a base point is read off as column j. Generators are square, invertible and
-    of one dimension <= 16 (checked by ``group_order``).
+    of one dimension <= _MAX_CHAIN_DIM (checked by ``group_order``).
     """
     dim = gen_list[0].ncols
     identity = tuple(1 << j for j in range(dim))

@@ -11,23 +11,24 @@ library and renders the result.
 
 Output is JSON by default (keys sorted, so runs are byte-identical) or
 ``--format text`` for a human. Exit codes: 0 on success, 1 when a
-computation fails or a verification suite finds a counterexample, 2 for
-usage errors, including an integer option not written in ASCII decimal
-digits.
+computation fails, a verification suite finds a counterexample or stdout
+is closed before the output is written, 2 for usage errors, including an
+integer option not written in ASCII decimal digits.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import Counter
 
 from . import verify
-from .cartan import ade_srs, ade_table, cartan_datum, group_order, roots, weyl_rep
+from .cartan import _check_chain_dim, ade_srs, ade_table, cartan_datum, group_order, roots, weyl_rep
 from .extend import extend_minimal, witness_to_json
 from .gf2 import BitVec, bilinear
-from .graph import DYNKIN_FAMILIES, Graph, graph_to_json, parse_graph
+from .graph import DYNKIN_FAMILIES, Graph, dynkin_graph, graph_to_json, parse_graph
 from .grp2 import burnside_check, extraspecial_sign, lift_decoration, make_group
 from .srs import (
     SRSError,
@@ -155,6 +156,11 @@ def _ade_payload(args) -> dict:
 
 
 def _weyl_payload(args) -> dict:
+    # dynkin_graph checks the family's rank range and the node cap; the image
+    # order needs the stabilizer chain, so a rank past its cap fails before
+    # the datum, the roots and the representation are built
+    dynkin_graph(args.family, args.rank)
+    _check_chain_dim(args.rank)
     c = cartan_datum(args.family, args.rank)
     rep = weyl_rep(c)
     return {
@@ -343,7 +349,14 @@ def main(argv: list[str] | None = None) -> int:
     except (SRSError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    _emit(args.verb, payload, args.format)
+    try:
+        _emit(args.verb, payload, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early. Point it at devnull so that the
+        # interpreter's flush at exit cannot raise the same error again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0 if payload.get("ok", True) else 1
 
 

@@ -4,8 +4,9 @@ Given a minimal SRS and an indicator of which existing nodes the new node
 should attach to, there is an essentially unique minimal SRS on the
 extended graph. The indicator lifts to a linear form; representing that
 form through a nondegenerate completion of the (possibly degenerate)
-symplectic form yields a vector w0 + z0 split along the radical, and the
-radical part decides between the two possible outcomes:
+symplectic form yields a vector w0 + z0 split along the radical, read off
+the symplectic basis (coordinates there are form values, so no completed
+matrix is built), and the radical part decides between two outcomes:
 
 * z0 = 0: the space grows by a new nullvector z, the new node gets w0 + z,
   type (n, k) -> (n, k + 1);
@@ -25,10 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMat, BitVec, block_diag, inverse, solve
+from .gf2 import BitMat, BitVec, block_diag, inverse, row_combination, solve
 from .graph import Graph
 from .srs import SRS, SRSError, minimal_srs
-from .symplectic import MixedForm, SympSpace, default_completion_choices, mixed_completion
+from .symplectic import SympSpace, default_completion_choices, mixed_completion
 
 __all__ = [
     "ExtensionWitness",
@@ -83,21 +84,30 @@ def extend_minimal(
 ) -> tuple[SRS, ExtensionWitness]:
     """Extension of an arbitrary minimal system.
 
-    Solves <<w, .>> = lifted form against a mixed completion built from
-    ``choices`` (a radical projection and a symmetric nondegenerate form
-    on the radical; defaults are canonical), splits the solution into
-    w0 + z0 along the radical, and attaches a nullvector or a hyperbolic
+    Represents the lifted form c as <<w0 + z0, .>> in the mixed completion
+    built from ``choices`` (a radical projection P and a symmetric
+    nondegenerate form R on the radical; defaults are canonical), with z0
+    in the radical and P w0 = 0, and attaches a nullvector or a hyperbolic
     partner according to z0. Different choices give isomorphic results.
+    Over the radical basis r_j, with gamma_j = c . r_j, z0 has coordinates
+    R^-1 gamma and w0 is (I + P) ``_hyperbolic``(c + P^T c).
     """
     _require_minimal(s, lam)
-    proj, radform = choices if choices is not None else default_completion_choices(s.space)
-    mixed = mixed_completion(s.space, proj, radform)
-    c = lift_indicator(s, lam)
-    w_tilde = solve(mixed.matrix, c)
-    assert w_tilde is not None, "mixed completion is nondegenerate"
-    z0 = proj @ w_tilde
-    w0 = w_tilde ^ z0
-    return _attach(s, lam, w0, z0, 0 if z0.is_zero() else (mixed.matrix @ z0).bits)
+    if choices is None:
+        proj, radform = default_completion_choices(s.space)
+    else:
+        proj, radform = choices
+        mixed_completion(s.space, proj, radform)  # raises on invalid choices
+    c = lift_indicator(s, lam).bits
+    radical = [r.bits for r in s.space.radical]
+    gamma = sum(((c & r).bit_count() & 1) << j for j, r in enumerate(radical))
+    alpha = solve(radform, BitVec(len(radical), gamma))
+    assert alpha is not None, "radical form is nondegenerate"
+    z0 = BitVec(s.space.dim, row_combination(radical, alpha.bits))
+    w = BitVec(s.space.dim, s.space._hyperbolic(c ^ row_combination(proj.rows, c)))
+    # <<z0, .>> sums the rows of P at the radical pivots (top bits) gamma selects
+    pairings = row_combination([proj.rows[r.bit_length() - 1] for r in radical], gamma)
+    return _attach(s, lam, w ^ (proj @ w), z0, pairings)
 
 
 def _attach(

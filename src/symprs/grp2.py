@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Iterator
 
-from .gf2 import BitMat, BitVec, byte_table, inverse, rank, row_combination, table_combination
+from .gf2 import BitMat, BitVec, byte_table, rank, row_combination, table_combination
 from .srs import SRS
 from .symplectic import SympSpace
 
@@ -167,13 +167,11 @@ def make_group(space: SympSpace, diagonal: BitVec | None = None) -> CocycleGroup
     products (Q8 variants, Z4 for the almost extraspecial line).
     """
     d = space.dim
-    basis = space.basis
-    n = len(basis.x)
-    cols = BitMat.from_cols(list(basis.vectors()), nrows=d)
-    back = inverse(cols)
-    assert back is not None
-    std = BitMat(d, tuple((1 << (n + i)) if i < n else 0 for i in range(d)))
-    beta = back.transpose() @ std @ back
+    basis, gram = space.basis, space.gram.rows
+    # beta(u, v) = sum_i <u, y_i> <v, x_i>: row u sums the G x_i whose G y_i has bit u
+    gx = [row_combination(gram, x.bits) for x in basis.x]
+    gy = BitMat(d, (row_combination(gram, y.bits) for y in basis.y)).transpose().rows
+    beta = BitMat(d, (row_combination(gx, col) for col in gy))
     if diagonal is not None:
         if diagonal.dim != d:
             raise ValueError(f"diagonal dimension {diagonal.dim} != dim {d}")

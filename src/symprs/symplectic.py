@@ -167,6 +167,18 @@ class SympSpace:
 
         return SymplecticBasis(vecs(xs), vecs(ys), vecs([c for c, _ in cands]))
 
+    def _hyperbolic(self, phi: int) -> int:
+        """The w in the span of the hyperbolic pairs with <v, w> = phi . v for
+        every v there: sum_i (phi . y_i) x_i + (phi . x_i) y_i, since the
+        x_i-coordinate of a vector is its pairing with y_i and vice versa."""
+        w = 0
+        for x, y in zip(self.basis.x, self.basis.y):
+            if (phi & y.bits).bit_count() & 1:
+                w ^= x.bits
+            if (phi & x.bits).bit_count() & 1:
+                w ^= y.bits
+        return w
+
     @cached_property
     def type(self) -> SpaceType:
         k = len(self.radical)
@@ -248,17 +260,10 @@ def mixed_completion(s: SympSpace, proj: BitMat, radform: BitMat) -> MixedForm:
 
 def default_completion_choices(s: SympSpace) -> tuple[BitMat, BitMat]:
     """Canonical (proj, radform): project along the hyperbolic planes of the
-    cached symplectic basis onto its z-span, identity radical form."""
-    sb = s.basis
-    n, k = s.type
-    if s.dim == 0:
-        return BitMat.zeros(0, 0), BitMat.zeros(0, 0)
-    t = BitMat.from_cols(sb.vectors(), nrows=s.dim)
-    t_inv = inverse(t)
-    assert t_inv is not None
-    kill = BitMat(s.dim, [0] * (2 * n) + [1 << (2 * n + j) for j in range(k)])
-    proj = t @ kill @ t_inv
-    return proj, BitMat.identity(k)
+    cached symplectic basis onto its z-span, identity radical form. The
+    hyperbolic part of e_j is ``_hyperbolic`` of Gram row j."""
+    cols = [(1 << j) ^ s._hyperbolic(g) for j, g in enumerate(s.gram.rows)]
+    return BitMat(s.dim, cols).transpose(), BitMat.identity(len(s.radical))
 
 
 def random_completion_choices(rng, s: SympSpace) -> tuple[BitMat, BitMat]:
@@ -298,29 +303,16 @@ def orthogonal_project(s: SympSpace, wbasis: list[BitVec], v: BitVec) -> tuple[B
     """Split v = v0 + vW with vW in W and v0 orthogonal to W.
 
     W is the span of wbasis. Defined only for v orthogonal to the radical
-    of W (otherwise no such splitting exists and this raises). The W-part
-    is computed from a symplectic basis of W as
-    vW = sum_i <v, Y_i> X_i + <v, X_i> Y_i.
+    of W (otherwise no such splitting exists and this raises). vW lifts
+    ``_hyperbolic``(phi) of W's own space, phi_t = <v, b_t> over a basis b.
     """
+    if v.dim != s.dim:
+        raise ValueError(f"vector dimension mismatch in space of dim {s.dim}")
     basis = echelon_basis(wbasis, dim=s.dim)
     sub = SympSpace(BitMat(len(basis), s.pairing_rows(basis)))
-
-    def lift(coeff: BitVec) -> BitVec:
-        out = BitVec.zero(s.dim)
-        for t in coeff.support():
-            out = out ^ basis[t]
-        return out
-
-    xs = [lift(c) for c in sub.basis.x]
-    ys = [lift(c) for c in sub.basis.y]
-    zs = [lift(c) for c in sub.basis.z]
-    for z in zs:
-        if s.form(v, z):
-            raise ValueError("vector not orthogonal to the radical of W; no splitting exists")
-    v_w = BitVec.zero(s.dim)
-    for x, y in zip(xs, ys):
-        if s.form(v, y):
-            v_w = v_w ^ x
-        if s.form(v, x):
-            v_w = v_w ^ y
+    image = row_combination(s.gram.rows, v.bits)
+    phi = sum(((image & b.bits).bit_count() & 1) << t for t, b in enumerate(basis))
+    if any((phi & z.bits).bit_count() & 1 for z in sub.basis.z):
+        raise ValueError("vector not orthogonal to the radical of W; no splitting exists")
+    v_w = BitVec(s.dim, row_combination([b.bits for b in basis], sub._hyperbolic(phi)))
     return v ^ v_w, v_w

@@ -6,11 +6,11 @@ import itertools
 from collections import deque
 from typing import Iterable, Sequence
 
-from symprs.extend import NEW_HYPERBOLIC, NEW_NULLVECTOR, ExtensionWitness, lift_indicator
-from symprs.gf2 import BitMat, BitVec, RowEchelon, block_diag, inverse, rank
+from symprs.extend import NEW_HYPERBOLIC, NEW_NULLVECTOR, ExtensionWitness, _attach, lift_indicator
+from symprs.gf2 import BitMat, BitVec, RowEchelon, block_diag, echelon_basis, inverse, rank
 from symprs.graph import Graph
 from symprs.srs import SRS, SRSError
-from symprs.symplectic import SymplecticBasis, SympSpace, standard_space
+from symprs.symplectic import SymplecticBasis, SympSpace, mixed_completion, standard_space
 
 
 def form(space: SympSpace, v: BitVec, w: BitVec) -> int:
@@ -350,6 +350,94 @@ def extend_nullspace(s: SRS, lam: BitVec) -> tuple[SRS, ExtensionWitness]:
     gram = BitMat(d + 1, [c[i] << d for i in range(d)] + [c.bits])
     x = BitVec.basis(d + 1, c.support()[0])
     return _one_node_more(s, lam, gram, y), ExtensionWitness(NEW_HYPERBOLIC, zero, c, y, x)
+
+
+def core_decorations(m: int) -> list[frozenset]:
+    """The even-path core G(2m) of ``cartan``, by its recursive definition:
+    head_m, then G(2m - 2) with x and y swapped, then tail_m."""
+    if m == 0:
+        return []
+    if m == 1:
+        return [frozenset({("x", 1)}), frozenset({("y", 1)})]
+    swapped = [
+        frozenset(("y" if kind == "x" else "x", i) for kind, i in v) for v in core_decorations(m - 1)
+    ]
+    head = frozenset({("x", m), ("x", m - 1)})
+    tail = frozenset({("y", m), ("y", m - 1)})
+    return [head, *swapped, tail]
+
+
+# The completed-matrix routes that ``symplectic``, ``extend`` and ``grp2``
+# ran before reading coordinates off the symplectic basis: change to the
+# basis by inverting the matrix of basis columns, or solve against the
+# whole completed Gram matrix.
+
+
+def _basis_matrices(space: SympSpace) -> tuple[BitMat, BitMat]:
+    """T with the symplectic basis x.., y.., z.. as columns, and T^-1."""
+    t = BitMat.from_cols(space.basis.vectors(), nrows=space.dim)
+    t_inv = inverse(t)
+    assert t_inv is not None
+    return t, t_inv
+
+
+def default_completion_choices(space: SympSpace) -> tuple[BitMat, BitMat]:
+    """T kill T^-1, where kill zeroes the hyperbolic coordinates, and the
+    identity radical form."""
+    n, k = space.type
+    t, t_inv = _basis_matrices(space)
+    kill = BitMat(space.dim, [0] * (2 * n) + [1 << (2 * n + j) for j in range(k)])
+    return t @ kill @ t_inv, BitMat.identity(k)
+
+
+def extend_minimal(
+    s: SRS, lam: BitVec, choices: tuple[BitMat, BitMat] | None = None
+) -> tuple[SRS, ExtensionWitness]:
+    """Solve <<w, .>> = c against the completed Gram matrix and split the
+    solution into w0 + z0 along the radical projection."""
+    proj, radform = choices if choices is not None else default_completion_choices(s.space)
+    mixed = mixed_completion(s.space, proj, radform)
+    c = lift_indicator(s, lam)
+    w_tilde = solve(mixed.matrix, c)
+    assert w_tilde is not None, "mixed completion is nondegenerate"
+    z0 = proj @ w_tilde
+    w0 = w_tilde ^ z0
+    return _attach(s, lam, w0, z0, 0 if z0.is_zero() else (mixed.matrix @ z0).bits)
+
+
+def group_cocycle(space: SympSpace) -> BitMat:
+    """The standard splitting beta(x_i, y_i) = 1 moved to the space:
+    (T^-1)^T std T^-1."""
+    d, n = space.dim, space.type.n
+    _, back = _basis_matrices(space)
+    std = BitMat(d, tuple((1 << (n + i)) if i < n else 0 for i in range(d)))
+    return back.transpose() @ std @ back
+
+
+def orthogonal_project(s: SympSpace, wbasis: list[BitVec], v: BitVec) -> tuple[BitVec, BitVec]:
+    """vW = sum_i <v, Y_i> X_i + <v, X_i> Y_i over W's symplectic basis
+    lifted into the space, with every pairing taken by ``SympSpace.form``."""
+    basis = echelon_basis(wbasis, dim=s.dim)
+    sub = SympSpace(BitMat(len(basis), s.pairing_rows(basis)))
+
+    def lift(coeff: BitVec) -> BitVec:
+        out = BitVec.zero(s.dim)
+        for t in coeff.support():
+            out = out ^ basis[t]
+        return out
+
+    xs = [lift(c) for c in sub.basis.x]
+    ys = [lift(c) for c in sub.basis.y]
+    for z in map(lift, sub.basis.z):
+        if s.form(v, z):
+            raise ValueError("vector not orthogonal to the radical of W; no splitting exists")
+    v_w = BitVec.zero(s.dim)
+    for x, y in zip(xs, ys):
+        if s.form(v, y):
+            v_w = v_w ^ x
+        if s.form(v, x):
+            v_w = v_w ^ y
+    return v ^ v_w, v_w
 
 
 # Gaussian elimination with the transform kept in a second list, one

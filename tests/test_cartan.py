@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
+import oracles
 from symprs.cartan import (
     CartanDatum,
+    _core,
     ade_srs,
     ade_table,
     automorphism_action_on_quotients,
@@ -166,11 +168,17 @@ def test_ade_srs_types():
         ("E", 6): (3, 0),
         ("E", 7): (3, 1),
         ("E", 8): (4, 0),
+        ("A", 2202): (1101, 0),  # deeper than the default recursion limit
     }
     for (family, rank), t in expected.items():
         s = ade_srs(family, rank)
         assert s.type == t, (family, rank)
         assert s.is_minimal
+
+
+def test_core_decorations_match_the_recursive_definition():
+    for m in range(40):
+        assert _core(m) == oracles.core_decorations(m), m
 
 
 def test_ade_srs_isomorphic_to_minimal():

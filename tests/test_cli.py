@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -261,11 +262,13 @@ def test_type_rejects_graph_numbers_not_in_ascii_digits(tmp_path, capsys, text):
     assert err.startswith("error: line 1: malformed node-count line")
 
 
-def run_process(*argv):
+def run_process(*argv, stdout=subprocess.PIPE):
     """``python -m symprs.cli`` in a fresh interpreter, with src on the path."""
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     command = [sys.executable, "-m", "symprs.cli", *argv]
-    return subprocess.run(command, capture_output=True, env=env, timeout=300, check=False)
+    return subprocess.run(
+        command, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=300, check=False
+    )
 
 
 def test_cli_as_a_process(tmp_path):
@@ -275,6 +278,21 @@ def test_cli_as_a_process(tmp_path):
     assert done.returncode == 1
     assert done.stderr.startswith(b"error:") and b"Traceback" not in done.stderr
     assert run_process("ade", "--family", "A", "--rank", "x").returncode == 2
+
+
+def test_closed_stdout_exits_one_without_a_traceback(tmp_path, capsys):
+    rng = random.Random(0)
+    edges = [f"e {p} {q}\n" for p in range(120) for q in range(p + 1, 120) if rng.getrandbits(1)]
+    graph = write_graph(tmp_path, "n 120\n" + "".join(edges))
+    code, out, _ = run(capsys, "minimal", "--graph", graph)
+    assert code == 0 and len(out) > 1 << 16  # more than a pipe buffer holds
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_process("minimal", "--graph", graph, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 def test_usage_error_exits_two(capsys):
@@ -311,6 +329,17 @@ def test_type_rejects_node_counts_past_the_cap(tmp_path, capsys, text, n):
     code, out, err = run(capsys, "type", "--graph", write_graph(tmp_path, text.format(n=n)))
     assert (code, out) == (1, "")
     assert err == f"error: {n} nodes exceeds the node cap of {MAX_NODES}\n"
+
+
+def test_weyl_rank_past_the_chain_cap_fails_before_building_roots(capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("roots enumerated for a rank the chain cannot take")
+
+    monkeypatch.setattr("symprs.cartan.roots", unreachable)
+    monkeypatch.setattr("symprs.cli.roots", unreachable)
+    code, out, err = run(capsys, "weyl", "--family", "B", "--rank", "17")
+    assert (code, out) == (1, "")
+    assert err == "error: stabilizer chain scans all vectors; dimension capped at 16\n"
 
 
 @pytest.mark.parametrize("verb, family", [("ade", "A"), ("weyl", "C")])

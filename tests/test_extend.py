@@ -15,10 +15,10 @@ from symprs.extend import (
     witness_from_json,
     witness_to_json,
 )
-from symprs.gf2 import BitVec
+from symprs.gf2 import BitMat, BitVec
 from symprs.graph import Graph, all_graphs, dynkin_graph
 from symprs.srs import SRSError, minimal_srs, restrict, srs_isomorphic
-from symprs.symplectic import random_completion_choices
+from symprs.symplectic import default_completion_choices, mixed_completion, random_completion_choices
 
 
 def indicators(n):
@@ -131,6 +131,24 @@ def test_choice_independence_up_to_isomorphism():
             results.append(extend_minimal(s, lam, random_completion_choices(rng, s.space))[0])
         for other in results[1:]:
             assert srs_isomorphic(results[0], other) is not None
+
+
+@pytest.mark.parametrize("proj, radform, message", [
+    (["010", "000", "000"], None, "projection is not idempotent"),
+    (["100", "010", "001"], None, "projection image not inside the radical"),
+    (None, ["0"], "radical form degenerate"),
+])
+def test_bad_choices_raise_the_mixed_completion_messages(proj, radform, message):
+    s = minimal_srs(dynkin_graph("A", 3))
+    default_proj, default_radform = default_completion_choices(s.space)
+    proj = default_proj if proj is None else BitMat.from_rows(proj)
+    radform = default_radform if radform is None else BitMat.from_rows(radform)
+    with pytest.raises(ValueError) as direct:
+        mixed_completion(s.space, proj, radform)
+    assert str(direct.value) == message
+    with pytest.raises(ValueError) as through_extension:
+        extend_minimal(s, BitVec.from_string("101"), (proj, radform))
+    assert str(through_extension.value) == message
 
 
 def test_explicit_choices_change_data_not_class():

@@ -6,10 +6,15 @@ basis, and SRS acceptance with its exact error message must all agree.
 The 2-group law on (bits, sign) ints must agree with the BitVec law, the
 byte table with ``row_combination``, and the int stabilizer chain with the
 BitMat chain and with enumeration. Every rank, kernel, echelon basis,
-solve and inverse must equal the two-list elimination it replaced.
+solve and inverse must equal the two-list elimination it replaced. The
+default completion choices, the group's cocycle, the orthogonal projection
+and every extension witness, read off the symplectic basis, must equal the
+routes through basis-matrix inverses and the completed Gram matrix.
 """
 
 from __future__ import annotations
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +22,7 @@ from hypothesis import strategies as st
 
 import oracles
 from symprs.cartan import cartan_datum, group_order, weyl_rep
+from symprs.extend import build_by_extension, extend_minimal
 from symprs.gf2 import (
     BitMat,
     BitVec,
@@ -34,8 +40,13 @@ from symprs.gf2 import (
 )
 from symprs.graph import Graph
 from symprs.grp2 import CocycleGroup, extraspecial_sign, make_group
-from symprs.srs import SRS, SRSError
-from symprs.symplectic import SympSpace
+from symprs.srs import SRS, SRSError, minimal_srs
+from symprs.symplectic import (
+    SympSpace,
+    default_completion_choices,
+    orthogonal_project,
+    random_completion_choices,
+)
 
 FAST = settings(deadline=None, max_examples=80)
 
@@ -212,6 +223,47 @@ def test_extraspecial_sign_matches_counting_oracle(data):
     diagonal = data.draw(st.none() | st.builds(BitVec, st.just(d), st.integers(0, (1 << d) - 1)))
     grp = make_group(space, diagonal)
     assert extraspecial_sign(grp) == oracles.extraspecial_sign(grp.beta)
+
+
+@FAST
+@given(spaces())
+def test_default_choices_and_cocycle_match_inverse_oracles(space):
+    assert default_completion_choices(space) == oracles.default_completion_choices(space)
+    assert make_group(space).beta == oracles.group_cocycle(space)
+
+
+@st.composite
+def minimal_systems(draw):
+    """The minimal system of a graph on up to 10 nodes, from ``minimal_srs``
+    or from ``build_by_extension``."""
+    rows = draw(spaces(max_dim=10)).gram.rows
+    n = len(rows)
+    graph = Graph(n, [(p, q) for p in range(n) for q in range(p + 1, n) if rows[p] >> q & 1])
+    return draw(st.sampled_from([minimal_srs, build_by_extension]))(graph)
+
+
+def _projection(project, *args):
+    try:
+        return project(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=150)
+@given(minimal_systems(), st.data())
+def test_basis_routes_match_completed_matrix_oracles(s, data):
+    space, n = s.space, s.graph.n
+    assert default_completion_choices(space) == oracles.default_completion_choices(space)
+    assert make_group(space).beta == oracles.group_cocycle(space)
+    for _ in range(3):
+        lam = _vec(data.draw, n)
+        seed = data.draw(st.none() | st.integers(0, 2**32))
+        choices = None if seed is None else random_completion_choices(random.Random(seed), space)
+        assert extend_minimal(s, lam, choices) == oracles.extend_minimal(s, lam, choices)
+        wbasis = [_vec(data.draw, n) for _ in range(data.draw(st.integers(0, n)))]
+        v = _vec(data.draw, n)
+        fast = _projection(orthogonal_project, space, wbasis, v)
+        assert fast == _projection(oracles.orthogonal_project, space, wbasis, v)
 
 
 @st.composite
