@@ -33,8 +33,21 @@ __all__ = [
 MAX_NODES = 1 << 14  # far above any graph meant for this package; checked before allocating
 MAX_COCLIQUE_NODES = 32
 MAX_AUTOMORPHISM_NODES = 16
+# graph_classes(9) makes about 3.2M candidates (slow, but it ends); checked before any recursion
+MAX_CLASS_NODES = 9
 
 DYNKIN_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, lowest first.
+
+    The isomorphism search inlines this walk: through a generator,
+    ``graph_classes`` takes about a third longer."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class Graph:
@@ -85,7 +98,7 @@ class Graph:
         return self.adj[a].bit_count()
 
     def neighbors(self, a: int) -> tuple[int, ...]:
-        return tuple(b for b in range(self.n) if (self.adj[a] >> b) & 1)
+        return tuple(_bits(self.adj[a]))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -101,8 +114,10 @@ class Graph:
         """Apply node relabeling: node i becomes perm[i]."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("not a permutation")
-        inverse = sorted(range(self.n), key=perm.__getitem__)
-        return Graph._from_adj(sum(1 << perm[b] for b in self.neighbors(v)) for v in inverse)
+        rows = [0] * self.n
+        for v, r in enumerate(self.adj):
+            rows[perm[v]] = sum(1 << perm[b] for b in _bits(r))
+        return Graph._from_adj(rows)
 
     def is_connected(self) -> bool:
         if self.n == 0:
@@ -234,49 +249,88 @@ def max_coclique(g: Graph) -> tuple[int, ...]:
     return tuple(best)
 
 
-def _node_invariants(g: Graph) -> list[tuple]:
-    """Per node: degree, triangles through it, sorted neighbour degrees.
-    Isomorphisms preserve it, so it narrows the search and buckets graphs."""
-    adj = g.adj
-    degs = [a.bit_count() for a in adj]
+def _node_invariants(adj: Sequence[int]) -> list[tuple]:
+    """Per node of the graph with adjacency rows ``adj``: degree, triangles
+    through it, sorted neighbour degrees. Isomorphisms preserve it, so it
+    narrows the search and buckets graphs."""
+    degs = [r.bit_count() for r in adj]
     out = []
-    for v in range(g.n):
-        nbrs = g.neighbors(v)
-        tri = sum((adj[v] & adj[u]).bit_count() for u in nbrs) // 2
-        out.append((degs[v], tri, tuple(sorted(degs[u] for u in nbrs))))
+    for r in adj:
+        tri = 0
+        nbr_degs = []
+        rem = r
+        while rem:
+            low = rem & -rem
+            u = low.bit_length() - 1
+            rem ^= low
+            tri += (r & adj[u]).bit_count()
+            nbr_degs.append(degs[u])
+        nbr_degs.sort()
+        out.append((len(nbr_degs), tri >> 1, tuple(nbr_degs)))
     return out
 
 
-def _isomorphisms(g: Graph, h: Graph, gp: list, hp: list, first_only: bool) -> list[tuple[int, ...]]:
-    """Backtracking search; gp and hp are the graphs' ``_node_invariants``,
-    which the caller has already found equal when sorted."""
-    cands = [[w for w in range(h.n) if hp[w] == gp[v]] for v in range(g.n)]
+def _isomorphisms(
+    g: Sequence[int], h: Sequence[int], gp: list, hp: list, first_only: bool
+) -> list[tuple[int, ...]]:
+    """Backtracking search for the maps from the graph with rows ``g`` onto
+    the one with rows ``h``; gp and hp are their ``_node_invariants``, which
+    the caller has already found equal when sorted.
+
+    Nodes of g are placed in a fixed order, and the consistency check is
+    one int compare: ``want[pos]`` marks the earlier positions adjacent to
+    ``order[pos]`` in g, ``seen[w]`` the placed positions whose images are
+    adjacent to w in h, so w fits at pos iff the two masks are equal."""
+    n = len(g)
+    by_inv: dict[tuple, list[int]] = {}
+    for w, inv in enumerate(hp):
+        by_inv.setdefault(inv, []).append(w)
+    cands = [by_inv.get(inv, []) for inv in gp]
     # most constrained nodes first, ties by index for determinism
-    order = sorted(range(g.n), key=lambda v: (len(cands[v]), v))
-    mapping = [-1] * g.n
-    used = [False] * h.n
+    order = sorted(range(n), key=lambda v: (len(cands[v]), v))
+    pos_of = [0] * n
+    for pos, v in enumerate(order):
+        pos_of[v] = pos
+    want = []
+    for pos, v in enumerate(order):
+        mask = 0
+        rem = g[v]
+        while rem:
+            low = rem & -rem
+            p = pos_of[low.bit_length() - 1]
+            rem ^= low
+            if p < pos:
+                mask |= 1 << p
+        want.append(mask)
+    seen = [0] * n
+    mapping = [-1] * n
+    used = [False] * n
     found: list[tuple[int, ...]] = []
 
     def place(pos: int) -> bool:
-        if pos == g.n:
+        if pos == n:
             found.append(tuple(mapping))
             return first_only
         v = order[pos]
+        need = want[pos]
+        bit = 1 << pos
         for w in cands[v]:
-            if used[w]:
-                continue
-            ok = True
-            for u in order[:pos]:
-                if g.has_edge(v, u) != h.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if not ok:
+            if used[w] or seen[w] != need:
                 continue
             mapping[v] = w
             used[w] = True
+            rem = h[w]
+            while rem:
+                low = rem & -rem
+                seen[low.bit_length() - 1] |= bit
+                rem ^= low
             if place(pos + 1):
                 return True
-            mapping[v] = -1
+            rem = h[w]
+            while rem:
+                low = rem & -rem
+                seen[low.bit_length() - 1] ^= bit
+                rem ^= low
             used[w] = False
         return False
 
@@ -285,10 +339,10 @@ def _isomorphisms(g: Graph, h: Graph, gp: list, hp: list, first_only: bool) -> l
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    gp, hp = _node_invariants(g), _node_invariants(h)
+    gp, hp = _node_invariants(g.adj), _node_invariants(h.adj)
     if sorted(gp) != sorted(hp):
         return False
-    return bool(_isomorphisms(g, h, gp, hp, first_only=True))
+    return bool(_isomorphisms(g.adj, h.adj, gp, hp, first_only=True))
 
 
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -297,8 +351,8 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
         raise ValueError(f"{g.n} nodes exceeds the automorphism cap of {MAX_AUTOMORPHISM_NODES}")
     if g.n == 0:
         return [()]
-    inv = _node_invariants(g)
-    return sorted(_isomorphisms(g, g, inv, inv, first_only=False))
+    inv = _node_invariants(g.adj)
+    return sorted(_isomorphisms(g.adj, g.adj, inv, inv, first_only=False))
 
 
 def dynkin_graph(family: str, rank: int) -> Graph:
@@ -374,23 +428,28 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
     neighborhood for a new node, deduplicating with exact isomorphism
     searches inside buckets keyed by the sorted node invariants. Every
     n-node class arises this way because deleting a node of any
-    representative lands in some smaller class. Counts follow the classical
-    sequence 1, 2, 4, 11, 34, 156, 1044, 12346; n = 8 takes about 10.5 s
-    cold (Python 3.11, 2-vCPU x86-64 host), larger n is out of scope.
+    representative lands in some smaller class. Candidates are rows
+    tuples; only a new representative becomes a ``Graph``. Counts follow
+    the classical sequence 1, 2, 4, 11, 34, 156, 1044, 12346; n = 8 takes
+    about 6.5 s cold (Python 3.11, 2-vCPU x86-64 host), and n is capped at
+    ``MAX_CLASS_NODES``.
     """
     if n < 0:
         raise ValueError("negative node count")
+    if n > MAX_CLASS_NODES:
+        raise ValueError(f"{n} nodes exceeds the class cap of {MAX_CLASS_NODES}")
     if n == 0:
         return (Graph(0),)
     out: list[Graph] = []
-    # sorted invariants (they fix the edge count) -> [(representative, invariants)]
-    buckets: dict[tuple, list[tuple[Graph, list[tuple]]]] = {}
+    top = 1 << (n - 1)
+    # sorted invariants (they fix the edge count) -> [(representative rows, invariants)]
+    buckets: dict[tuple, list[tuple[tuple[int, ...], list[tuple]]]] = {}
     for base in graph_classes(n - 1):
-        for mask in range(1 << (n - 1)):
-            g = base._with_node(mask)
-            inv = _node_invariants(g)
+        for mask in range(top):
+            rows = (*(r | top if mask >> v & 1 else r for v, r in enumerate(base.adj)), mask)
+            inv = _node_invariants(rows)
             bucket = buckets.setdefault(tuple(sorted(inv)), [])
-            if not any(_isomorphisms(g, rep, inv, rep_inv, first_only=True) for rep, rep_inv in bucket):
-                bucket.append((g, inv))
-                out.append(g)
+            if not any(_isomorphisms(rows, rep, inv, rep_inv, first_only=True) for rep, rep_inv in bucket):
+                bucket.append((rows, inv))
+                out.append(Graph._from_adj(rows))
     return tuple(out)

@@ -17,7 +17,7 @@ from collections import Counter
 from .cartan import cartan_datum, parity_graph, roots, weyl_rep
 from .extend import NEW_NULLVECTOR, build_by_extension, double_extend_extraspecial, extend_minimal
 from .gf2 import BitVec
-from .graph import Graph, dynkin_graph, graph_classes
+from .graph import MAX_CLASS_NODES, Graph, dynkin_graph, graph_classes
 from .grp2 import burnside_check, extraspecial_sign, lift_decoration, make_group
 from .srs import coclique_bound_check, enumerate_quotients, minimal_srs, restrict, srs_isomorphic
 from .symplectic import random_completion_choices
@@ -171,7 +171,10 @@ def run(names, max_nodes: int, max_rank: int, trials: int, seed: int) -> dict:
     and ``trials`` random completions probe choice independence. Each
     suite reports ``ok``, its ``checks`` and its first five ``failures``;
     restriction also counts its ``cases``. A suite with no checks fails.
+    ``max_nodes`` past ``MAX_CLASS_NODES`` raises before any sweep runs.
     """
+    if max_nodes > MAX_CLASS_NODES:
+        raise ValueError(f"{max_nodes} nodes exceeds the class cap of {MAX_CLASS_NODES}")
     rng = random.Random(seed)
     cases = Counter()
     sweeps = {

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 from symprs.gf2 import BitMat
+from symprs.graph import Graph
 from symprs.symplectic import SympSpace
 
 
@@ -21,3 +23,21 @@ def random_space(rng: random.Random, dim: int) -> SympSpace:
 
 def random_graph_edges(rng: random.Random, n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(i + 1, n) if rng.getrandbits(1)]
+
+
+# sha256 of repr([g.edge_list() for g in graph_classes(n)]): pins the
+# representatives and their order
+CLASS_DIGESTS = {
+    1: "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
+    2: "5966fecad2e05ece63219feec68426a1929fcff75826ae6ba102aa266f514976",
+    3: "97898bbf759c44571d144a1ef11128f17e7d9436eec4eda5e3f7ac62f5c8628a",
+    4: "4fbf815746528c147b083a8f8b88ca730875c298a9e0b7e3e6e4fd9f9999d473",
+    5: "e743e93bb1ea4e47c44d7bede0f476551aed7a80e36503008c51ba65976c4516",
+    6: "d3fafacad89f9984fe1d29dd2f38a0ea6d0e71c34f5cf9a96d0f2e25e672fd6e",
+    7: "f4903dc3b8471aa938545fa2c9fae58eeadb710bddcf3c5574521486af4da396",
+    8: "af005eff875cc2baf11ca266d0e64224f7a548325bb36b777c141b3f011bdfc0",
+}
+
+
+def class_digest(classes: tuple[Graph, ...]) -> str:
+    return hashlib.sha256(repr([g.edge_list() for g in classes]).encode()).hexdigest()

@@ -187,6 +187,44 @@ def stabilizer_chain_order(gen_list: list[BitMat]) -> int:
     return order
 
 
+def isomorphisms(g: Graph, h: Graph, gp: list, hp: list, first_only: bool) -> list[tuple[int, ...]]:
+    """The backtracking search ``graph._isomorphisms`` replaced: the same
+    candidates and node order, but each placement compares edges pair by
+    pair with every node already placed."""
+    cands = [[w for w in range(h.n) if hp[w] == gp[v]] for v in range(g.n)]
+    # most constrained nodes first, ties by index for determinism
+    order = sorted(range(g.n), key=lambda v: (len(cands[v]), v))
+    mapping = [-1] * g.n
+    used = [False] * h.n
+    found: list[tuple[int, ...]] = []
+
+    def place(pos: int) -> bool:
+        if pos == g.n:
+            found.append(tuple(mapping))
+            return first_only
+        v = order[pos]
+        for w in cands[v]:
+            if used[w]:
+                continue
+            ok = True
+            for u in order[:pos]:
+                if g.has_edge(v, u) != h.has_edge(w, mapping[u]):
+                    ok = False
+                    break
+            if not ok:
+                continue
+            mapping[v] = w
+            used[w] = True
+            if place(pos + 1):
+                return True
+            mapping[v] = -1
+            used[w] = False
+        return False
+
+    place(0)
+    return found
+
+
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """Every relabeling that maps g onto itself, trying all n! of them in
     lexicographic order."""

@@ -9,7 +9,7 @@ import random
 import time
 from collections import Counter
 
-from conftest import random_space
+from conftest import CLASS_DIGESTS, class_digest, random_space
 from oracles import all_srs
 
 from symprs.cartan import ade_srs, ade_table, cartan_datum, group_order, roots, weyl_rep
@@ -223,6 +223,7 @@ def test_criterion_6_coclique_bound():
     started = time.monotonic()
     counts = [len(graph_classes(size)) for size in range(9)]
     assert counts == [1, 1, 2, 4, 11, 34, 156, 1044, 12346]
+    assert class_digest(graph_classes(8)) == CLASS_DIGESTS[8]
     for size in range(9):
         for g in graph_classes(size):
             assert coclique_bound_check(g).holds, g.edge_list()

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from symprs.cli import main
-from symprs.graph import MAX_NODES, Graph
+from symprs.graph import MAX_CLASS_NODES, MAX_NODES, Graph
 from symprs.srs import CocliqueReport
 from test_golden import GOLDEN, _argv
 
@@ -384,6 +384,21 @@ def test_verify_with_zero_checks_fails(capsys, argv):
     assert payload["ok"] is False
     assert suite["checks"] == 0 and suite["ok"] is False
     assert suite["failures"] == ["no checks ran"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max-nodes", "10"],
+    ["--suite", "restriction", "--max-nodes", "2000"],
+])
+def test_verify_rejects_max_nodes_past_the_class_cap_before_any_sweep(capsys, monkeypatch, argv):
+    def swept(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr("symprs.verify.graph_classes", swept)
+    monkeypatch.setattr("symprs.verify.cartan_datum", swept)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {argv[-1]} nodes exceeds the class cap of {MAX_CLASS_NODES}\n"
 
 
 @pytest.mark.parametrize("suite, name, fake, argv, checks, first", [

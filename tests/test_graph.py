@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 import oracles
 import symprs.graph as graph_module
-from conftest import random_graph_edges
+from conftest import CLASS_DIGESTS, class_digest, random_graph_edges
 from symprs.cartan import ade_srs, cartan_datum
 from symprs.extend import double_extend_extraspecial, extend_minimal
 from symprs.gf2 import BitVec
 from symprs.graph import (
+    MAX_CLASS_NODES,
     MAX_NODES,
     Graph,
     _node_invariants,
@@ -232,26 +233,12 @@ def test_all_graphs_counts():
     assert sum(1 for _ in all_graphs(4)) == 64
 
 
-# sha256 of repr([g.edge_list() for g in graph_classes(n)]): pins the
-# representatives and their order
-CLASS_DIGESTS = {
-    1: "cf1cbb66a638b4860a516671fb74850e6ccf787fe6c4c8d29e9c04efe880bd05",
-    2: "5966fecad2e05ece63219feec68426a1929fcff75826ae6ba102aa266f514976",
-    3: "97898bbf759c44571d144a1ef11128f17e7d9436eec4eda5e3f7ac62f5c8628a",
-    4: "4fbf815746528c147b083a8f8b88ca730875c298a9e0b7e3e6e4fd9f9999d473",
-    5: "e743e93bb1ea4e47c44d7bede0f476551aed7a80e36503008c51ba65976c4516",
-    6: "d3fafacad89f9984fe1d29dd2f38a0ea6d0e71c34f5cf9a96d0f2e25e672fd6e",
-    7: "f4903dc3b8471aa938545fa2c9fae58eeadb710bddcf3c5574521486af4da396",
-}
-
-
 def test_graph_class_counts():
     expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
     for n, count in expected.items():
         classes = graph_classes(n)
         assert len(classes) == count
-        digest = hashlib.sha256(repr([g.edge_list() for g in classes]).encode()).hexdigest()
-        assert digest == CLASS_DIGESTS[n]
+        assert class_digest(classes) == CLASS_DIGESTS[n]
         # spot check pairwise distinctness on the small levels
         if n <= 4:
             for a, b in itertools.combinations(classes, 2):
@@ -276,40 +263,106 @@ def test_automorphisms_match_oracle(g):
     assert automorphisms(g) == oracles.automorphisms(g)
 
 
-@GRAPH_SEARCH
-@given(st.data())
-def test_is_isomorphic_matches_oracle_on_equal_degree_sequences(data):
-    """h is a relabeled copy of g after random degree-preserving edge
-    swaps (a-b, c-d -> a-d, c-b), so the degrees always agree and the
-    pair may or may not be isomorphic."""
-    g = data.draw(graphs(max_n=7, min_n=4))
-    perm = data.draw(st.permutations(range(g.n)))
+def degree_preserving_copy(draw, g: Graph) -> Graph:
+    """A relabeled copy of g after random degree-preserving edge swaps
+    (a-b, c-d -> a-d, c-b), so the degrees always agree and the pair may or
+    may not be isomorphic."""
+    perm = draw(st.permutations(range(g.n)))
     edges = {(min(perm[a], perm[b]), max(perm[a], perm[b])) for a, b in g.edges}
-    for _ in range(data.draw(st.integers(0, 8))):
+    for _ in range(draw(st.integers(0, 8))):
         if len(edges) < 2:
             break
-        old = data.draw(st.lists(st.sampled_from(sorted(edges)), min_size=2, max_size=2,
-                                 unique=True))
+        old = draw(st.lists(st.sampled_from(sorted(edges)), min_size=2, max_size=2, unique=True))
         (a, b), (c, d) = old
-        if data.draw(st.booleans()):
+        if draw(st.booleans()):
             c, d = d, c
         new = {(min(a, d), max(a, d)), (min(c, b), max(c, b))}
         if len({a, b, c, d}) == 4 and not new & edges:
             edges = (edges - set(old)) | new
-    h = Graph(g.n, edges)
+    return Graph(g.n, edges)
+
+
+@st.composite
+def regular_graphs(draw, max_n: int) -> Graph:
+    """A circulant graph (every node alike) of degree at most n - 2, after
+    degree-preserving swaps. Every degree ties, so a search between two of
+    them gets past the invariants, and their automorphism groups stay small
+    enough to list."""
+    n = draw(st.integers(4, max_n))
+    jumps = draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=max(1, n // 2 - 1)))
+    circulant = Graph(n, {(min(i, (i + s) % n), max(i, (i + s) % n)) for i in range(n) for s in jumps})
+    return degree_preserving_copy(draw, circulant)
+
+
+@GRAPH_SEARCH
+@given(st.data())
+def test_is_isomorphic_matches_oracle_on_equal_degree_sequences(data):
+    g = data.draw(graphs(max_n=7, min_n=4))
+    h = degree_preserving_copy(data.draw, g)
     assert sorted(map(g.degree, range(g.n))) == sorted(map(h.degree, range(h.n)))
     assert is_isomorphic(g, h) == oracles.is_isomorphic(g, h)
 
 
+def assert_search_matches_oracle(g: Graph, h: Graph, full: bool = True) -> None:
+    gp, hp = _node_invariants(g.adj), _node_invariants(h.adj)
+    for first_only in (True, False)[: 1 + full]:
+        expected = oracles.isomorphisms(g, h, gp, hp, first_only)
+        assert graph_module._isomorphisms(g.adj, h.adj, gp, hp, first_only) == expected
+
+
+@GRAPH_SEARCH
+@given(st.data())
+def test_bitset_search_matches_pairwise_oracle(data):
+    """The position-mask search against the pairwise one it replaced, with
+    the same results in the same order, on up to 10 nodes. The full
+    mapping list is compared where it stays small: regular graphs of
+    degree at most n - 2, and any graph on up to 7 nodes."""
+    regular = data.draw(st.booleans())
+    g = data.draw(regular_graphs(max_n=10) if regular else graphs(max_n=10))
+    h = degree_preserving_copy(data.draw, g)
+    assert_search_matches_oracle(g, h, full=regular or g.n <= 7)
+
+
+# the cube Q3 and the Wagner graph: 3-regular and triangle-free, so every
+# node invariant ties, but Q3 is bipartite and the Wagner graph is not
+CUBE = Graph(8, [(a, a ^ 1 << i) for a in range(8) for i in range(3) if not a >> i & 1])
+WAGNER = Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
+
+
 def test_is_isomorphic_separates_invariant_tied_graphs():
-    # the cube Q3 and the Wagner graph: 3-regular and triangle-free, so every
-    # node invariant ties, but Q3 is bipartite and the Wagner graph is not
-    cube = Graph(8, [(a, a ^ 1 << i) for a in range(8) for i in range(3) if not a >> i & 1])
-    wagner = Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in range(4)])
-    assert sorted(_node_invariants(cube)) == sorted(_node_invariants(wagner))
-    assert not is_isomorphic(cube, wagner)
-    assert not oracles.is_isomorphic(cube, wagner)
-    assert is_isomorphic(cube, cube.relabel([3, 6, 0, 5, 2, 7, 1, 4]))
+    assert sorted(_node_invariants(CUBE.adj)) == sorted(_node_invariants(WAGNER.adj))
+    assert not is_isomorphic(CUBE, WAGNER)
+    assert not oracles.is_isomorphic(CUBE, WAGNER)
+    assert is_isomorphic(CUBE, CUBE.relabel([3, 6, 0, 5, 2, 7, 1, 4]))
+
+
+def test_bitset_search_matches_pairwise_oracle_on_cube_and_wagner():
+    shuffled = CUBE.relabel([3, 6, 0, 5, 2, 7, 1, 4])
+    for g, h in itertools.product([CUBE, WAGNER, shuffled], repeat=2):
+        assert_search_matches_oracle(g, h)
+    assert len(automorphisms(CUBE)) == 48 and len(automorphisms(WAGNER)) == 16
+
+
+def test_orbits_of_the_classes_add_up_to_every_labeled_graph():
+    """The class of g holds n!/|Aut(g)| labeled graphs, so the classes on n
+    nodes add up to all 2^(n choose 2) of them. The identity is listed first."""
+    for n in range(8):
+        total = 0
+        for g in graph_classes(n):
+            autos = automorphisms(g)
+            assert autos[0] == tuple(range(n))
+            total += math.factorial(n) // len(autos)
+        assert total == 2 ** math.comb(n, 2)
+
+
+def test_class_enumeration_is_capped_before_any_recursion(monkeypatch):
+    def searched(*args):
+        raise AssertionError("graph_classes searched past the cap")
+
+    monkeypatch.setattr(graph_module, "_node_invariants", searched)
+    for n in (MAX_CLASS_NODES + 1, 2000):
+        with pytest.raises(ValueError, match=f"{n} nodes exceeds the class cap of {MAX_CLASS_NODES}"):
+            graph_classes(n)
 
 
 @GRAPH_SEARCH
