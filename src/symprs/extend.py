@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMat, BitVec, block_diag, inverse, row_combination, solve
+from .gf2 import BitMat, BitVec, row_combination, solve
 from .graph import Graph
-from .srs import SRS, SRSError, minimal_srs
+from .srs import SRS, SRSError, _gather, minimal_srs
 from .symplectic import SympSpace, default_completion_choices, mixed_completion
 
 __all__ = [
@@ -74,9 +74,9 @@ def lift_indicator(s: SRS, lam: BitVec) -> BitVec:
     """Coefficients of the unique linear form taking value lam(q) on each
     decoration; exists and is unique because the decorations are a basis."""
     _require_minimal(s, lam)
-    inv = inverse(s.deco_matrix())
-    assert inv is not None, "minimal decorations always invert"
-    return inv @ lam
+    c = solve(s.deco_matrix(), lam)
+    assert c is not None, "minimal decorations always invert"
+    return c
 
 
 def extend_minimal(
@@ -150,33 +150,27 @@ def double_extend_extraspecial(
     the new coordinates are two fresh nullvectors and the type is (n, 2).
     Restricting away either new node recovers the corresponding single
     extension on the nose.
+
+    Runs as two single extensions: p always adds a nullvector z, and the
+    lifted form of q takes the value <w_p, w_q> + [p ~ q] on z, so q adds
+    the partner of z exactly when that value is 1. Both witnesses report
+    the outcome of the second step.
     """
     _require_minimal(s, lam_p)
     _require_minimal(s, lam_q)
     if not s.type.is_extraspecial:
         raise SRSError(f"space has type {tuple(s.type)}, not extraspecial")
-    c_p = lift_indicator(s, lam_p)
-    c_q = lift_indicator(s, lam_q)
-    w_p = solve(s.space.gram, c_p)
-    w_q = solve(s.space.gram, c_q)
-    assert w_p is not None and w_q is not None
-    orthogonal = s.space.form(w_p, w_q) == 0
-    d = s.space.dim
-    graph = s.graph._with_node(lam_p.bits)._with_node(lam_q.bits | pq_edge << s.graph.n)
-    hyperbolic = orthogonal == pq_edge
-    tail = BitMat.from_rows(["01", "10"]) if hyperbolic else BitMat.zeros(2, 2)
-    space = SympSpace(block_diag(s.space.gram, tail))
-    deco_p = w_p.pad(d + 2) ^ BitVec.basis(d + 2, d)
-    deco_q = w_q.pad(d + 2) ^ BitVec.basis(d + 2, d + 1)
-    out = SRS(graph, space, tuple(v.pad(d + 2) for v in s.deco) + (deco_p, deco_q))
-    assert out.type == ((s.type.n + 1, 0) if hyperbolic else (s.type.n, 2))
+    n, d = s.graph.n, s.space.dim
+    mid, step_p = extend_minimal(s, lam_p)
+    out, step_q = extend_minimal(mid, BitVec(n + 1, lam_q.bits | pq_edge << n))
     zero = BitVec.zero(d)
-    if hyperbolic:
-        wit_p = ExtensionWitness(NEW_HYPERBOLIC, w_p, zero, deco_p, BitVec.basis(d + 2, d + 1))
-        wit_q = ExtensionWitness(NEW_HYPERBOLIC, w_q, zero, deco_q, BitVec.basis(d + 2, d))
-    else:
-        wit_p = ExtensionWitness(NEW_NULLVECTOR, w_p, zero, deco_p)
-        wit_q = ExtensionWitness(NEW_NULLVECTOR, w_q, zero, deco_q)
+    wit_p = ExtensionWitness(
+        step_q.case, step_p.w0, zero, step_p.new_deco.pad(d + 2),
+        BitVec.basis(d + 2, d + 1) if step_q.case == NEW_HYPERBOLIC else None,
+    )
+    wit_q = ExtensionWitness(
+        step_q.case, BitVec(d, step_q.w0.bits), zero, step_q.new_deco, step_q.x_choice
+    )
     return out, wit_p, wit_q
 
 
@@ -190,9 +184,8 @@ def build_by_extension(g: Graph, order: list[int] | None = None) -> SRS:
     if sorted(sequence) != list(range(g.n)):
         raise ValueError("order must be a permutation of the nodes")
     s = minimal_srs(Graph(0))
-    for v in sequence:
-        lam = BitVec.from_bits([1 if g.has_edge(v, u) else 0 for u in sequence[: s.graph.n]])
-        s, _ = extend_minimal(s, lam)
+    for i, v in enumerate(sequence):
+        s, _ = extend_minimal(s, BitVec(i, _gather(g.adj[v], sequence[:i])))
     position = {v: i for i, v in enumerate(sequence)}
     return SRS(g, s.space, tuple(s.deco[position[p]] for p in range(g.n)))
 

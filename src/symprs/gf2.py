@@ -35,7 +35,6 @@ __all__ = [
     "solve_mat",
     "inverse",
     "echelon_basis",
-    "block_diag",
     "subspaces",
     "row_combination",
     "bilinear",
@@ -463,13 +462,6 @@ def echelon_basis(vectors: Sequence[BitVec], dim: int | None = None) -> list[Bit
         raise ValueError("ragged rows")
     rows = [v.bits for v in vectors]
     return [BitVec(dim, rows[i]) for i in range(len(_eliminate(rows, dim)))]
-
-
-def block_diag(a: BitMat, b: BitMat) -> BitMat:
-    """Block-diagonal sum, ``a`` occupying the low coordinate indices."""
-    rows = list(a.rows)
-    rows.extend(r << a.ncols for r in b.rows)
-    return BitMat(a.ncols + b.ncols, rows)
 
 
 def subspaces(dim: int) -> Iterator[tuple[BitVec, ...]]:

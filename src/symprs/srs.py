@@ -144,21 +144,27 @@ def minimal_srs(g: Graph) -> SRS:
     return SRS(g, space, tuple(BitVec.basis(g.n, p) for p in range(g.n)) if g.n else ())
 
 
+def _gather(bits: int, positions: Sequence[int]) -> int:
+    """Bit i of the result is bit ``positions[i]`` of ``bits``."""
+    return sum((bits >> p & 1) << i for i, p in enumerate(positions))
+
+
 def restrict(s: SRS, nodes: Sequence[int]) -> SRS:
     """The SRS induced on a node subset.
 
     Decorations of the kept nodes span some subspace W; the result lives
     on W re-coordinatized by its canonical echelon basis, so restricting
     a minimal SRS of a graph to the support of a smaller minimal SRS
-    reproduces it on the nose, not just up to isomorphism.
+    reproduces it on the nose, not just up to isomorphism. A vector of W
+    has its echelon coordinates at the pivots, the lowest set bit of each
+    echelon row.
     """
     sub_graph = induced_subgraph(s.graph, nodes)
     vecs = [s.deco[v] for v in nodes]
     basis = echelon_basis(vecs, dim=s.space.dim)
-    m = len(basis)
-    pivots = [b.support()[0] for b in basis]
-    sub_space = SympSpace(BitMat(m, s.space.pairing_rows(basis)))
-    new_deco = tuple(BitVec.from_bits([v[p] for p in pivots]) for v in vecs)
+    pivots = [(b.bits & -b.bits).bit_length() - 1 for b in basis]
+    sub_space = SympSpace(BitMat(len(basis), s.space.pairing_rows(basis)))
+    new_deco = tuple(BitVec(len(basis), _gather(v.bits, pivots)) for v in vecs)
     return SRS(sub_graph, sub_space, new_deco)
 
 
@@ -166,32 +172,26 @@ def quotient(s: SRS, u_basis: Sequence[BitVec]) -> tuple[SRS, SympMap]:
     """Quotient by a subspace of the radical, with the projection witness.
 
     Coordinates are the non-pivot positions of the echelon basis of U, so
-    the quotient of a quotient stays deterministic.
+    the quotient of a quotient stays deterministic. Projecting reduces a
+    vector by the echelon rows at its pivot bits and keeps the other
+    coordinates, so the image of unit vector j is the kept part of the
+    echelon row pivoting at j, or of the unit vector itself.
     """
+    dim = s.space.dim
+    gram = s.space.gram.rows
     for u in u_basis:
-        if u.dim != s.space.dim:
-            raise SRSError(f"subspace vector dimension {u.dim} != {s.space.dim}")
-        if not (s.space.gram @ u).is_zero():
+        if u.dim != dim:
+            raise SRSError(f"subspace vector dimension {u.dim} != {dim}")
+        if row_combination(gram, u.bits):
             raise SRSError(f"subspace vector {u} not in the radical")
-    basis = echelon_basis(list(u_basis), dim=s.space.dim)
-    pivots = [b.support()[0] for b in basis]
-    keep = [j for j in range(s.space.dim) if j not in pivots]
-
-    def project(v: BitVec) -> BitVec:
-        bits = v.bits
-        for b, p in zip(basis, pivots):
-            if (bits >> p) & 1:
-                bits ^= b.bits
-        return BitVec.from_bits([(bits >> j) & 1 for j in keep])
-
-    kept = [BitVec.basis(s.space.dim, j) for j in keep]
-    quot_space = SympSpace(BitMat(len(keep), s.space.pairing_rows(kept)))
-    proj = SympMap(
-        s.space,
-        quot_space,
-        BitMat.from_cols([project(BitVec.basis(s.space.dim, j)) for j in range(s.space.dim)], nrows=len(keep)),
-    )
-    quot = SRS(s.graph, quot_space, tuple(project(v) for v in s.deco))
+    basis = echelon_basis(list(u_basis), dim=dim)
+    reducer = {(b.bits & -b.bits).bit_length() - 1: b.bits for b in basis}
+    keep = [j for j in range(dim) if j not in reducer]
+    cols = [_gather(reducer.get(j, 1 << j), keep) for j in range(dim)]
+    quot_space = SympSpace(BitMat(len(keep), (_gather(gram[j], keep) for j in keep)))
+    proj = SympMap(s.space, quot_space, BitMat(len(keep), cols).transpose())
+    deco = tuple(BitVec(len(keep), row_combination(cols, v.bits)) for v in s.deco)
+    quot = SRS(s.graph, quot_space, deco)
     return quot, proj
 
 
@@ -201,20 +201,12 @@ def radical_subspaces(s: SRS) -> list[tuple[BitVec, ...]]:
     Deterministic: subspace dimension ascending (so quotient types come
     out grouped), then the fixed order of echelon-basis enumeration.
     """
-    rad = s.space.radical
+    rad = [r.bits for r in s.space.radical]
     k = len(rad)
     if k > MAX_QUOTIENT_RADICAL_DIM:
         raise SRSError(f"radical dimension {k} exceeds the cap of {MAX_QUOTIENT_RADICAL_DIM}")
-    out = []
-    for sub in subspaces(k):
-        vecs = []
-        for coeff in sub:
-            v = BitVec.zero(s.space.dim)
-            for i in coeff.support():
-                v = v ^ rad[i]
-            vecs.append(v)
-        out.append(tuple(vecs))
-    return out
+    dim = s.space.dim
+    return [tuple(BitVec(dim, row_combination(rad, c.bits)) for c in sub) for sub in subspaces(k)]
 
 
 def enumerate_quotients(g: Graph) -> list[SRS]:
@@ -276,8 +268,8 @@ class CocliqueReport:
 
 
 def coclique_bound_check(g: Graph) -> CocliqueReport:
+    witness = max_coclique(g)  # first: it enforces the node cap
     n = SympSpace(g.adjacency()).type.n
-    witness = max_coclique(g)
     gamma = len(witness)
     bound = g.n - gamma
     return CocliqueReport(n, gamma, bound, n <= bound, witness)

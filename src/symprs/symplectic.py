@@ -214,13 +214,23 @@ class MixedForm:
 
     ``proj`` is an idempotent map onto the radical, ``radform`` a symmetric
     nondegenerate form on the radical written in the space's radical basis,
-    and ``matrix`` the Gram matrix of the completed form.
+    and ``matrix`` the Gram matrix of the completed form, built on first read.
     """
 
     space: SympSpace
     proj: BitMat
     radform: BitMat
-    matrix: BitMat
+
+    @cached_property
+    def matrix(self) -> BitMat:
+        s = self.space
+        # radical basis vector i is the kernel vector of free Gram column f_i, its
+        # highest set bit, and no other basis vector sets bit f_i: so bit f_i of
+        # a radical vector is its i-th coordinate, and coords maps into them
+        coords = BitMat(s.dim, (1 << (v.bits.bit_length() - 1) for v in s.radical)) @ self.proj
+        completed = s.gram ^ (coords.transpose() @ self.radform @ coords)
+        assert rank(completed) == s.dim, "mixed completion came out degenerate"
+        return completed
 
     def value(self, v: BitVec, w: BitVec) -> int:
         return bilinear(self.matrix.rows, v.bits, w.bits)
@@ -249,13 +259,7 @@ def mixed_completion(s: SympSpace, proj: BitMat, radform: BitMat) -> MixedForm:
         raise ValueError("radical form not symmetric")
     if rank(radform) != k:
         raise ValueError("radical form degenerate")
-    # radical basis vector i is the kernel vector of free Gram column f_i, its
-    # highest set bit, and no other basis vector sets bit f_i: so bit f_i of
-    # a radical vector is its i-th coordinate, and coords maps into them
-    coords = BitMat(s.dim, (1 << (v.bits.bit_length() - 1) for v in s.radical)) @ proj
-    completed = s.gram ^ (coords.transpose() @ radform @ coords)
-    assert rank(completed) == s.dim, "mixed completion came out degenerate"
-    return MixedForm(s, proj, radform, completed)
+    return MixedForm(s, proj, radform)
 
 
 def default_completion_choices(s: SympSpace) -> tuple[BitMat, BitMat]:

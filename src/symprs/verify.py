@@ -11,10 +11,11 @@ message if it failed (a tuple of messages if it failed in two ways).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 
-from .cartan import cartan_datum, parity_graph, roots, weyl_rep
+from .cartan import MAX_ROOTS, cartan_datum, parity_graph, roots, weyl_rep
 from .extend import NEW_NULLVECTOR, build_by_extension, double_extend_extraspecial, extend_minimal
 from .gf2 import BitVec
 from .graph import MAX_CLASS_NODES, Graph, dynkin_graph, graph_classes
@@ -25,6 +26,10 @@ from .symplectic import random_completion_choices
 __all__ = ["SUITES", "run"]
 
 SUITES = ("restriction", "extension", "weyl", "group", "coclique")
+
+# the weyl sweep runs A, B, C and D up to max_rank; B_r and C_r have the
+# most roots of these, 2 r^2
+_MAX_RANK = math.isqrt(MAX_ROOTS // 2)
 
 
 def _restriction(max_nodes: int, cases: Counter):
@@ -171,10 +176,13 @@ def run(names, max_nodes: int, max_rank: int, trials: int, seed: int) -> dict:
     and ``trials`` random completions probe choice independence. Each
     suite reports ``ok``, its ``checks`` and its first five ``failures``;
     restriction also counts its ``cases``. A suite with no checks fails.
-    ``max_nodes`` past ``MAX_CLASS_NODES`` raises before any sweep runs.
+    ``max_nodes`` past ``MAX_CLASS_NODES``, or ``max_rank`` past the rank
+    whose root systems fit in ``MAX_ROOTS``, raises before any sweep runs.
     """
     if max_nodes > MAX_CLASS_NODES:
         raise ValueError(f"{max_nodes} nodes exceeds the class cap of {MAX_CLASS_NODES}")
+    if max_rank > _MAX_RANK:
+        raise ValueError(f"rank {max_rank} exceeds the rank cap of {_MAX_RANK}")
     rng = random.Random(seed)
     cases = Counter()
     sweeps = {

@@ -6,10 +6,17 @@ import itertools
 from collections import deque
 from typing import Iterable, Sequence
 
-from symprs.extend import NEW_HYPERBOLIC, NEW_NULLVECTOR, ExtensionWitness, _attach, lift_indicator
-from symprs.gf2 import BitMat, BitVec, RowEchelon, block_diag, echelon_basis, inverse, rank
-from symprs.graph import Graph
-from symprs.srs import SRS, SRSError
+from symprs.extend import (
+    NEW_HYPERBOLIC,
+    NEW_NULLVECTOR,
+    ExtensionWitness,
+    _attach,
+    _require_minimal,
+    lift_indicator,
+)
+from symprs.gf2 import BitMat, BitVec, RowEchelon, echelon_basis, inverse, rank, subspaces
+from symprs.graph import Graph, induced_subgraph
+from symprs.srs import MAX_QUOTIENT_RADICAL_DIM, SRS, SRSError, SympMap
 from symprs.symplectic import SymplecticBasis, SympSpace, mixed_completion, standard_space
 
 
@@ -344,6 +351,13 @@ def subsets(items):
         yield from itertools.combinations(items, r)
 
 
+def block_diag(a: BitMat, b: BitMat) -> BitMat:
+    """Block-diagonal sum, ``a`` occupying the low coordinate indices."""
+    rows = list(a.rows)
+    rows.extend(r << a.ncols for r in b.rows)
+    return BitMat(a.ncols + b.ncols, rows)
+
+
 def _one_node_more(s: SRS, lam: BitVec, gram: BitMat, new_deco: BitVec) -> SRS:
     """s on the graph with one node attached to lam's support, in the space
     of ``gram``, the new node decorated by ``new_deco``."""
@@ -388,6 +402,105 @@ def extend_nullspace(s: SRS, lam: BitVec) -> tuple[SRS, ExtensionWitness]:
     gram = BitMat(d + 1, [c[i] << d for i in range(d)] + [c.bits])
     x = BitVec.basis(d + 1, c.support()[0])
     return _one_node_more(s, lam, gram, y), ExtensionWitness(NEW_HYPERBOLIC, zero, c, y, x)
+
+
+def double_extend_extraspecial(
+    s: SRS, lam_p: BitVec, lam_q: BitVec, pq_edge: bool
+) -> tuple[SRS, ExtensionWitness, ExtensionWitness]:
+    """Both new nodes at once: solve G w = c for each lifted form, then
+    append a hyperbolic plane or two nullvectors by the dichotomy."""
+    _require_minimal(s, lam_p)
+    _require_minimal(s, lam_q)
+    if not s.type.is_extraspecial:
+        raise SRSError(f"space has type {tuple(s.type)}, not extraspecial")
+    c_p = lift_indicator(s, lam_p)
+    c_q = lift_indicator(s, lam_q)
+    w_p = solve(s.space.gram, c_p)
+    w_q = solve(s.space.gram, c_q)
+    assert w_p is not None and w_q is not None
+    orthogonal = s.space.form(w_p, w_q) == 0
+    d = s.space.dim
+    graph = s.graph._with_node(lam_p.bits)._with_node(lam_q.bits | pq_edge << s.graph.n)
+    hyperbolic = orthogonal == pq_edge
+    tail = BitMat.from_rows(["01", "10"]) if hyperbolic else BitMat.zeros(2, 2)
+    space = SympSpace(block_diag(s.space.gram, tail))
+    deco_p = w_p.pad(d + 2) ^ BitVec.basis(d + 2, d)
+    deco_q = w_q.pad(d + 2) ^ BitVec.basis(d + 2, d + 1)
+    out = SRS(graph, space, tuple(v.pad(d + 2) for v in s.deco) + (deco_p, deco_q))
+    assert out.type == ((s.type.n + 1, 0) if hyperbolic else (s.type.n, 2))
+    zero = BitVec.zero(d)
+    if hyperbolic:
+        wit_p = ExtensionWitness(NEW_HYPERBOLIC, w_p, zero, deco_p, BitVec.basis(d + 2, d + 1))
+        wit_q = ExtensionWitness(NEW_HYPERBOLIC, w_q, zero, deco_q, BitVec.basis(d + 2, d))
+    else:
+        wit_p = ExtensionWitness(NEW_NULLVECTOR, w_p, zero, deco_p)
+        wit_q = ExtensionWitness(NEW_NULLVECTOR, w_q, zero, deco_q)
+    return out, wit_p, wit_q
+
+
+# The BitVec routes ``srs`` took for restriction, quotients and radical
+# subspaces before it worked on int rows: one BitVec per coordinate, the
+# projection built from projected standard basis vectors.
+
+
+def restrict(s: SRS, nodes: Sequence[int]) -> SRS:
+    """Re-coordinatize the kept decorations by their pivot entries."""
+    sub_graph = induced_subgraph(s.graph, nodes)
+    vecs = [s.deco[v] for v in nodes]
+    basis = echelon_basis(vecs, dim=s.space.dim)
+    m = len(basis)
+    pivots = [b.support()[0] for b in basis]
+    sub_space = SympSpace(BitMat(m, s.space.pairing_rows(basis)))
+    new_deco = tuple(BitVec.from_bits([v[p] for p in pivots]) for v in vecs)
+    return SRS(sub_graph, sub_space, new_deco)
+
+
+def quotient(s: SRS, u_basis: Sequence[BitVec]) -> tuple[SRS, SympMap]:
+    """Project every vector, decorations and standard basis alike, by
+    reducing it against the echelon basis of U."""
+    for u in u_basis:
+        if u.dim != s.space.dim:
+            raise SRSError(f"subspace vector dimension {u.dim} != {s.space.dim}")
+        if not (s.space.gram @ u).is_zero():
+            raise SRSError(f"subspace vector {u} not in the radical")
+    basis = echelon_basis(list(u_basis), dim=s.space.dim)
+    pivots = [b.support()[0] for b in basis]
+    keep = [j for j in range(s.space.dim) if j not in pivots]
+
+    def project(v: BitVec) -> BitVec:
+        bits = v.bits
+        for b, p in zip(basis, pivots):
+            if (bits >> p) & 1:
+                bits ^= b.bits
+        return BitVec.from_bits([(bits >> j) & 1 for j in keep])
+
+    kept = [BitVec.basis(s.space.dim, j) for j in keep]
+    quot_space = SympSpace(BitMat(len(keep), s.space.pairing_rows(kept)))
+    proj = SympMap(
+        s.space,
+        quot_space,
+        BitMat.from_cols([project(BitVec.basis(s.space.dim, j)) for j in range(s.space.dim)], nrows=len(keep)),
+    )
+    quot = SRS(s.graph, quot_space, tuple(project(v) for v in s.deco))
+    return quot, proj
+
+
+def radical_subspaces(s: SRS) -> list[tuple[BitVec, ...]]:
+    """Each subspace vector as a chain of BitVec sums of radical vectors."""
+    rad = s.space.radical
+    k = len(rad)
+    if k > MAX_QUOTIENT_RADICAL_DIM:
+        raise SRSError(f"radical dimension {k} exceeds the cap of {MAX_QUOTIENT_RADICAL_DIM}")
+    out = []
+    for sub in subspaces(k):
+        vecs = []
+        for coeff in sub:
+            v = BitVec.zero(s.space.dim)
+            for i in coeff.support():
+                v = v ^ rad[i]
+            vecs.append(v)
+        out.append(tuple(vecs))
+    return out
 
 
 def core_decorations(m: int) -> list[frozenset]:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from symprs.cli import main
-from symprs.graph import MAX_CLASS_NODES, MAX_NODES, Graph
+from symprs.graph import MAX_CLASS_NODES, MAX_COCLIQUE_NODES, MAX_NODES, Graph
 from symprs.srs import CocliqueReport
 from test_golden import GOLDEN, _argv
 
@@ -191,6 +191,18 @@ def test_coclique_verb(tmp_path, capsys):
         "type_n": 2,
         "witness": [0, 2],
     }
+
+
+def test_coclique_checks_the_node_cap_before_any_elimination(tmp_path, capsys, monkeypatch):
+    def eliminated(*args):
+        raise AssertionError("an elimination ran")
+
+    monkeypatch.setattr("symprs.srs.SympSpace", eliminated)
+    n = MAX_COCLIQUE_NODES + 1
+    path = write_graph(tmp_path, f"n {n}\n" + "".join(f"e {v} {v + 1}\n" for v in range(n - 1)))
+    code, out, err = run(capsys, "coclique", "--graph", path)
+    assert code == 1 and out == ""
+    assert err == f"error: {n} nodes exceeds the coclique cap of {MAX_COCLIQUE_NODES}\n"
 
 
 def test_verify_quick_all_green(capsys):
@@ -399,6 +411,18 @@ def test_verify_rejects_max_nodes_past_the_class_cap_before_any_sweep(capsys, mo
     code, out, err = run(capsys, "verify", *argv)
     assert code == 1 and out == ""
     assert err == f"error: {argv[-1]} nodes exceeds the class cap of {MAX_CLASS_NODES}\n"
+
+
+@pytest.mark.parametrize("rank", ["71", "100000"])
+def test_verify_rejects_max_rank_past_the_root_cap_before_any_sweep(capsys, monkeypatch, rank):
+    def swept(*args):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr("symprs.verify.graph_classes", swept)
+    monkeypatch.setattr("symprs.verify.cartan_datum", swept)
+    code, out, err = run(capsys, "verify", "--max-rank", rank)
+    assert code == 1 and out == ""
+    assert err == f"error: rank {rank} exceeds the rank cap of 70\n"
 
 
 @pytest.mark.parametrize("suite, name, fake, argv, checks, first", [

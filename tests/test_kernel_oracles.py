@@ -10,6 +10,9 @@ solve and inverse must equal the two-list elimination it replaced. The
 default completion choices, the group's cocycle, the orthogonal projection
 and every extension witness, read off the symplectic basis, must equal the
 routes through basis-matrix inverses and the completed Gram matrix.
+Restriction, quotients and radical subspaces on int rows must equal the
+BitVec routes, and the double extension as two single steps must equal
+its direct construction.
 """
 
 from __future__ import annotations
@@ -17,12 +20,12 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from symprs.cartan import cartan_datum, group_order, weyl_rep
-from symprs.extend import build_by_extension, extend_minimal
+from symprs.extend import build_by_extension, double_extend_extraspecial, extend_minimal
 from symprs.gf2 import (
     BitMat,
     BitVec,
@@ -40,7 +43,7 @@ from symprs.gf2 import (
 )
 from symprs.graph import Graph
 from symprs.grp2 import CocycleGroup, extraspecial_sign, make_group
-from symprs.srs import SRS, SRSError, minimal_srs
+from symprs.srs import SRS, SRSError, minimal_srs, quotient, radical_subspaces, restrict
 from symprs.symplectic import (
     SympSpace,
     default_completion_choices,
@@ -233,10 +236,10 @@ def test_default_choices_and_cocycle_match_inverse_oracles(space):
 
 
 @st.composite
-def minimal_systems(draw):
-    """The minimal system of a graph on up to 10 nodes, from ``minimal_srs``
-    or from ``build_by_extension``."""
-    rows = draw(spaces(max_dim=10)).gram.rows
+def minimal_systems(draw, max_nodes: int = 10):
+    """The minimal system of a graph on up to ``max_nodes`` nodes, from
+    ``minimal_srs`` or from ``build_by_extension``."""
+    rows = draw(spaces(max_dim=max_nodes)).gram.rows
     n = len(rows)
     graph = Graph(n, [(p, q) for p in range(n) for q in range(p + 1, n) if rows[p] >> q & 1])
     return draw(st.sampled_from([minimal_srs, build_by_extension]))(graph)
@@ -264,6 +267,49 @@ def test_basis_routes_match_completed_matrix_oracles(s, data):
         v = _vec(data.draw, n)
         fast = _projection(orthogonal_project, space, wbasis, v)
         assert fast == _projection(oracles.orthogonal_project, space, wbasis, v)
+
+
+@settings(deadline=None, max_examples=120)
+@given(minimal_systems(max_nodes=8), st.data())
+def test_srs_int_routes_match_bitvec_oracles(s, data):
+    # every radical subspace, every quotient's single-node deletions and
+    # its quotient by its whole radical; radicals up to dimension 4 keep
+    # the sweep at 67 subspaces or fewer
+    assume(len(s.space.radical) <= 4)
+    subs = radical_subspaces(s)
+    assert subs == oracles.radical_subspaces(s)
+    n = s.graph.n
+    for u in subs:
+        q, proj = quotient(s, u)
+        assert (q, proj) == oracles.quotient(s, u)  # SympMap equality compares matrices
+        for v in range(n):
+            nodes = [w for w in range(n) if w != v]
+            assert restrict(q, nodes) == oracles.restrict(q, nodes)
+        q_rad = list(q.space.radical)
+        assert radical_subspaces(q) == oracles.radical_subspaces(q)
+        assert quotient(q, q_rad) == oracles.quotient(q, q_rad)
+    nodes = data.draw(st.permutations(range(n)))[:data.draw(st.integers(0, n))]
+    assert restrict(s, nodes) == oracles.restrict(s, nodes)
+    # spanning sets that are dependent, or hold a vector outside the radical
+    # or of the wrong dimension
+    rad = [r.bits for r in s.space.radical]
+    coeffs = data.draw(st.lists(st.integers(0, (1 << len(rad)) - 1), max_size=5))
+    u_basis = [BitVec(s.space.dim, row_combination(rad, c)) for c in coeffs]
+    if data.draw(st.booleans()):
+        stray = _vec(data.draw, s.space.dim + data.draw(st.integers(0, 1)))
+        u_basis.insert(data.draw(st.integers(0, len(u_basis))), stray)
+    assert _projection(quotient, s, u_basis) == _projection(oracles.quotient, s, u_basis)
+
+
+@settings(deadline=None, max_examples=120)
+@given(minimal_systems(max_nodes=12).filter(lambda s: s.type.k == 0), st.data())
+def test_double_extension_matches_direct_oracle(s, data):
+    n = s.graph.n
+    lam_p, lam_q = _vec(data.draw, n), _vec(data.draw, n)
+    # the two edge values give the two outcomes of the dichotomy
+    for pq_edge in (False, True):
+        got = double_extend_extraspecial(s, lam_p, lam_q, pq_edge)
+        assert got == oracles.double_extend_extraspecial(s, lam_p, lam_q, pq_edge)
 
 
 @st.composite
