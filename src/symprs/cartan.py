@@ -25,8 +25,8 @@ from typing import Iterable, Sequence
 
 from .gf2 import BitMat, BitVec, byte_table, echelon_basis, inverse, row_combination
 from .graph import Graph, automorphisms, dynkin_graph
-from .srs import SRS, minimal_srs, radical_subspaces
-from .symplectic import standard_space
+from .srs import SRS, _quotient_type_counts, minimal_srs, radical_subspaces
+from .symplectic import SympSpace, standard_space
 
 __all__ = [
     "CartanDatum",
@@ -251,16 +251,11 @@ def ade_srs(family: str, rank: int) -> SRS:
 
 
 def ade_table(family: str, rank: int) -> dict[tuple[int, int], int]:
-    """Isomorphism classes of SRS on a simply laced diagram, counted by type."""
+    """Isomorphism classes of SRS on a simply laced diagram, counted by type
+    from the diagram's type alone (``srs._quotient_type_counts``)."""
     if family not in ("A", "D", "E"):
         raise ValueError(f"the class table is for A/D/E diagrams, not {family!r}")
-    s = minimal_srs(dynkin_graph(family, rank))
-    table: dict[tuple[int, int], int] = {}
-    for basis in radical_subspaces(s):
-        n, k = s.type
-        key = (n, k - len(basis))
-        table[key] = table.get(key, 0) + 1
-    return table
+    return _quotient_type_counts(*SympSpace(dynkin_graph(family, rank).adjacency()).type)
 
 
 @dataclass(frozen=True)

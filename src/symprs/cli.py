@@ -25,13 +25,14 @@ import sys
 from collections import Counter
 
 from . import verify
-from .cartan import _check_chain_dim, ade_srs, ade_table, cartan_datum, group_order, roots, weyl_rep
+from .cartan import _check_chain_dim, ade_srs, cartan_datum, group_order, roots, weyl_rep
 from .extend import extend_minimal, witness_to_json
 from .gf2 import BitVec, bilinear
 from .graph import DYNKIN_FAMILIES, Graph, dynkin_graph, graph_to_json, parse_graph
 from .grp2 import burnside_check, extraspecial_sign, lift_decoration, make_group
 from .srs import (
     SRSError,
+    _quotient_type_counts,
     coclique_bound_check,
     enumerate_quotients,
     minimal_srs,
@@ -79,13 +80,18 @@ def _minimal_payload(args) -> dict:
 
 def _quotients_payload(args) -> dict:
     g = _load_graph(args.graph)
-    classes = enumerate_quotients(g)
-    by_type = Counter(tuple(s.type) for s in classes)
+    if args.summary:
+        # counted from the type alone, under a far higher radical cap
+        classes = None
+        by_type = _quotient_type_counts(*SympSpace(g.adjacency()).type)
+    else:
+        classes = enumerate_quotients(g)
+        by_type = Counter(tuple(s.type) for s in classes)
     payload = {
-        "total": len(classes),
+        "total": sum(by_type.values()),
         "by_type": [[n, k, count] for (n, k), count in sorted(by_type.items(), reverse=True)],
     }
-    if not args.summary:
+    if classes is not None:
         payload["classes"] = [srs_to_json(s) for s in classes]
     return payload
 
@@ -144,8 +150,8 @@ def _iso_payload(args) -> dict:
 
 def _ade_payload(args) -> dict:
     s = ade_srs(args.family, args.rank)
-    table = ade_table(args.family, args.rank)
     n, k = s.type
+    table = _quotient_type_counts(n, k)
     return {
         "family": args.family,
         "rank": args.rank,

@@ -99,7 +99,7 @@ def extend_minimal(
         proj, radform = choices
         mixed_completion(s.space, proj, radform)  # raises on invalid choices
     c = lift_indicator(s, lam).bits
-    radical = [r.bits for r in s.space.radical]
+    radical = s.space._radical
     gamma = sum(((c & r).bit_count() & 1) << j for j, r in enumerate(radical))
     alpha = solve(radform, BitVec(len(radical), gamma))
     assert alpha is not None, "radical form is nondegenerate"

@@ -186,11 +186,7 @@ class BitMat:
             nrows = cols[0].dim
         if any(c.dim != nrows for c in cols):
             raise ValueError("ragged columns")
-        rows = [0] * nrows
-        for j, c in enumerate(cols):
-            for i in c.support():
-                rows[i] |= 1 << j
-        return cls(len(cols), rows)
+        return cls(len(cols), _transpose([c.bits for c in cols], nrows))
 
     @classmethod
     def identity(cls, n: int) -> "BitMat":
@@ -221,13 +217,7 @@ class BitMat:
         return BitVec(self.nrows, bits)
 
     def transpose(self) -> "BitMat":
-        cols = [0] * self.ncols
-        for i, r in enumerate(self.rows):
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= 1 << i
-                r ^= low
-        return BitMat(self.nrows, cols)
+        return BitMat(self.nrows, _transpose(self.rows, self.ncols))
 
     def __xor__(self, other: "BitMat") -> "BitMat":
         if self.shape != other.shape:
@@ -246,29 +236,18 @@ class BitMat:
             return BitVec(self.nrows, bits)
         if other.nrows != self.ncols:
             raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
-        out = []
-        for r in self.rows:
-            acc = 0
-            rem = r
-            while rem:
-                j = (rem & -rem).bit_length() - 1
-                acc ^= other.rows[j]
-                rem &= rem - 1
-            out.append(acc)
-        return BitMat(other.ncols, out)
+        # row i of the product combines the rows of other that row i selects
+        return BitMat(other.ncols, [row_combination(other.rows, r) for r in self.rows])
 
     def is_symmetric(self) -> bool:
-        return self.nrows == self.ncols and self.transpose().rows == self.rows
+        return self.nrows == self.ncols and _transpose(self.rows, self.ncols) == list(self.rows)
 
     def is_zero(self) -> bool:
         return not any(self.rows)
 
     def diagonal(self) -> BitVec:
         n = min(self.nrows, self.ncols)
-        bits = 0
-        for i in range(n):
-            bits |= ((self.rows[i] >> i) & 1) << i
-        return BitVec(n, bits)
+        return BitVec(n, sum((self.rows[i] >> i & 1) << i for i in range(n)))
 
     def to_strings(self) -> list[str]:
         """Rows in wire form, one bit string per row."""
@@ -287,6 +266,17 @@ class BitMat:
 
     def __hash__(self) -> int:
         return hash((self.ncols, self.rows))
+
+
+def _transpose(rows: Sequence[int], ncols: int) -> list[int]:
+    """The columns of the matrix with these rows (each below bit ``ncols``), as rows."""
+    cols = [0] * ncols
+    for i, r in enumerate(rows):
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= 1 << i
+            r ^= low
+    return cols
 
 
 def row_combination(rows: Sequence[int], bits: int) -> int:
@@ -360,11 +350,18 @@ def _eliminate(rows: list[int], ncols: int) -> list[int]:
     and clears the pivot column everywhere else, so the result is the
     unique RREF reached by a fixed elimination order. Bits at ``ncols`` and
     above are never pivoted on; they ride along as augmented columns.
+    A column set in no row is skipped without a search (row XORs never
+    set it), so zero rows cost nothing.
     """
+    live = 0
+    for row in rows:
+        live |= row
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
         bit = 1 << c
+        if not live & bit:
+            continue
         pivot = next((i for i in range(r, len(rows)) if rows[i] & bit), None)
         if pivot is None:
             continue
@@ -397,19 +394,15 @@ def kernel_basis(m: BitMat) -> list[BitVec]:
     Free columns are visited in increasing index order and each basis vector
     has a 1 in exactly one free position, so the output is canonical.
     """
-    rows = list(m.rows)
-    pivots = _eliminate(rows, m.ncols)
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(m.ncols):
-        if f in pivot_set:
-            continue
-        bits = 1 << f
-        for r, p in enumerate(pivots):
-            if (rows[r] >> f) & 1:
-                bits |= 1 << p
-        basis.append(BitVec(m.ncols, bits))
-    return basis
+    return [BitVec(m.ncols, bits) for bits in _kernel_rows(m.rows, m.ncols)]
+
+
+def _kernel_rows(rows: Sequence[int], ncols: int) -> list[int]:
+    """``kernel_basis`` of the matrix with these rows, as ints."""
+    rows = list(rows)
+    pivots = _eliminate(rows, ncols)
+    free = set(range(ncols)).difference(pivots)
+    return [sum((rows[r] >> f & 1) << p for r, p in enumerate(pivots)) | 1 << f for f in sorted(free)]
 
 
 def _solve_rows(m: BitMat, right: Sequence[int]) -> list[int] | None:
@@ -460,8 +453,13 @@ def echelon_basis(vectors: Sequence[BitVec], dim: int | None = None) -> list[Bit
         dim = vectors[0].dim
     if any(v.dim != dim for v in vectors):
         raise ValueError("ragged rows")
-    rows = [v.bits for v in vectors]
-    return [BitVec(dim, rows[i]) for i in range(len(_eliminate(rows, dim)))]
+    return [BitVec(dim, bits) for bits in _echelon_rows([v.bits for v in vectors], dim)]
+
+
+def _echelon_rows(rows: Sequence[int], ncols: int) -> list[int]:
+    """``echelon_basis`` of int rows: the nonzero rows of their RREF."""
+    rows = list(rows)
+    return rows[:len(_eliminate(rows, ncols))]
 
 
 def subspaces(dim: int) -> Iterator[tuple[BitVec, ...]]:

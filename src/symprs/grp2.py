@@ -14,17 +14,22 @@ Arithmetic runs on raw ints. Each group builds a byte table of beta's row
 combinations once (``gf2.byte_table``), so beta(v, w) costs one lookup
 per byte of v and a popcount parity. ``BitVec`` appears only at the
 interface: elements arrive and leave as ``(BitVec, sign)`` pairs. The
-commutator is still evaluated through the group law, never read off the
-form, so checking "commutator = form" tests the law.
+commutator is evaluated through the group law, never read off the form,
+so checking "commutator = form" tests the law. ``srs verify`` checks it
+on every pair of elements with ``_commutator_mismatches``, on ints: one
+call of ``CocycleGroup._commutator_signs`` gives the commutator signs of
+one g with every h (the law makes their vectors zero), with the row of g
+and each q(v) computed once, and the form side comes from the Gram rows,
+not from beta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
-from .gf2 import BitMat, BitVec, byte_table, rank, row_combination, table_combination
+from .gf2 import BitMat, BitVec, _eliminate, _transpose, byte_table, row_combination, table_combination
 from .srs import SRS
 from .symplectic import SympSpace
 
@@ -114,6 +119,23 @@ class CocycleGroup:
         sign = gh_sign ^ inv_sign ^ ((row(gh_bits) & inv_bits).bit_count() & 1)
         return (BitVec(self.dim, gh_bits ^ inv_bits), sign)
 
+    def _commutator_signs(self, v: int, a: int, q: Sequence[int]) -> list[int]:
+        """The sign of [g, h] = gh . g^-1 h^-1 through the group law, for
+        g = (v, a) and every h = (w, b) in ``elements`` order; q[u] is
+        beta(u, u) for every vector u, computed once per group by the caller.
+        gh and g^-1 h^-1 both have the vector v + w, so the law makes the
+        vector of [g, h] zero by construction and only its sign is kept."""
+        row_v, inv_a = self._row(v), a ^ q[v]  # g^-1 = (v, a + q(v))
+        out = []
+        for w, q_w in enumerate(q):
+            beta_vw = (row_v & w).bit_count() & 1
+            q_u = q[v ^ w]  # the vector of gh and of g^-1 h^-1 is v + w
+            for b in (0, 1):
+                gh = a ^ b ^ beta_vw
+                inv = inv_a ^ b ^ q_w ^ beta_vw
+                out.append(gh ^ inv ^ q_u)
+        return out
+
     def element_order(self, g: Element) -> int:
         v, a = g
         bits = self._bits(v)
@@ -129,7 +151,7 @@ class CocycleGroup:
 
     def center(self) -> list[Element]:
         """The radical paired with the sign coordinate, 2^(k+1) elements."""
-        rad = [z.bits for z in self.space.radical]
+        rad = self.space._radical
         out = []
         for bits in range(1 << len(rad)):
             z = BitVec(self.dim, row_combination(rad, bits))
@@ -157,6 +179,23 @@ class CocycleGroup:
         return f"CocycleGroup(order={self.order()}, type=({n},{k}))"
 
 
+def _commutator_mismatches(grp: CocycleGroup) -> int:
+    """How many ordered pairs of elements g = (v, a), h = (w, b) have a
+    commutator sign, by the group law, other than <v, w>, with the form
+    read off the Gram rows: neither side is derived from the other."""
+    size = 1 << grp.dim
+    q = [grp._q(u) for u in range(size)]
+    bad = 0
+    for v in range(size):
+        image = row_combination(grp.space.gram.rows, v)
+        want = [(image & w).bit_count() & 1 for w in range(size) for _ in (0, 1)]
+        for a in (0, 1):
+            got = grp._commutator_signs(v, a, q)
+            if got != want:
+                bad += sum(c != f for c, f in zip(got, want))
+    return bad
+
+
 def make_group(space: SympSpace, diagonal: BitVec | None = None) -> CocycleGroup:
     """The canonical group of a space, optionally twisted on the diagonal.
 
@@ -167,10 +206,10 @@ def make_group(space: SympSpace, diagonal: BitVec | None = None) -> CocycleGroup
     products (Q8 variants, Z4 for the almost extraspecial line).
     """
     d = space.dim
-    basis, gram = space.basis, space.gram.rows
+    (xs, ys, _), gram = space._basis, space.gram.rows
     # beta(u, v) = sum_i <u, y_i> <v, x_i>: row u sums the G x_i whose G y_i has bit u
-    gx = [row_combination(gram, x.bits) for x in basis.x]
-    gy = BitMat(d, (row_combination(gram, y.bits) for y in basis.y)).transpose().rows
+    gx = [row_combination(gram, x) for x in xs]
+    gy = _transpose([row_combination(gram, y) for y in ys], d)
     beta = BitMat(d, (row_combination(gx, col) for col in gy))
     if diagonal is not None:
         if diagonal.dim != d:
@@ -211,22 +250,13 @@ def burnside_check(grp: CocycleGroup, gens: Iterable[Element]) -> BurnsideReport
     nontrivial (G/Frattini = V), and trivial only for gram = 0 with an
     alternating cocycle (G elementary abelian on V x F_2).
     """
-    gens = list(gens)
-    d = grp.dim
-    elementary = grp.space.gram.is_zero() and all(
-        grp.beta.entry(i, i) == 0 for i in range(d)
-    )
-    if elementary:
-        quotient_dim = d + 1
-        images = BitMat.from_rows(
-            [BitVec(d + 1, v.bits | (a << d)) for v, a in gens], ncols=d + 1
-        )
-    else:
-        quotient_dim = d
-        images = BitMat.from_rows([v for v, _ in gens], ncols=d)
-    image_rank = rank(images)
+    # the sign rides along at bit dim, and counts only in the elementary case
+    images = [grp._bits(v) | a << grp.dim for v, a in gens]
+    elementary = grp.space.gram.is_zero() and not any(r >> i & 1 for i, r in enumerate(grp.beta.rows))
+    quotient_dim = grp.dim + elementary
+    image_rank = len(_eliminate(images, quotient_dim))
     generates = image_rank == quotient_dim
-    return BurnsideReport(generates, generates and len(gens) == quotient_dim, quotient_dim, image_rank)
+    return BurnsideReport(generates, generates and len(images) == quotient_dim, quotient_dim, image_rank)
 
 
 def extraspecial_sign(grp: CocycleGroup) -> str:

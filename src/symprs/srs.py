@@ -20,8 +20,10 @@ from typing import Sequence
 from .gf2 import (
     BitMat,
     BitVec,
-    echelon_basis,
-    kernel_basis,
+    _echelon_rows,
+    _eliminate,
+    _kernel_rows,
+    _transpose,
     rank,
     row_combination,
     row_reduce,  # unused here; perfbench/selftest.py checks that tracing rebinds srs.row_reduce
@@ -49,7 +51,10 @@ __all__ = [
     "MAX_QUOTIENT_RADICAL_DIM",
 ]
 
-MAX_QUOTIENT_RADICAL_DIM = 12
+# G_2(7) = 29,212 quotients take about 20 s to build, G_2(8) = 417,199 minutes
+MAX_QUOTIENT_RADICAL_DIM = 7
+# G_2(200) has 3,012 digits, inside Python's 4,300-digit int-to-str limit
+_MAX_COUNTED_RADICAL_DIM = 200
 
 
 class SRSError(ValueError):
@@ -79,7 +84,8 @@ class SRS:
         # D G D^T = A, compared row by row. Both sides are symmetric with
         # zero diagonal, so the first row that differs holds the first
         # failing pair (p, q), and there q > p.
-        for p, (row, adj) in enumerate(zip(space.pairing_rows(deco), g.adj)):
+        rows = [v.bits for v in deco]
+        for p, (row, adj) in enumerate(zip(space.pairing_rows(rows), g.adj)):
             diff = row ^ adj
             if diff:
                 q = (diff & -diff).bit_length() - 1
@@ -87,7 +93,7 @@ class SRS:
                 raise SRSError(
                     f"nodes ({p}, {q}): pairing {1 - expected} but adjacency {expected}"
                 )
-        if rank(self.deco_matrix()) != space.dim:
+        if len(_eliminate(rows, space.dim)) != space.dim:
             raise SRSError("decorations do not span the space")
 
     def deco_matrix(self) -> BitMat:
@@ -124,9 +130,9 @@ class SympMap:
     def __post_init__(self):
         if self.matrix.shape != (self.dst.dim, self.src.dim):
             raise ValueError(f"matrix shape {self.matrix.shape} != {(self.dst.dim, self.src.dim)}")
-        cols = [BitVec(self.dst.dim, c) for c in self.matrix.transpose().rows]
-        if tuple(self.dst.pairing_rows(cols)) != self.src.gram.rows:
-            if any(row_combination(self.src.gram.rows, v.bits) for v in kernel_basis(self.matrix)):
+        rows, gram = self.matrix.rows, self.src.gram.rows
+        if tuple(self.dst.pairing_rows(_transpose(rows, self.src.dim))) != gram:
+            if any(row_combination(gram, v) for v in _kernel_rows(rows, self.src.dim)):
                 raise ValueError("kernel not contained in the radical")
             raise ValueError("map does not preserve the forms")
 
@@ -160,11 +166,11 @@ def restrict(s: SRS, nodes: Sequence[int]) -> SRS:
     echelon row.
     """
     sub_graph = induced_subgraph(s.graph, nodes)
-    vecs = [s.deco[v] for v in nodes]
-    basis = echelon_basis(vecs, dim=s.space.dim)
-    pivots = [(b.bits & -b.bits).bit_length() - 1 for b in basis]
+    vecs = [s.deco[v].bits for v in nodes]
+    basis = _echelon_rows(vecs, s.space.dim)
+    pivots = [(b & -b).bit_length() - 1 for b in basis]
     sub_space = SympSpace(BitMat(len(basis), s.space.pairing_rows(basis)))
-    new_deco = tuple(BitVec(len(basis), _gather(v.bits, pivots)) for v in vecs)
+    new_deco = tuple(BitVec(len(basis), _gather(v, pivots)) for v in vecs)
     return SRS(sub_graph, sub_space, new_deco)
 
 
@@ -184,8 +190,8 @@ def quotient(s: SRS, u_basis: Sequence[BitVec]) -> tuple[SRS, SympMap]:
             raise SRSError(f"subspace vector dimension {u.dim} != {dim}")
         if row_combination(gram, u.bits):
             raise SRSError(f"subspace vector {u} not in the radical")
-    basis = echelon_basis(list(u_basis), dim=dim)
-    reducer = {(b.bits & -b.bits).bit_length() - 1: b.bits for b in basis}
+    basis = _echelon_rows([u.bits for u in u_basis], dim)
+    reducer = {(b & -b).bit_length() - 1: b for b in basis}
     keep = [j for j in range(dim) if j not in reducer]
     cols = [_gather(reducer.get(j, 1 << j), keep) for j in range(dim)]
     quot_space = SympSpace(BitMat(len(keep), (_gather(gram[j], keep) for j in keep)))
@@ -201,7 +207,7 @@ def radical_subspaces(s: SRS) -> list[tuple[BitVec, ...]]:
     Deterministic: subspace dimension ascending (so quotient types come
     out grouped), then the fixed order of echelon-basis enumeration.
     """
-    rad = [r.bits for r in s.space.radical]
+    rad = s.space._radical
     k = len(rad)
     if k > MAX_QUOTIENT_RADICAL_DIM:
         raise SRSError(f"radical dimension {k} exceeds the cap of {MAX_QUOTIENT_RADICAL_DIM}")
@@ -216,10 +222,32 @@ def enumerate_quotients(g: Graph) -> list[SRS]:
     the radical biject with isomorphism classes, so entries are pairwise
     non-isomorphic; they are grouped by type since a quotient by an
     r-dimensional subspace has type (n, k - r). Subspace counts grow fast
-    (Galois numbers), so radicals beyond dimension 12 are rejected.
+    (Galois numbers), so radicals past ``MAX_QUOTIENT_RADICAL_DIM`` are
+    rejected before any subspace is built; ``_quotient_type_counts``
+    counts the classes without building them.
     """
     minimal = minimal_srs(g)
     return [quotient(minimal, u)[0] for u in radical_subspaces(minimal)]
+
+
+def _quotient_type_counts(n: int, k: int) -> dict[tuple[int, int], int]:
+    """How many classes of each type ``enumerate_quotients`` gives on a
+    graph whose minimal system has type (n, k), without building any.
+
+    Classes biject with radical subspaces, and an r-dimensional one gives
+    type (n, k - r), so that type occurs [k r]_2 times: the Gaussian
+    binomial, the number of r-dimensional subspaces of GF(2)^k (Goldman
+    and Rota, 1969). Radicals past ``_MAX_COUNTED_RADICAL_DIM`` are
+    rejected before any count, since the counts would not print.
+    """
+    if k > _MAX_COUNTED_RADICAL_DIM:
+        raise SRSError(f"radical dimension {k} exceeds the counting cap of {_MAX_COUNTED_RADICAL_DIM}")
+    counts = {}
+    binom = 1  # [k 0]_2
+    for r in range(k + 1):
+        counts[(n, k - r)] = binom
+        binom = binom * ((1 << (k - r)) - 1) // ((1 << (r + 1)) - 1)
+    return counts
 
 
 def srs_isomorphic(a: SRS, b: SRS) -> SympMap | None:

@@ -16,10 +16,15 @@ Forms are evaluated on Gram rows (``gf2.bilinear``): the Gram image of a
 vector v is the XOR of the Gram rows that v selects, and <v, w> is the
 parity of that image AND w. Routines that pair one vector with many
 compute its image once. ``pairing_rows`` gives the whole Gram matrix of a
-vector family in O(count x dim) word operations, and the symplectic basis
-carries each candidate's image along with it, so a pair test or a
-projection step costs O(1) word operations instead of a matrix-vector
-product.
+vector family of ints in O(count x dim) word operations, and the
+symplectic basis carries each candidate's image along with it, so a pair
+test or a projection step costs O(1) word operations instead of a
+matrix-vector product.
+
+The radical and the symplectic basis are computed and cached as int rows
+(``_radical``, ``_basis``), which the library reads; ``type`` takes k off
+the radical rows. The public ``radical`` and ``basis`` wrap them as
+``BitVec``s on first read.
 """
 
 from __future__ import annotations
@@ -31,10 +36,12 @@ from typing import NamedTuple, Sequence
 from .gf2 import (
     BitMat,
     BitVec,
+    _eliminate,
+    _kernel_rows,
+    _transpose,
     bilinear,
     echelon_basis,
     inverse,
-    kernel_basis,
     rank,
     row_combination,
 )
@@ -84,14 +91,15 @@ class SymplecticBasis(NamedTuple):
 
 
 class SympSpace:
-    """GF(2)^dim with an alternating form; radical, basis and type cached."""
+    """GF(2)^dim with an alternating form; radical, basis and type cached,
+    the radical and basis as int rows that ``radical`` and ``basis`` wrap."""
 
     def __init__(self, gram: BitMat):
         if gram.nrows != gram.ncols:
             raise ValueError(f"Gram matrix not square: {gram.shape}")
         if not gram.is_symmetric():
             raise ValueError("Gram matrix not symmetric")
-        if not gram.diagonal().is_zero():
+        if any(row >> i & 1 for i, row in enumerate(gram.rows)):
             raise ValueError("Gram matrix has nonzero diagonal (form not alternating)")
         self.gram = gram
         self.dim = gram.nrows
@@ -102,27 +110,32 @@ class SympSpace:
             raise ValueError(f"vector dimension mismatch in space of dim {self.dim}")
         return bilinear(self.gram.rows, v.bits, w.bits)
 
-    def pairing_rows(self, vectors: Sequence[BitVec]) -> list[int]:
-        """Gram matrix of a vector family, as rows: bit q of row p is
-        <vectors[p], vectors[q]>. Every vector must have the space's
-        dimension.
+    def pairing_rows(self, vectors: Sequence[int]) -> list[int]:
+        """Gram matrix of a vector family given as ints, as rows: bit q of
+        row p is <vectors[p], vectors[q]>. No vector may set a bit at or
+        past the space's dimension.
 
         Computes B G B^T for B with the vectors as rows: first each Gram
         image v_p^T G, then each row as the XOR of the columns of B that
         the image selects.
         """
-        images = [row_combination(self.gram.rows, v.bits) for v in vectors]
-        cols = BitMat(self.dim, (v.bits for v in vectors)).transpose().rows
+        images = [row_combination(self.gram.rows, v) for v in vectors]
+        cols = _transpose(vectors, self.dim)
         return [row_combination(cols, g) for g in images]
 
     @cached_property
-    def radical(self) -> tuple[BitVec, ...]:
+    def _radical(self) -> list[int]:
         """Deterministic basis of V^perp, the kernel of the Gram matrix."""
-        return tuple(kernel_basis(self.gram))
+        return _kernel_rows(self.gram.rows, self.dim)
 
     @cached_property
-    def basis(self) -> SymplecticBasis:
-        """Greedy hyperbolic pairing with lowest-index choices.
+    def radical(self) -> tuple[BitVec, ...]:
+        return tuple(BitVec(self.dim, bits) for bits in self._radical)
+
+    @cached_property
+    def _basis(self) -> tuple[list[int], list[int], list[int]]:
+        """The symplectic basis as int rows x.., y.., z..: greedy hyperbolic
+        pairing with lowest-index choices.
 
         Repeatedly take the lowest-index candidate vector that pairs
         nontrivially with some other candidate, take its lowest-index
@@ -161,27 +174,29 @@ class SympSpace:
                 projected.append((c, g))
             cands = projected
         assert not any(g for _, g in cands), "leftover basis vector outside the radical"
+        return xs, ys, [c for c, _ in cands]
 
-        def vecs(bits: list[int]) -> tuple[BitVec, ...]:
-            return tuple(BitVec(self.dim, b) for b in bits)
-
-        return SymplecticBasis(vecs(xs), vecs(ys), vecs([c for c, _ in cands]))
+    @cached_property
+    def basis(self) -> SymplecticBasis:
+        """The greedy symplectic basis (see ``_basis``)."""
+        return SymplecticBasis(*(tuple(BitVec(self.dim, b) for b in part) for part in self._basis))
 
     def _hyperbolic(self, phi: int) -> int:
         """The w in the span of the hyperbolic pairs with <v, w> = phi . v for
         every v there: sum_i (phi . y_i) x_i + (phi . x_i) y_i, since the
         x_i-coordinate of a vector is its pairing with y_i and vice versa."""
         w = 0
-        for x, y in zip(self.basis.x, self.basis.y):
-            if (phi & y.bits).bit_count() & 1:
-                w ^= x.bits
-            if (phi & x.bits).bit_count() & 1:
-                w ^= y.bits
+        xs, ys, _ = self._basis
+        for x, y in zip(xs, ys):
+            if (phi & y).bit_count() & 1:
+                w ^= x
+            if (phi & x).bit_count() & 1:
+                w ^= y
         return w
 
     @cached_property
     def type(self) -> SpaceType:
-        k = len(self.radical)
+        k = len(self._radical)
         assert (self.dim - k) % 2 == 0, "alternating form with odd rank"
         return SpaceType((self.dim - k) // 2, k)
 
@@ -227,7 +242,7 @@ class MixedForm:
         # radical basis vector i is the kernel vector of free Gram column f_i, its
         # highest set bit, and no other basis vector sets bit f_i: so bit f_i of
         # a radical vector is its i-th coordinate, and coords maps into them
-        coords = BitMat(s.dim, (1 << (v.bits.bit_length() - 1) for v in s.radical)) @ self.proj
+        coords = BitMat(s.dim, (1 << (v.bit_length() - 1) for v in s._radical)) @ self.proj
         completed = s.gram ^ (coords.transpose() @ self.radform @ coords)
         assert rank(completed) == s.dim, "mixed completion came out degenerate"
         return completed
@@ -244,12 +259,13 @@ def mixed_completion(s: SympSpace, proj: BitMat, radform: BitMat) -> MixedForm:
     form need not be alternating, and for odd k it cannot be). The
     completed form is always nondegenerate.
     """
-    k = len(s.radical)
+    k = len(s._radical)
     if proj.shape != (s.dim, s.dim):
         raise ValueError(f"projection shape {proj.shape} != {(s.dim, s.dim)}")
-    if proj @ proj != proj:
+    # row i of A P is the combination of P's rows that row i of A selects
+    if any(row_combination(proj.rows, row) != row for row in proj.rows):
         raise ValueError("projection is not idempotent")
-    if not (s.gram @ proj).is_zero():
+    if any(row_combination(proj.rows, row) for row in s.gram.rows):
         raise ValueError("projection image not inside the radical")
     if rank(proj) != k:
         raise ValueError("projection image smaller than the radical")
@@ -267,7 +283,7 @@ def default_completion_choices(s: SympSpace) -> tuple[BitMat, BitMat]:
     cached symplectic basis onto its z-span, identity radical form. The
     hyperbolic part of e_j is ``_hyperbolic`` of Gram row j."""
     cols = [(1 << j) ^ s._hyperbolic(g) for j, g in enumerate(s.gram.rows)]
-    return BitMat(s.dim, cols).transpose(), BitMat.identity(len(s.radical))
+    return BitMat(s.dim, cols).transpose(), BitMat.identity(len(s._radical))
 
 
 def random_completion_choices(rng, s: SympSpace) -> tuple[BitMat, BitMat]:
@@ -276,17 +292,17 @@ def random_completion_choices(rng, s: SympSpace) -> tuple[BitMat, BitMat]:
     complement, then a random symmetric nondegenerate radical form with an
     unrestricted diagonal."""
     dim = s.dim
-    k = len(s.radical)
+    k = len(s._radical)
     if dim == 0:
         return BitMat.zeros(0, 0), BitMat.zeros(0, 0)
     # extend the radical basis by random vectors to a full basis, then
     # project onto the radical along the random complement
-    cols = list(s.radical)
+    cols = list(s._radical)
     while len(cols) < dim:
-        cand = BitVec(dim, rng.getrandbits(dim))
-        if rank(BitMat.from_cols(cols + [cand], nrows=dim)) == len(cols) + 1:
+        cand = rng.getrandbits(dim)
+        if len(_eliminate(cols + [cand], dim)) == len(cols) + 1:
             cols.append(cand)
-    basis = BitMat.from_cols(cols[k:] + cols[:k], nrows=dim)
+    basis = BitMat(dim, cols[k:] + cols[:k]).transpose()
     kill = BitMat(dim, [0] * (dim - k) + [1 << (dim - k + j) for j in range(k)])
     proj = basis @ kill @ inverse(basis)
     while True:
@@ -312,11 +328,11 @@ def orthogonal_project(s: SympSpace, wbasis: list[BitVec], v: BitVec) -> tuple[B
     """
     if v.dim != s.dim:
         raise ValueError(f"vector dimension mismatch in space of dim {s.dim}")
-    basis = echelon_basis(wbasis, dim=s.dim)
+    basis = [b.bits for b in echelon_basis(wbasis, dim=s.dim)]
     sub = SympSpace(BitMat(len(basis), s.pairing_rows(basis)))
     image = row_combination(s.gram.rows, v.bits)
-    phi = sum(((image & b.bits).bit_count() & 1) << t for t, b in enumerate(basis))
-    if any((phi & z.bits).bit_count() & 1 for z in sub.basis.z):
+    phi = sum(((image & b).bit_count() & 1) << t for t, b in enumerate(basis))
+    if any((phi & z).bit_count() & 1 for z in sub._basis[2]):
         raise ValueError("vector not orthogonal to the radical of W; no splitting exists")
-    v_w = BitVec(s.dim, row_combination([b.bits for b in basis], sub._hyperbolic(phi)))
+    v_w = BitVec(s.dim, row_combination(basis, sub._hyperbolic(phi)))
     return v ^ v_w, v_w

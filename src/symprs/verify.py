@@ -19,7 +19,7 @@ from .cartan import MAX_ROOTS, cartan_datum, parity_graph, roots, weyl_rep
 from .extend import NEW_NULLVECTOR, build_by_extension, double_extend_extraspecial, extend_minimal
 from .gf2 import BitVec
 from .graph import MAX_CLASS_NODES, Graph, dynkin_graph, graph_classes
-from .grp2 import burnside_check, extraspecial_sign, lift_decoration, make_group
+from .grp2 import _commutator_mismatches, burnside_check, extraspecial_sign, lift_decoration, make_group
 from .srs import coclique_bound_check, enumerate_quotients, minimal_srs, restrict, srs_isomorphic
 from .symplectic import random_completion_choices
 
@@ -132,16 +132,10 @@ def _group(max_nodes: int):
         for g in graph_classes(size):
             s = minimal_srs(g)
             grp = make_group(s.space)
-            elems = list(grp.elements())
-            zero = BitVec.zero(size)
-            # bound once: this loop makes about 150k checks at the default size
-            commutator, form = grp.commutator, s.space.form
-            for a, aa in elems:
-                for b, bb in elems:
-                    if commutator((a, aa), (b, bb)) != (zero, form(a, b)):
-                        yield f"graph {g.edge_list()}: commutator is not the form"
-                        break
-                    yield None
+            # one check per ordered pair of elements: about 150k at the default size
+            bad = _commutator_mismatches(grp)
+            yield from itertools.repeat(None, grp.order() ** 2 - bad)
+            yield from itertools.repeat(f"graph {g.edge_list()}: commutator is not the form", bad)
             k = s.type.k
             ok = len(grp.center()) == 1 << (k + 1)
             yield None if ok else f"graph {g.edge_list()}: center size"
@@ -150,7 +144,7 @@ def _group(max_nodes: int):
             ok = report.generates == (len(grp.closure(lifts)) == grp.order())
             yield None if ok else f"graph {g.edge_list()}: Burnside disagrees with closure"
             if k == 0 and size > 0:
-                four = sum(1 for el in elems if grp.element_order(el) == 4)
+                four = sum(1 for el in grp.elements() if grp.element_order(el) == 4)
                 expected = "plus" if four // 2 == (1 << (size - 1)) - (1 << (size // 2 - 1)) else "minus"
                 ok = extraspecial_sign(grp) == expected
                 yield None if ok else f"graph {g.edge_list()}: sign vs order-4 count"

@@ -27,6 +27,11 @@ def form(space: SympSpace, v: BitVec, w: BitVec) -> int:
     return v.dot(space.gram @ w)
 
 
+def pairing_rows(space: SympSpace, vectors: Sequence[BitVec]) -> list[int]:
+    """The Gram matrix of a vector family as int rows, one ``form`` per pair."""
+    return [sum(form(space, v, w) << q for q, w in enumerate(vectors)) for v in vectors]
+
+
 def cocycle(beta: BitMat, v: BitVec, w: BitVec) -> int:
     """beta(v, w) as one matrix-vector product, then a dot product."""
     return v.dot(beta @ w)
@@ -450,7 +455,7 @@ def restrict(s: SRS, nodes: Sequence[int]) -> SRS:
     basis = echelon_basis(vecs, dim=s.space.dim)
     m = len(basis)
     pivots = [b.support()[0] for b in basis]
-    sub_space = SympSpace(BitMat(m, s.space.pairing_rows(basis)))
+    sub_space = SympSpace(BitMat(m, pairing_rows(s.space, basis)))
     new_deco = tuple(BitVec.from_bits([v[p] for p in pivots]) for v in vecs)
     return SRS(sub_graph, sub_space, new_deco)
 
@@ -475,7 +480,7 @@ def quotient(s: SRS, u_basis: Sequence[BitVec]) -> tuple[SRS, SympMap]:
         return BitVec.from_bits([(bits >> j) & 1 for j in keep])
 
     kept = [BitVec.basis(s.space.dim, j) for j in keep]
-    quot_space = SympSpace(BitMat(len(keep), s.space.pairing_rows(kept)))
+    quot_space = SympSpace(BitMat(len(keep), pairing_rows(s.space, kept)))
     proj = SympMap(
         s.space,
         quot_space,
@@ -569,7 +574,7 @@ def orthogonal_project(s: SympSpace, wbasis: list[BitVec], v: BitVec) -> tuple[B
     """vW = sum_i <v, Y_i> X_i + <v, X_i> Y_i over W's symplectic basis
     lifted into the space, with every pairing taken by ``SympSpace.form``."""
     basis = echelon_basis(wbasis, dim=s.dim)
-    sub = SympSpace(BitMat(len(basis), s.pairing_rows(basis)))
+    sub = SympSpace(BitMat(len(basis), pairing_rows(s, basis)))
 
     def lift(coeff: BitVec) -> BitVec:
         out = BitVec.zero(s.dim)

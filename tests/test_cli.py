@@ -11,7 +11,7 @@ import pytest
 
 from symprs.cli import main
 from symprs.graph import MAX_CLASS_NODES, MAX_COCLIQUE_NODES, MAX_NODES, Graph
-from symprs.srs import CocliqueReport
+from symprs.srs import _MAX_COUNTED_RADICAL_DIM, MAX_QUOTIENT_RADICAL_DIM, CocliqueReport
 from test_golden import GOLDEN, _argv
 
 A4_EDGES = "n 4\ne 0 1\ne 1 2\ne 2 3\n"
@@ -66,6 +66,42 @@ def test_quotients_counts(tmp_path, capsys):
     assert len(payload["classes"]) == 2
     code, out, _ = run(capsys, "quotients", "--graph", path, "--summary")
     assert "classes" not in json.loads(out)
+
+
+def _forbid_building(monkeypatch):
+    def built(*args):
+        raise AssertionError("a subspace or quotient was built")
+
+    monkeypatch.setattr("symprs.srs.subspaces", built)
+    monkeypatch.setattr("symprs.srs.quotient", built)
+
+
+def test_quotients_summary_counts_without_building(tmp_path, capsys, monkeypatch):
+    """Twelve isolated nodes: radical dimension 12, so G_2(12) classes."""
+    _forbid_building(monkeypatch)
+    path = write_graph(tmp_path, "n 12\n")
+    code, out, _ = run(capsys, "quotients", "--graph", path, "--summary")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["total"] == 488_176_700_923 == sum(count for *_, count in payload["by_type"])
+    assert payload["by_type"][0] == [0, 12, 1] and payload["by_type"][-1] == [0, 0, 1]
+
+
+def test_quotients_check_the_radical_cap_before_any_subspace(tmp_path, capsys, monkeypatch):
+    _forbid_building(monkeypatch)
+    path = write_graph(tmp_path, "n 10\ne 0 1\n")  # type (1, 8)
+    code, out, err = run(capsys, "quotients", "--graph", path)
+    assert code == 1 and out == ""
+    assert err == f"error: radical dimension 8 exceeds the cap of {MAX_QUOTIENT_RADICAL_DIM}\n"
+
+
+@pytest.mark.parametrize("n", [_MAX_COUNTED_RADICAL_DIM + 1, 300, MAX_NODES])
+def test_quotients_summary_caps_the_radical_before_counting(tmp_path, capsys, n):
+    """Isolated nodes: radical dimension n, whose counts would not print."""
+    path = write_graph(tmp_path, f"n {n}\n")
+    code, out, err = run(capsys, "quotients", "--graph", path, "--summary")
+    assert code == 1 and out == ""
+    assert err == f"error: radical dimension {n} exceeds the counting cap of {_MAX_COUNTED_RADICAL_DIM}\n"
 
 
 def test_extend_then_iso(tmp_path, capsys):

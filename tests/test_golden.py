@@ -64,6 +64,7 @@ CASES = {
     "coclique_k4": ["coclique", "--graph", "@k4.g"],
     "coclique_star5_text": ["coclique", "--graph", "@star5.g", "--format", "text"],
     "verify_quick": ["verify", "--quick"],
+    "verify_default": ["verify"],
     "verify_weyl_text": ["verify", "--suite", "weyl", "--max-rank", "4", "--format", "text"],
 }
 

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from symprs import verify
 from symprs.gf2 import BitMat, BitVec
-from symprs.graph import Graph, dynkin_graph
+from symprs.graph import Graph, dynkin_graph, graph_classes
 from symprs.grp2 import (
     CocycleGroup,
     burnside_check,
@@ -237,3 +238,23 @@ def test_extraspecial_sign_of_quotients_of_paths():
     grp = make_group(small.space)
     assert extraspecial_sign(grp) == "plus"
     assert grp.order() == 32
+
+
+def test_group_sweep_reports_one_flipped_commutator(monkeypatch):
+    """The ``srs verify`` group sweep cannot pass vacuously: one wrong sign
+    from the law fails it, and every pair is still counted."""
+    law = CocycleGroup._commutator_signs
+    first3 = graph_classes(3)[0]  # the sweep meets it as its first group of dimension 3
+
+    def flip_one(grp, v, a, q):
+        out = law(grp, v, a, q)
+        if grp.dim == 3 and grp.space == minimal_srs(first3).space and (v, a) == (5, 1):
+            out[6] ^= 1
+        return out
+
+    monkeypatch.setattr(CocycleGroup, "_commutator_signs", flip_one)
+    result = verify.run(["group"], 5, 6, 6, 0)
+    group = result["suites"]["group"]
+    assert not result["ok"] and not group["ok"]
+    assert group["checks"] == 151_811
+    assert group["failures"] == [f"graph {first3.edge_list()}: commutator is not the form"]

@@ -3,24 +3,27 @@
 Random alternating Gram matrices of dimension 0..40 and random, partly
 invalid decoration families: form and cocycle values, the symplectic
 basis, and SRS acceptance with its exact error message must all agree.
-The 2-group law on (bits, sign) ints must agree with the BitVec law, the
-byte table with ``row_combination``, and the int stabilizer chain with the
-BitMat chain and with enumeration. Every rank, kernel, echelon basis,
-solve and inverse must equal the two-list elimination it replaced. The
-default completion choices, the group's cocycle, the orthogonal projection
-and every extension witness, read off the symplectic basis, must equal the
-routes through basis-matrix inverses and the completed Gram matrix.
-Restriction, quotients and radical subspaces on int rows must equal the
-BitVec routes, and the double extension as two single steps must equal
-its direct construction.
+The radical and symplectic basis kept as int rows must equal the kernel
+and greedy-basis oracles. The 2-group law on (bits, sign) ints and the
+commutator rows of the ``srs verify`` sweep must agree with the BitVec
+law, the byte table with ``row_combination``, and the int stabilizer
+chain with the BitMat chain and with enumeration. Every rank, kernel,
+echelon basis, solve and inverse must equal the two-list elimination it
+replaced. The default completion choices, the group's cocycle, the
+orthogonal projection and every extension witness, read off the
+symplectic basis, must equal the routes through basis-matrix inverses
+and the completed Gram matrix. Restriction, quotients and radical
+subspaces on int rows must equal the BitVec routes, and the double
+extension as two single steps must equal its direct construction.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -42,8 +45,17 @@ from symprs.gf2 import (
     table_combination,
 )
 from symprs.graph import Graph
-from symprs.grp2 import CocycleGroup, extraspecial_sign, make_group
-from symprs.srs import SRS, SRSError, minimal_srs, quotient, radical_subspaces, restrict
+from symprs.grp2 import CocycleGroup, _commutator_mismatches, extraspecial_sign, make_group
+from symprs.srs import (
+    SRS,
+    SRSError,
+    _quotient_type_counts,
+    enumerate_quotients,
+    minimal_srs,
+    quotient,
+    radical_subspaces,
+    restrict,
+)
 from symprs.symplectic import (
     SympSpace,
     default_completion_choices,
@@ -128,12 +140,20 @@ def test_basis_matches_oracle(space):
 
 
 @FAST
+@given(spaces())
+@example(SympSpace(BitMat.zeros(0, 0)))
+def test_int_radical_and_basis_rows_match_oracles(space):
+    assert space._radical == [v.bits for v in oracles.kernel_basis(space.gram)]
+    assert space._basis == tuple([v.bits for v in part] for part in oracles.greedy_basis(space))
+    assert space.type == (len(space._basis[0]), len(space._radical))
+
+
+@FAST
 @given(st.data())
 def test_pairing_rows_match_oracle(data):
     space = data.draw(spaces())
     vecs = [_vec(data.draw, space.dim) for _ in range(data.draw(st.integers(0, 12)))]
-    rows = space.pairing_rows(vecs)
-    assert rows == [sum(oracles.form(space, v, w) << q for q, w in enumerate(vecs)) for v in vecs]
+    assert space.pairing_rows([v.bits for v in vecs]) == oracles.pairing_rows(space, vecs)
 
 
 def _outcome(check, *args):
@@ -220,6 +240,26 @@ def test_group_law_matches_oracle(data):
 
 @FAST
 @given(st.data())
+def test_sweep_law_matches_oracle(data):
+    """``CocycleGroup._commutator_signs``, which the ``srs verify`` group
+    sweep runs on every pair, against the BitVec law with q from the oracle,
+    whose commutators must have the zero vector."""
+    space = data.draw(spaces(max_dim=6))
+    d = space.dim
+    diagonal = data.draw(st.none() | st.builds(BitVec, st.just(d), st.integers(0, (1 << d) - 1)))
+    grp = make_group(space, diagonal)
+    law = oracles.CocycleLaw(grp.beta)
+    q = [law.quadratic(BitVec(d, u)) for u in range(1 << d)]
+    elements = list(grp.elements())
+    for _ in range(4):
+        v, a = data.draw(st.integers(0, (1 << d) - 1)), data.draw(st.integers(0, 1))
+        got = [(BitVec.zero(d), sign) for sign in grp._commutator_signs(v, a, q)]
+        assert got == [law.commutator((BitVec(d, v), a), h) for h in elements]
+    assert _commutator_mismatches(grp) == 0
+
+
+@FAST
+@given(st.data())
 def test_extraspecial_sign_matches_counting_oracle(data):
     space = data.draw(spaces(max_dim=10).filter(lambda s: s.type.k == 0 and s.type.n > 0))
     d = space.dim
@@ -243,6 +283,16 @@ def minimal_systems(draw, max_nodes: int = 10):
     n = len(rows)
     graph = Graph(n, [(p, q) for p in range(n) for q in range(p + 1, n) if rows[p] >> q & 1])
     return draw(st.sampled_from([minimal_srs, build_by_extension]))(graph)
+
+
+@settings(deadline=None, max_examples=60)
+@given(minimal_systems(max_nodes=7))
+@example(minimal_srs(Graph(6)))
+def test_quotient_type_counts_match_enumeration(s):
+    """The Gaussian binomials against the types of the built classes."""
+    n, k = s.type
+    assume(k <= 6)
+    assert _quotient_type_counts(n, k) == Counter(tuple(q.type) for q in enumerate_quotients(s.graph))
 
 
 def _projection(project, *args):
