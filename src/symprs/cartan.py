@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .gf2 import BitMat, BitVec, byte_table, echelon_basis, inverse, row_combination
 from .graph import Graph, automorphisms, dynkin_graph
-from .srs import SRS, _quotient_type_counts, minimal_srs, radical_subspaces
+from .srs import SRS, _minimal_for_quotients, _quotient_type_counts, minimal_srs, radical_subspaces
 from .symplectic import SympSpace, standard_space
 
 __all__ = [
@@ -509,7 +509,7 @@ def automorphism_action_on_quotients(g: Graph) -> list[tuple[int, ...]]:
     coordinates, hence on radical subspaces, hence on classes. Rows are
     aligned with automorphisms(g).
     """
-    s = minimal_srs(g)
+    s = _minimal_for_quotients(g)
     subs = radical_subspaces(s)
     canon = [tuple(echelon_basis(list(sub), g.n)) for sub in subs]
     index = {c: i for i, c in enumerate(canon)}

@@ -146,8 +146,29 @@ class SympMap:
 
 def minimal_srs(g: Graph) -> SRS:
     """The minimal SRS: adjacency matrix as Gram, standard basis as decorations."""
-    space = SympSpace(g.adjacency())
+    return _minimal_on(g, SympSpace(g.adjacency()))
+
+
+def _minimal_on(g: Graph, space: SympSpace) -> SRS:
+    """The minimal SRS of g on ``space``, the space of g's adjacency matrix."""
     return SRS(g, space, tuple(BitVec.basis(g.n, p) for p in range(g.n)) if g.n else ())
+
+
+def _check_radical_cap(space: SympSpace) -> None:
+    k = len(space._radical)
+    if k > MAX_QUOTIENT_RADICAL_DIM:
+        raise SRSError(f"radical dimension {k} exceeds the cap of {MAX_QUOTIENT_RADICAL_DIM}")
+
+
+def _minimal_for_quotients(g: Graph) -> SRS:
+    """``minimal_srs(g)``, built only once its radical is within
+    ``MAX_QUOTIENT_RADICAL_DIM``. The radical takes one elimination of the
+    adjacency matrix; validating the n unit decorations takes another,
+    slow on thousands of nodes. The system is built on the space whose
+    radical was read, so that elimination is not repeated."""
+    space = SympSpace(g.adjacency())
+    _check_radical_cap(space)
+    return _minimal_on(g, space)
 
 
 def _gather(bits: int, positions: Sequence[int]) -> int:
@@ -207,12 +228,10 @@ def radical_subspaces(s: SRS) -> list[tuple[BitVec, ...]]:
     Deterministic: subspace dimension ascending (so quotient types come
     out grouped), then the fixed order of echelon-basis enumeration.
     """
+    _check_radical_cap(s.space)
     rad = s.space._radical
-    k = len(rad)
-    if k > MAX_QUOTIENT_RADICAL_DIM:
-        raise SRSError(f"radical dimension {k} exceeds the cap of {MAX_QUOTIENT_RADICAL_DIM}")
     dim = s.space.dim
-    return [tuple(BitVec(dim, row_combination(rad, c.bits)) for c in sub) for sub in subspaces(k)]
+    return [tuple(BitVec(dim, row_combination(rad, c.bits)) for c in sub) for sub in subspaces(len(rad))]
 
 
 def enumerate_quotients(g: Graph) -> list[SRS]:
@@ -223,10 +242,10 @@ def enumerate_quotients(g: Graph) -> list[SRS]:
     non-isomorphic; they are grouped by type since a quotient by an
     r-dimensional subspace has type (n, k - r). Subspace counts grow fast
     (Galois numbers), so radicals past ``MAX_QUOTIENT_RADICAL_DIM`` are
-    rejected before any subspace is built; ``_quotient_type_counts``
-    counts the classes without building them.
+    rejected before the minimal system or any subspace is built;
+    ``_quotient_type_counts`` counts the classes without building them.
     """
-    minimal = minimal_srs(g)
+    minimal = _minimal_for_quotients(g)
     return [quotient(minimal, u)[0] for u in radical_subspaces(minimal)]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from symprs.extend import (
@@ -15,7 +16,7 @@ from symprs.extend import (
     lift_indicator,
 )
 from symprs.gf2 import BitMat, BitVec, RowEchelon, echelon_basis, inverse, rank, subspaces
-from symprs.graph import Graph, induced_subgraph
+from symprs.graph import Graph, _isomorphisms, _node_invariants, induced_subgraph
 from symprs.srs import MAX_QUOTIENT_RADICAL_DIM, SRS, SRSError, SympMap
 from symprs.symplectic import SymplecticBasis, SympSpace, mixed_completion, standard_space
 
@@ -246,6 +247,27 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Whether some relabeling of g is h, trying all n! of them."""
     return g.n == h.n and any(g.relabel(p) == h for p in itertools.permutations(range(g.n)))
+
+
+@lru_cache(maxsize=None)
+def graph_classes(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of one representative per isomorphism class of graphs on
+    n nodes, from augmenting each (n-1)-node class by every neighbourhood
+    mask for a new node, with no automorphism pruning."""
+    if n == 0:
+        return ((),)
+    out: list[tuple[int, ...]] = []
+    top = 1 << (n - 1)
+    buckets: dict[tuple, list[tuple[tuple[int, ...], list[tuple]]]] = {}
+    for base in graph_classes(n - 1):
+        for mask in range(top):
+            rows = (*(r | top if mask >> v & 1 else r for v, r in enumerate(base)), mask)
+            inv = _node_invariants(rows)
+            bucket = buckets.setdefault(tuple(sorted(inv)), [])
+            if not any(_isomorphisms(rows, rep, inv, rep_inv, first_only=True) for rep, rep_inv in bucket):
+                bucket.append((rows, inv))
+                out.append(rows)
+    return tuple(out)
 
 
 def validate_pairwise(g: Graph, space: SympSpace, deco: Sequence[BitVec]) -> None:

@@ -95,6 +95,21 @@ def test_quotients_check_the_radical_cap_before_any_subspace(tmp_path, capsys, m
     assert err == f"error: radical dimension 8 exceeds the cap of {MAX_QUOTIENT_RADICAL_DIM}\n"
 
 
+@pytest.mark.parametrize("n", [MAX_QUOTIENT_RADICAL_DIM + 1, 300, MAX_NODES])
+def test_quotients_cap_the_radical_before_building_the_minimal_system(tmp_path, capsys, monkeypatch, n):
+    """Isolated nodes: radical dimension n, read before the n unit
+    decorations would be validated."""
+
+    def built(*args):
+        raise AssertionError("an SRS was built")
+
+    monkeypatch.setattr("symprs.srs.SRS", built)
+    path = write_graph(tmp_path, f"n {n}\n")
+    code, out, err = run(capsys, "quotients", "--graph", path)
+    assert code == 1 and out == ""
+    assert err == f"error: radical dimension {n} exceeds the cap of {MAX_QUOTIENT_RADICAL_DIM}\n"
+
+
 @pytest.mark.parametrize("n", [_MAX_COUNTED_RADICAL_DIM + 1, 300, MAX_NODES])
 def test_quotients_summary_caps_the_radical_before_counting(tmp_path, capsys, n):
     """Isolated nodes: radical dimension n, whose counts would not print."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -353,6 +354,56 @@ def test_orbits_of_the_classes_add_up_to_every_labeled_graph():
             assert autos[0] == tuple(range(n))
             total += math.factorial(n) // len(autos)
         assert total == 2 ** math.comb(n, 2)
+
+
+def test_orbit_pruning_keeps_every_representative_in_order():
+    for n in range(8):
+        assert tuple(g.adj for g in graph_classes(n)) == oracles.graph_classes(n)
+
+
+def cycle_count(perm: tuple[int, ...]) -> int:
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            v = start
+            while not seen[v]:
+                seen[v] = True
+                v = perm[v]
+    return cycles
+
+
+def test_one_candidate_per_automorphism_orbit(monkeypatch):
+    """Each (n-1)-node base gives one candidate per orbit of its automorphism
+    group on the 2^(n-1) neighbourhood masks. By Burnside's lemma that is
+    (1/|Aut|) * sum over automorphisms of 2^(cycles), as a mask is fixed
+    exactly when it is a union of cycles. The candidates are the
+    ``_node_invariants`` calls on n rows."""
+    burnside = []
+    for n in range(1, 8):
+        orbits = 0
+        for base in graph_classes(n - 1):
+            autos = automorphisms(base)
+            orbits += sum(2 ** cycle_count(p) for p in autos) // len(autos)
+        burnside.append(orbits)
+    assert burnside == [1, 2, 6, 20, 90, 544, 5096]
+
+    calls = collections.Counter()
+    real = graph_module._node_invariants
+
+    def counted(adj):
+        calls[len(adj)] += 1
+        return real(adj)
+
+    monkeypatch.setattr(graph_module, "_node_invariants", counted)
+    candidates = []
+    for n in range(1, 8):
+        graph_classes.cache_clear()
+        calls.clear()
+        graph_classes(n)
+        candidates.append(calls[n])
+    assert candidates == burnside
 
 
 def test_class_enumeration_is_capped_before_any_recursion(monkeypatch):
