@@ -255,7 +255,7 @@ def ade_table(family: str, rank: int) -> dict[tuple[int, int], int]:
     from the diagram's type alone (``srs._quotient_type_counts``)."""
     if family not in ("A", "D", "E"):
         raise ValueError(f"the class table is for A/D/E diagrams, not {family!r}")
-    return _quotient_type_counts(*SympSpace(dynkin_graph(family, rank).adjacency()).type)
+    return _quotient_type_counts(*SympSpace._trusted(dynkin_graph(family, rank).adjacency()).type)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,16 @@ along the way is recorded in a witness so a run can be replayed and
 audited. Folding extensions over all nodes of a graph builds its minimal
 SRS from nothing, in any node order, and all orders agree up to
 isomorphism.
+
+The extended system is not re-validated (``SRS._trusted``). Since z0 is
+radical and P w0 = 0, the lifted form is c . v = <w0, v> + <<z0, v>>, and
+the adjoined coordinate e pairs with v as <<z0, v>>. So the new decoration
+w0 + e pairs with old decoration q as c . deco[q] = lam(q), old pairings
+are unchanged, and the old decorations span the old coordinates, e the
+new one. ``build_by_extension`` only renumbers the nodes of the result.
+The test suite validates every result in full (``tests/conftest.py``), and
+acceptance criterion 3 checks that the built system is isomorphic to the
+minimal one.
 """
 
 from __future__ import annotations
@@ -124,9 +134,9 @@ def _attach(
     rows = [old | ((pairings >> i & 1) << d) for i, old in enumerate(s.space.gram.rows)]
     rows.append(pairings)
     new_deco = w0.pad(d + 1) ^ BitVec.basis(d + 1, d)
-    out = SRS(
+    out = SRS._trusted(
         s.graph._with_node(lam.bits),
-        SympSpace(BitMat(d + 1, rows)),
+        SympSpace._trusted(BitMat._trusted(d + 1, rows)),
         tuple(v.pad(d + 1) for v in s.deco) + (new_deco,),
     )
     n, k = s.type
@@ -187,7 +197,7 @@ def build_by_extension(g: Graph, order: list[int] | None = None) -> SRS:
     for i, v in enumerate(sequence):
         s, _ = extend_minimal(s, BitVec(i, _gather(g.adj[v], sequence[:i])))
     position = {v: i for i, v in enumerate(sequence)}
-    return SRS(g, s.space, tuple(s.deco[position[p]] for p in range(g.n)))
+    return SRS._trusted(g, s.space, tuple(s.deco[position[p]] for p in range(g.n)))
 
 
 def replay(

@@ -131,7 +131,7 @@ class BitVec:
         return BitVec(dim, self.bits)
 
     def __str__(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.dim))
+        return _bit_string(self.bits, self.dim)
 
     def __repr__(self) -> str:
         return f"BitVec({str(self)!r})" if self.dim else "BitVec(0)"
@@ -160,6 +160,17 @@ class BitMat:
         object.__setattr__(self, "nrows", len(row_tuple))
         object.__setattr__(self, "ncols", ncols)
         object.__setattr__(self, "rows", row_tuple)
+
+    @classmethod
+    def _trusted(cls, ncols: int, rows: Iterable[int]) -> "BitMat":
+        """``BitMat(ncols, rows)`` without the range checks, for rows the
+        library built below bit ``ncols``."""
+        m = object.__new__(cls)
+        row_tuple = tuple(rows)
+        object.__setattr__(m, "nrows", len(row_tuple))
+        object.__setattr__(m, "ncols", ncols)
+        object.__setattr__(m, "rows", row_tuple)
+        return m
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BitMat is immutable")
@@ -251,7 +262,7 @@ class BitMat:
 
     def to_strings(self) -> list[str]:
         """Rows in wire form, one bit string per row."""
-        return [str(self.row(i)) for i in range(self.nrows)]
+        return [_bit_string(r, self.ncols) for r in self.rows]
 
     def __str__(self) -> str:
         return "\n".join(self.to_strings())
@@ -266,6 +277,13 @@ class BitMat:
 
     def __hash__(self) -> int:
         return hash((self.ncols, self.rows))
+
+
+def _bit_string(bits: int, dim: int) -> str:
+    """The wire form of a vector: coordinate 0 first, one character per
+    coordinate. ``format`` writes the high bit first, hence the reversal,
+    and pads to at least one digit, hence dim 0 apart."""
+    return format(bits, f"0{dim}b")[::-1] if dim else ""
 
 
 def _transpose(rows: Sequence[int], ncols: int) -> list[int]:

@@ -108,7 +108,7 @@ class Graph:
         return [(a, b) for a in range(self.n) for b in range(a + 1, self.n) if self.adj[a] >> b & 1]
 
     def adjacency(self) -> BitMat:
-        return BitMat(self.n, self.adj)
+        return BitMat._trusted(self.n, self.adj)
 
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """Apply node relabeling: node i becomes perm[i]."""

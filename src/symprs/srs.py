@@ -10,6 +10,23 @@ quotient of it by a subspace of the radical. This module implements the
 objects, the minimal construction, restriction to induced subgraphs,
 quotients, the classification by radical subspaces, and the coclique
 bound n <= |nodes| - (max coclique size) that restriction forces.
+
+Systems are validated once, at the boundary. ``SRS(...)``, ``SympMap(...)``
+and ``srs_from_json`` check every axiom of what they are given. The systems
+this module builds itself hold the axioms by construction and skip the
+re-check through the private ``_trusted`` constructors:
+
+* ``minimal_srs``: the adjacency matrix is the Gram matrix of the standard
+  basis, which spans;
+* ``restrict``: decorations pair as before, so the kept ones pair as their
+  nodes are adjacent, and they span the subspace W re-coordinatized on its
+  echelon basis;
+* ``quotient``: a radical vector pairs to 0 with everything, so dividing by
+  a subspace of the radical (checked on the way in) keeps every pairing and
+  the projection preserves the form, and images of a spanning set span.
+
+``tests/conftest.py`` points every ``_trusted`` constructor back at the
+checking one, so the test suite still validates each result in full.
 """
 
 from __future__ import annotations
@@ -65,9 +82,11 @@ class SRSError(ValueError):
 class SRS:
     """A validated symplectic root system.
 
-    ``deco[p]`` is the vector decorating node p. Construction re-checks
-    the axioms, so every reachable instance satisfies them; prefer the
-    module functions over building instances by hand.
+    ``deco[p]`` is the vector decorating node p. ``SRS(...)`` checks the
+    axioms; the library's own constructions, correct by construction (see
+    the module docstring), build through ``_trusted``. So every reachable
+    instance satisfies them; prefer the module functions over building
+    instances by hand.
     """
 
     graph: Graph
@@ -95,6 +114,16 @@ class SRS:
                 )
         if len(_eliminate(rows, space.dim)) != space.dim:
             raise SRSError("decorations do not span the space")
+
+    @classmethod
+    def _trusted(cls, graph: Graph, space: SympSpace, deco: tuple[BitVec, ...]) -> "SRS":
+        """``SRS(graph, space, deco)`` without re-checking the axioms, for
+        systems that hold them by construction."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "graph", graph)
+        object.__setattr__(s, "space", space)
+        object.__setattr__(s, "deco", deco)
+        return s
 
     def deco_matrix(self) -> BitMat:
         """Decorations as rows (node count x dim)."""
@@ -136,6 +165,16 @@ class SympMap:
                 raise ValueError("kernel not contained in the radical")
             raise ValueError("map does not preserve the forms")
 
+    @classmethod
+    def _trusted(cls, src: SympSpace, dst: SympSpace, matrix: BitMat) -> "SympMap":
+        """``SympMap(src, dst, matrix)`` without the checks, for a map that
+        preserves the forms by construction."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "src", src)
+        object.__setattr__(m, "dst", dst)
+        object.__setattr__(m, "matrix", matrix)
+        return m
+
     def __call__(self, v: BitVec) -> BitVec:
         return self.matrix @ v
 
@@ -146,12 +185,12 @@ class SympMap:
 
 def minimal_srs(g: Graph) -> SRS:
     """The minimal SRS: adjacency matrix as Gram, standard basis as decorations."""
-    return _minimal_on(g, SympSpace(g.adjacency()))
+    return _minimal_on(g, SympSpace._trusted(g.adjacency()))
 
 
 def _minimal_on(g: Graph, space: SympSpace) -> SRS:
     """The minimal SRS of g on ``space``, the space of g's adjacency matrix."""
-    return SRS(g, space, tuple(BitVec.basis(g.n, p) for p in range(g.n)) if g.n else ())
+    return SRS._trusted(g, space, tuple(BitVec.basis(g.n, p) for p in range(g.n)))
 
 
 def _check_radical_cap(space: SympSpace) -> None:
@@ -163,10 +202,9 @@ def _check_radical_cap(space: SympSpace) -> None:
 def _minimal_for_quotients(g: Graph) -> SRS:
     """``minimal_srs(g)``, built only once its radical is within
     ``MAX_QUOTIENT_RADICAL_DIM``. The radical takes one elimination of the
-    adjacency matrix; validating the n unit decorations takes another,
-    slow on thousands of nodes. The system is built on the space whose
-    radical was read, so that elimination is not repeated."""
-    space = SympSpace(g.adjacency())
+    adjacency matrix, and the system is built on the space whose radical
+    was read, so that elimination is not repeated."""
+    space = SympSpace._trusted(g.adjacency())
     _check_radical_cap(space)
     return _minimal_on(g, space)
 
@@ -190,9 +228,9 @@ def restrict(s: SRS, nodes: Sequence[int]) -> SRS:
     vecs = [s.deco[v].bits for v in nodes]
     basis = _echelon_rows(vecs, s.space.dim)
     pivots = [(b & -b).bit_length() - 1 for b in basis]
-    sub_space = SympSpace(BitMat(len(basis), s.space.pairing_rows(basis)))
+    sub_space = SympSpace._trusted(BitMat._trusted(len(basis), s.space.pairing_rows(basis)))
     new_deco = tuple(BitVec(len(basis), _gather(v, pivots)) for v in vecs)
-    return SRS(sub_graph, sub_space, new_deco)
+    return SRS._trusted(sub_graph, sub_space, new_deco)
 
 
 def quotient(s: SRS, u_basis: Sequence[BitVec]) -> tuple[SRS, SympMap]:
@@ -215,10 +253,10 @@ def quotient(s: SRS, u_basis: Sequence[BitVec]) -> tuple[SRS, SympMap]:
     reducer = {(b & -b).bit_length() - 1: b for b in basis}
     keep = [j for j in range(dim) if j not in reducer]
     cols = [_gather(reducer.get(j, 1 << j), keep) for j in range(dim)]
-    quot_space = SympSpace(BitMat(len(keep), (_gather(gram[j], keep) for j in keep)))
-    proj = SympMap(s.space, quot_space, BitMat(len(keep), cols).transpose())
+    quot_space = SympSpace._trusted(BitMat._trusted(len(keep), (_gather(gram[j], keep) for j in keep)))
+    proj = SympMap._trusted(s.space, quot_space, BitMat._trusted(dim, _transpose(cols, len(keep))))
     deco = tuple(BitVec(len(keep), row_combination(cols, v.bits)) for v in s.deco)
-    quot = SRS(s.graph, quot_space, deco)
+    quot = SRS._trusted(s.graph, quot_space, deco)
     return quot, proj
 
 
@@ -316,7 +354,7 @@ class CocliqueReport:
 
 def coclique_bound_check(g: Graph) -> CocliqueReport:
     witness = max_coclique(g)  # first: it enforces the node cap
-    n = SympSpace(g.adjacency()).type.n
+    n = SympSpace._trusted(g.adjacency()).type.n
     gamma = len(witness)
     bound = g.n - gamma
     return CocliqueReport(n, gamma, bound, n <= bound, witness)

@@ -104,6 +104,16 @@ class SympSpace:
         self.gram = gram
         self.dim = gram.nrows
 
+    @classmethod
+    def _trusted(cls, gram: BitMat) -> "SympSpace":
+        """``SympSpace(gram)`` without the checks, for a Gram matrix that is
+        square, symmetric and zero on the diagonal by construction: a
+        graph's adjacency matrix, or pairings in an alternating form."""
+        s = object.__new__(cls)
+        s.gram = gram
+        s.dim = gram.nrows
+        return s
+
     def form(self, v: BitVec, w: BitVec) -> int:
         """Evaluate <v, w>."""
         if v.dim != self.dim or w.dim != self.dim:

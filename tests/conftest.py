@@ -1,13 +1,29 @@
-"""Shared helpers for building random-but-seeded test objects."""
+"""Shared helpers for building random-but-seeded test objects, and the
+fixture that validates every system the library builds."""
 
 from __future__ import annotations
 
 import hashlib
 import random
 
+import pytest
+
 from symprs.gf2 import BitMat
 from symprs.graph import Graph
+from symprs.srs import SRS, SympMap
 from symprs.symplectic import SympSpace
+
+
+@pytest.fixture(autouse=True)
+def validate_trusted_constructions(request, monkeypatch):
+    """Point each ``_trusted`` constructor back at the checking one, which
+    takes the same arguments, so every test validates in full each object
+    the library builds without checks. Tests marked
+    ``trusted_constructors`` run the shipped path instead."""
+    if request.node.get_closest_marker("trusted_constructors"):
+        return
+    for cls in (BitMat, SympSpace, SRS, SympMap):
+        monkeypatch.setattr(cls, "_trusted", classmethod(lambda c, *args: c(*args)))
 
 
 def random_space(rng: random.Random, dim: int) -> SympSpace:

@@ -21,6 +21,11 @@ from symprs.srs import MAX_QUOTIENT_RADICAL_DIM, SRS, SRSError, SympMap
 from symprs.symplectic import SymplecticBasis, SympSpace, mixed_completion, standard_space
 
 
+def bit_string(v: BitVec) -> str:
+    """The wire form of ``v``, one coordinate at a time, 0 first."""
+    return "".join("1" if (v.bits >> i) & 1 else "0" for i in range(v.dim))
+
+
 def form(space: SympSpace, v: BitVec, w: BitVec) -> int:
     """<v, w> as one matrix-vector product, then a dot product."""
     if v.dim != space.dim or w.dim != space.dim:

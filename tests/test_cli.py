@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from symprs.cli import main
+from symprs.cli import _MAX_ADE_RANK, main
 from symprs.graph import MAX_CLASS_NODES, MAX_COCLIQUE_NODES, MAX_NODES, Graph
-from symprs.srs import _MAX_COUNTED_RADICAL_DIM, MAX_QUOTIENT_RADICAL_DIM, CocliqueReport
+from symprs.srs import _MAX_COUNTED_RADICAL_DIM, MAX_QUOTIENT_RADICAL_DIM, SRS, CocliqueReport
+from symprs.symplectic import SympSpace
 from test_golden import GOLDEN, _argv
 
 A4_EDGES = "n 4\ne 0 1\ne 1 2\ne 2 3\n"
@@ -68,6 +69,16 @@ def test_quotients_counts(tmp_path, capsys):
     assert "classes" not in json.loads(out)
 
 
+def _forbid_constructing(monkeypatch, cls, message):
+    """Make ``cls(...)`` and the library's ``cls._trusted(...)`` both raise."""
+
+    def built(*args):
+        raise AssertionError(message)
+
+    monkeypatch.setattr(cls, "__init__", built)
+    monkeypatch.setattr(cls, "_trusted", classmethod(built))
+
+
 def _forbid_building(monkeypatch):
     def built(*args):
         raise AssertionError("a subspace or quotient was built")
@@ -97,13 +108,9 @@ def test_quotients_check_the_radical_cap_before_any_subspace(tmp_path, capsys, m
 
 @pytest.mark.parametrize("n", [MAX_QUOTIENT_RADICAL_DIM + 1, 300, MAX_NODES])
 def test_quotients_cap_the_radical_before_building_the_minimal_system(tmp_path, capsys, monkeypatch, n):
-    """Isolated nodes: radical dimension n, read before the n unit
-    decorations would be validated."""
-
-    def built(*args):
-        raise AssertionError("an SRS was built")
-
-    monkeypatch.setattr("symprs.srs.SRS", built)
+    """Isolated nodes: radical dimension n, read before the minimal system
+    on n unit decorations is built."""
+    _forbid_constructing(monkeypatch, SRS, "an SRS was built")
     path = write_graph(tmp_path, f"n {n}\n")
     code, out, err = run(capsys, "quotients", "--graph", path)
     assert code == 1 and out == ""
@@ -186,6 +193,17 @@ def test_ade_verb(capsys):
     assert payload["srs"]["minimal"] is True
 
 
+@pytest.mark.parametrize("rank", [_MAX_ADE_RANK + 1, MAX_NODES])
+def test_ade_caps_the_rank_before_building_decorations(capsys, monkeypatch, rank):
+    def built(*args):
+        raise AssertionError("the ade system was built")
+
+    monkeypatch.setattr("symprs.cli.ade_srs", built)
+    code, out, err = run(capsys, "ade", "--family", "A", "--rank", str(rank))
+    assert code == 1 and out == ""
+    assert err == f"error: rank {rank} exceeds the ade cap of {_MAX_ADE_RANK}\n"
+
+
 def test_ade_rejects_other_families(capsys):
     with pytest.raises(SystemExit) as info:
         main(["ade", "--family", "B", "--rank", "3"])
@@ -245,10 +263,7 @@ def test_coclique_verb(tmp_path, capsys):
 
 
 def test_coclique_checks_the_node_cap_before_any_elimination(tmp_path, capsys, monkeypatch):
-    def eliminated(*args):
-        raise AssertionError("an elimination ran")
-
-    monkeypatch.setattr("symprs.srs.SympSpace", eliminated)
+    _forbid_constructing(monkeypatch, SympSpace, "a space was built for its elimination")
     n = MAX_COCLIQUE_NODES + 1
     path = write_graph(tmp_path, f"n {n}\n" + "".join(f"e {v} {v + 1}\n" for v in range(n - 1)))
     code, out, err = run(capsys, "coclique", "--graph", path)

@@ -7,6 +7,10 @@ exit code with ``tests/golden/<case>.out``. Inputs live in
     PYTHONPATH=src python3 tests/test_golden.py
 
 and say in the change log why the bytes moved.
+
+The cases run the library's trusted constructors as shipped, without the
+full re-validation that ``tests/conftest.py`` gives every other test, so
+the bytes pinned here are those of the fast path.
 """
 
 from __future__ import annotations
@@ -18,6 +22,11 @@ from pathlib import Path
 import pytest
 
 from symprs.cli import main
+from symprs.graph import Graph
+from symprs.srs import SRS
+from symprs.symplectic import SympSpace
+
+pytestmark = pytest.mark.trusted_constructors
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INPUTS = GOLDEN / "inputs"
@@ -91,6 +100,12 @@ def test_every_verb_has_a_golden_case():
     verbs = {argv[0] for argv in CASES.values()}
     assert verbs == {"type", "minimal", "quotients", "extend", "iso", "ade", "weyl",
                      "group", "coclique", "verify"}
+
+
+def test_golden_cases_run_the_trusted_path():
+    g = Graph(2, [(0, 1)])
+    s = SRS._trusted(g, SympSpace(g.adjacency()), ())  # no decorations: unchecked
+    assert s.deco == ()
 
 
 if __name__ == "__main__":

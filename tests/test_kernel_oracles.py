@@ -1,5 +1,7 @@
 """The int kernels against the BitVec/BitMat oracles in ``oracles``.
 
+Bit strings of vectors and matrix rows must equal the per-bit join.
+
 Random alternating Gram matrices of dimension 0..40 and random, partly
 invalid decoration families: form and cocycle values, the symplectic
 basis, and SRS acceptance with its exact error message must all agree.
@@ -91,6 +93,18 @@ def spaces(draw, max_dim: int = 40) -> SympSpace:
 
 def _vec(draw, dim: int) -> BitVec:
     return BitVec(dim, draw(st.integers(0, (1 << dim) - 1)))
+
+
+@FAST
+@given(st.integers(0, 200), st.lists(st.integers(0, (1 << 200) - 1), max_size=4))
+@example(0, [])
+@example(200, [])
+def test_bit_strings_match_per_bit_oracle(dim, draws):
+    ones = (1 << dim) - 1
+    rows = [0, ones] + [r & ones for r in draws]
+    strings = [oracles.bit_string(BitVec(dim, r)) for r in rows]
+    assert [str(BitVec(dim, r)) for r in rows] == strings
+    assert BitMat(dim, rows).to_strings() == strings
 
 
 @FAST

@@ -48,6 +48,15 @@ def test_validate_reports_first_bad_pair():
         SRS(A3, space, deco)
 
 
+def test_the_suite_validates_trusted_constructions():
+    """``tests/conftest.py`` points ``SRS._trusted`` back at ``SRS``, so a
+    bad system built the library's way fails in an ordinary test."""
+    space = SympSpace(A3.adjacency())
+    deco = (BitVec.basis(3, 0), BitVec.basis(3, 0), BitVec.basis(3, 2))
+    with pytest.raises(SRSError, match=r"\(0, 1\)"):
+        SRS._trusted(A3, space, deco)
+
+
 def test_validate_requires_span():
     g = Graph(2, [(0, 1)])
     space = SympSpace(BitMat.from_rows(["0110", "1000", "1000", "0000"]))
