@@ -184,15 +184,10 @@ def _core(m: int) -> list[frozenset]:
     return heads + tails[::-1]
 
 
-def _materialize(symbolic: Sequence[frozenset], n: int, k: int) -> tuple[BitVec, ...]:
+def _materialize(symbolic: Sequence[frozenset], n: int, k: int) -> BitMat:
+    """The decoration matrix of the symbolic vectors in the standard space of type (n, k)."""
     offset = {"x": 0, "y": n, "z": 2 * n}
-    out = []
-    for v in symbolic:
-        bits = 0
-        for kind, i in v:
-            bits |= 1 << (offset[kind] + i - 1)
-        out.append(BitVec(2 * n + k, bits))
-    return tuple(out)
+    return BitMat(2 * n + k, (sum(1 << (offset[kind] + i - 1) for kind, i in v) for v in symbolic))
 
 
 def ade_srs(family: str, rank: int) -> SRS:

@@ -70,7 +70,7 @@ def _type_payload(args) -> dict:
     n, k = space.type
     return {
         "nodes": g.n,
-        "edge_count": len(g.edge_list()),
+        "edge_count": sum(row.bit_count() for row in g.adj) // 2,
         "dim": space.dim,
         "type": [n, k],
         "extraspecial": space.type.is_extraspecial,

@@ -24,9 +24,11 @@ isomorphism.
 The extended system is not re-validated (``SRS._trusted``). Since z0 is
 radical and P w0 = 0, the lifted form is c . v = <w0, v> + <<z0, v>>, and
 the adjoined coordinate e pairs with v as <<z0, v>>. So the new decoration
-w0 + e pairs with old decoration q as c . deco[q] = lam(q), old pairings
-are unchanged, and the old decorations span the old coordinates, e the
-new one. ``build_by_extension`` only renumbers the nodes of the result.
+w0 + e, appended as the last row of D, pairs with row q as c . D_q =
+lam(q). The old rows are kept as they are, since a row of the old space is
+a row of the larger one with e-coordinate 0: old pairings are unchanged,
+and the old rows span the old coordinates, e the new one.
+``build_by_extension`` only reorders the rows of the result.
 The test suite validates every result in full (``tests/conftest.py``), and
 acceptance criterion 3 checks that the built system is isomorphic to the
 minimal one.
@@ -84,7 +86,7 @@ def lift_indicator(s: SRS, lam: BitVec) -> BitVec:
     """Coefficients of the unique linear form taking value lam(q) on each
     decoration; exists and is unique because the decorations are a basis."""
     _require_minimal(s, lam)
-    c = solve(s.deco_matrix(), lam)
+    c = solve(s.deco, lam)
     assert c is not None, "minimal decorations always invert"
     return c
 
@@ -133,11 +135,11 @@ def _attach(
     d = s.space.dim
     rows = [old | ((pairings >> i & 1) << d) for i, old in enumerate(s.space.gram.rows)]
     rows.append(pairings)
-    new_deco = w0.pad(d + 1) ^ BitVec.basis(d + 1, d)
+    new_deco = BitVec(d + 1, w0.bits | 1 << d)
     out = SRS._trusted(
         s.graph._with_node(lam.bits),
         SympSpace._trusted(BitMat._trusted(d + 1, rows)),
-        tuple(v.pad(d + 1) for v in s.deco) + (new_deco,),
+        BitMat._trusted(d + 1, s.deco.rows + (new_deco.bits,)),
     )
     n, k = s.type
     if not pairings:
@@ -197,7 +199,8 @@ def build_by_extension(g: Graph, order: list[int] | None = None) -> SRS:
     for i, v in enumerate(sequence):
         s, _ = extend_minimal(s, BitVec(i, _gather(g.adj[v], sequence[:i])))
     position = {v: i for i, v in enumerate(sequence)}
-    return SRS._trusted(g, s.space, tuple(s.deco[position[p]] for p in range(g.n)))
+    rows = s.deco.rows
+    return SRS._trusted(g, s.space, BitMat._trusted(s.space.dim, (rows[position[p]] for p in range(g.n))))
 
 
 def replay(

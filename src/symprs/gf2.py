@@ -109,18 +109,6 @@ class BitVec:
 
     __add__ = __xor__
 
-    def dot(self, other: "BitVec") -> int:
-        """Standard dot product mod 2."""
-        if self.dim != other.dim:
-            raise ValueError(f"dimension mismatch {self.dim} != {other.dim}")
-        return (self.bits & other.bits).bit_count() & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.dim) if (self.bits >> i) & 1)
-
     def is_zero(self) -> bool:
         return self.bits == 0
 
@@ -218,14 +206,6 @@ class BitMat:
 
     def row(self, i: int) -> BitVec:
         return BitVec(self.ncols, self.rows[i])
-
-    def col(self, j: int) -> BitVec:
-        if not 0 <= j < self.ncols:
-            raise IndexError(j)
-        bits = 0
-        for i, r in enumerate(self.rows):
-            bits |= ((r >> j) & 1) << i
-        return BitVec(self.nrows, bits)
 
     def transpose(self) -> "BitMat":
         return BitMat(self.nrows, _transpose(self.rows, self.ncols))

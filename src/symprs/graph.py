@@ -105,7 +105,7 @@ class Graph:
         return frozenset(self.edge_list())
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return [(a, b) for a in range(self.n) for b in range(a + 1, self.n) if self.adj[a] >> b & 1]
+        return [(a, b) for a, row in enumerate(self.adj) for b in _bits(row >> (a + 1) << (a + 1))]
 
     def adjacency(self) -> BitMat:
         return BitMat._trusted(self.n, self.adj)

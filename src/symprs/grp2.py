@@ -223,7 +223,7 @@ def lift_decoration(s: SRS, grp: CocycleGroup) -> list[Element]:
     reproduce the graph's adjacency."""
     if grp.space != s.space:
         raise ValueError("group and SRS live on different spaces")
-    return [(v, 0) for v in s.deco]
+    return [(s.deco.row(p), 0) for p in range(s.deco.nrows)]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,14 @@ objects, the minimal construction, restriction to induced subgraphs,
 quotients, the classification by radical subspaces, and the coclique
 bound n <= |nodes| - (max coclique size) that restriction forces.
 
+A system stores its decorations as one matrix D, ``SRS.deco``: a
+``BitMat`` whose row p decorates node p, so the axioms read D G D^T = A
+and rank D = dim. The library builds the rows of D as ints, never a
+vector per node: ``minimal_srs`` takes D = I, ``restrict`` gathers the
+kept rows onto pivot coordinates, ``quotient`` projects every row,
+``extend`` appends one row (a row of the old space is already a row of
+the larger one) and ``build_by_extension`` reorders the rows.
+
 Systems are validated once, at the boundary. ``SRS(...)``, ``SympMap(...)``
 and ``srs_from_json`` check every axiom of what they are given. The systems
 this module builds itself hold the axioms by construction and skip the
@@ -82,7 +90,8 @@ class SRSError(ValueError):
 class SRS:
     """A validated symplectic root system.
 
-    ``deco[p]`` is the vector decorating node p. ``SRS(...)`` checks the
+    ``deco`` is the decoration matrix D, one row per node: row p is the
+    vector decorating node p, and D G D^T = A. ``SRS(...)`` checks the
     axioms; the library's own constructions, correct by construction (see
     the module docstring), build through ``_trusted``. So every reachable
     instance satisfies them; prefer the module functions over building
@@ -91,20 +100,20 @@ class SRS:
 
     graph: Graph
     space: SympSpace
-    deco: tuple[BitVec, ...]
+    deco: BitMat
 
     def __post_init__(self):
         g, space, deco = self.graph, self.space, self.deco
-        if len(deco) != g.n:
-            raise SRSError(f"{len(deco)} decorations for {g.n} nodes")
-        for p, v in enumerate(deco):
-            if v.dim != space.dim:
-                raise SRSError(f"decoration of node {p} has dimension {v.dim}, space has {space.dim}")
+        if not isinstance(deco, BitMat):
+            raise SRSError(f"decorations must be a BitMat with one row per node, got {type(deco).__name__}")
+        if deco.nrows != g.n:
+            raise SRSError(f"{deco.nrows} decorations for {g.n} nodes")
+        if deco.ncols != space.dim:
+            raise SRSError(f"decorations have dimension {deco.ncols}, space has {space.dim}")
         # D G D^T = A, compared row by row. Both sides are symmetric with
         # zero diagonal, so the first row that differs holds the first
         # failing pair (p, q), and there q > p.
-        rows = [v.bits for v in deco]
-        for p, (row, adj) in enumerate(zip(space.pairing_rows(rows), g.adj)):
+        for p, (row, adj) in enumerate(zip(space.pairing_rows(deco.rows), g.adj)):
             diff = row ^ adj
             if diff:
                 q = (diff & -diff).bit_length() - 1
@@ -112,11 +121,11 @@ class SRS:
                 raise SRSError(
                     f"nodes ({p}, {q}): pairing {1 - expected} but adjacency {expected}"
                 )
-        if len(_eliminate(rows, space.dim)) != space.dim:
+        if len(_eliminate(list(deco.rows), space.dim)) != space.dim:
             raise SRSError("decorations do not span the space")
 
     @classmethod
-    def _trusted(cls, graph: Graph, space: SympSpace, deco: tuple[BitVec, ...]) -> "SRS":
+    def _trusted(cls, graph: Graph, space: SympSpace, deco: BitMat) -> "SRS":
         """``SRS(graph, space, deco)`` without re-checking the axioms, for
         systems that hold them by construction."""
         s = object.__new__(cls)
@@ -124,10 +133,6 @@ class SRS:
         object.__setattr__(s, "space", space)
         object.__setattr__(s, "deco", deco)
         return s
-
-    def deco_matrix(self) -> BitMat:
-        """Decorations as rows (node count x dim)."""
-        return BitMat(self.space.dim, (v.bits for v in self.deco))
 
     @property
     def type(self) -> SpaceType:
@@ -190,7 +195,7 @@ def minimal_srs(g: Graph) -> SRS:
 
 def _minimal_on(g: Graph, space: SympSpace) -> SRS:
     """The minimal SRS of g on ``space``, the space of g's adjacency matrix."""
-    return SRS._trusted(g, space, tuple(BitVec.basis(g.n, p) for p in range(g.n)))
+    return SRS._trusted(g, space, BitMat.identity(g.n))
 
 
 def _check_radical_cap(space: SympSpace) -> None:
@@ -225,12 +230,12 @@ def restrict(s: SRS, nodes: Sequence[int]) -> SRS:
     echelon row.
     """
     sub_graph = induced_subgraph(s.graph, nodes)
-    vecs = [s.deco[v].bits for v in nodes]
-    basis = _echelon_rows(vecs, s.space.dim)
+    rows = [s.deco.rows[v] for v in nodes]
+    basis = _echelon_rows(rows, s.space.dim)
     pivots = [(b & -b).bit_length() - 1 for b in basis]
     sub_space = SympSpace._trusted(BitMat._trusted(len(basis), s.space.pairing_rows(basis)))
-    new_deco = tuple(BitVec(len(basis), _gather(v, pivots)) for v in vecs)
-    return SRS._trusted(sub_graph, sub_space, new_deco)
+    deco = BitMat._trusted(len(basis), (_gather(v, pivots) for v in rows))
+    return SRS._trusted(sub_graph, sub_space, deco)
 
 
 def quotient(s: SRS, u_basis: Sequence[BitVec]) -> tuple[SRS, SympMap]:
@@ -255,7 +260,7 @@ def quotient(s: SRS, u_basis: Sequence[BitVec]) -> tuple[SRS, SympMap]:
     cols = [_gather(reducer.get(j, 1 << j), keep) for j in range(dim)]
     quot_space = SympSpace._trusted(BitMat._trusted(len(keep), (_gather(gram[j], keep) for j in keep)))
     proj = SympMap._trusted(s.space, quot_space, BitMat._trusted(dim, _transpose(cols, len(keep))))
-    deco = tuple(BitVec(len(keep), row_combination(cols, v.bits)) for v in s.deco)
+    deco = BitMat._trusted(len(keep), (row_combination(cols, v) for v in s.deco.rows))
     quot = SRS._trusted(s.graph, quot_space, deco)
     return quot, proj
 
@@ -318,9 +323,9 @@ def srs_isomorphic(a: SRS, b: SRS) -> SympMap | None:
         raise SRSError("systems live on different graphs")
     if a.space.dim != b.space.dim:
         return None
-    # X with deco_a[p]^T X = deco_b[p]^T for every node p; M = X^T is onto
-    # because the decorations of b span, hence bijective at equal dimension
-    x = solve_mat(a.deco_matrix(), b.deco_matrix())
+    # X with D_a X = D_b, row p for node p; M = X^T is onto because the
+    # decorations of b span, hence bijective at equal dimension
+    x = solve_mat(a.deco, b.deco)
     return None if x is None else SympMap(a.space, b.space, x.transpose())
 
 
@@ -334,7 +339,7 @@ def universal_map(a: SRS, b: SRS) -> SympMap:
         raise SRSError("systems live on different graphs")
     if not a.is_minimal:
         raise SRSError("source is not minimal")
-    x = solve_mat(a.deco_matrix(), b.deco_matrix())
+    x = solve_mat(a.deco, b.deco)
     assert x is not None, "minimal decorations form a basis"
     m = x.transpose()
     assert rank(m) == b.space.dim, "universal map not surjective"
@@ -367,7 +372,7 @@ def srs_to_json(s: SRS) -> dict:
         "dim": s.space.dim,
         "gram": s.space.gram.to_strings(),
         "type": [n, k],
-        "deco": {str(p): str(v) for p, v in enumerate(s.deco)},
+        "deco": {str(p): v for p, v in enumerate(s.deco.to_strings())},
         "minimal": s.is_minimal,
     }
 
@@ -401,7 +406,10 @@ def srs_from_json(payload: dict) -> SRS:
         if key not in deco_map:
             raise SRSError(f"missing decoration for node {p}")
         deco.append(BitVec.from_string(deco_map[key]))
-    s = SRS(graph, space, tuple(deco))
+    for p, v in enumerate(deco):
+        if v.dim != dim:
+            raise SRSError(f"decoration of node {p} has dimension {v.dim}, space has {dim}")
+    s = SRS(graph, space, BitMat(dim, (v.bits for v in deco)))
     declared_type = payload.get("type", list(s.type))
     if not (isinstance(declared_type, list) and len(declared_type) == 2
             and all(type(x) is int for x in declared_type)):

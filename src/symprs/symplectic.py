@@ -86,9 +86,6 @@ class SymplecticBasis(NamedTuple):
     y: tuple[BitVec, ...]
     z: tuple[BitVec, ...]
 
-    def vectors(self) -> list[BitVec]:
-        return [*self.x, *self.y, *self.z]
-
 
 class SympSpace:
     """GF(2)^dim with an alternating form; radical, basis and type cached,

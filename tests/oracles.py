@@ -26,11 +26,38 @@ def bit_string(v: BitVec) -> str:
     return "".join("1" if (v.bits >> i) & 1 else "0" for i in range(v.dim))
 
 
+def dot(v: BitVec, w: BitVec) -> int:
+    """The standard dot product mod 2."""
+    if v.dim != w.dim:
+        raise ValueError(f"dimension mismatch {v.dim} != {w.dim}")
+    return (v.bits & w.bits).bit_count() & 1
+
+
+def support(v: BitVec) -> tuple[int, ...]:
+    """The coordinates set in ``v``, lowest first."""
+    return tuple(i for i in range(v.dim) if v[i])
+
+
+def col(m: BitMat, j: int) -> BitVec:
+    """Column j of ``m``, one entry at a time."""
+    return BitVec(m.nrows, sum(m.entry(i, j) << i for i in range(m.nrows)))
+
+
+def decorations(s: SRS) -> list[BitVec]:
+    """The rows of the decoration matrix, one vector per node."""
+    return [s.deco.row(p) for p in range(s.deco.nrows)]
+
+
+def edge_list(g: Graph) -> list[tuple[int, int]]:
+    """The edges (a, b) with a < b in lexicographic order, one node pair at a time."""
+    return [(a, b) for a in range(g.n) for b in range(a + 1, g.n) if g.adj[a] >> b & 1]
+
+
 def form(space: SympSpace, v: BitVec, w: BitVec) -> int:
     """<v, w> as one matrix-vector product, then a dot product."""
     if v.dim != space.dim or w.dim != space.dim:
         raise ValueError(f"vector dimension mismatch in space of dim {space.dim}")
-    return v.dot(space.gram @ w)
+    return dot(v, space.gram @ w)
 
 
 def pairing_rows(space: SympSpace, vectors: Sequence[BitVec]) -> list[int]:
@@ -40,7 +67,7 @@ def pairing_rows(space: SympSpace, vectors: Sequence[BitVec]) -> list[int]:
 
 def cocycle(beta: BitMat, v: BitVec, w: BitVec) -> int:
     """beta(v, w) as one matrix-vector product, then a dot product."""
-    return v.dot(beta @ w)
+    return dot(v, beta @ w)
 
 
 Element = tuple[BitVec, int]
@@ -275,22 +302,21 @@ def graph_classes(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def validate_pairwise(g: Graph, space: SympSpace, deco: Sequence[BitVec]) -> None:
+def validate_pairwise(g: Graph, space: SympSpace, deco: BitMat) -> None:
     """The SRS axioms checked one pair of nodes at a time; raises SRSError
     with the same message as ``SRS`` construction."""
-    if len(deco) != g.n:
-        raise SRSError(f"{len(deco)} decorations for {g.n} nodes")
-    for p, v in enumerate(deco):
-        if v.dim != space.dim:
-            raise SRSError(f"decoration of node {p} has dimension {v.dim}, space has {space.dim}")
+    if deco.nrows != g.n:
+        raise SRSError(f"{deco.nrows} decorations for {g.n} nodes")
+    if deco.ncols != space.dim:
+        raise SRSError(f"decorations have dimension {deco.ncols}, space has {space.dim}")
     for p in range(g.n):
         for q in range(p + 1, g.n):
             expected = 1 if g.has_edge(p, q) else 0
-            if form(space, deco[p], deco[q]) != expected:
+            if form(space, deco.row(p), deco.row(q)) != expected:
                 raise SRSError(
                     f"nodes ({p}, {q}): pairing {1 - expected} but adjacency {expected}"
                 )
-    if rank(BitMat(space.dim, (v.bits for v in deco))) != space.dim:
+    if rank(deco) != space.dim:
         raise SRSError("decorations do not span the space")
 
 
@@ -349,7 +375,7 @@ def all_srs_on_space(g: Graph, space: SympSpace) -> list[SRS]:
         if p == g.n:
             m = BitMat(space.dim, (v.bits for v in deco))
             if rank(m) == space.dim:
-                found.append(SRS(g, space, tuple(deco)))
+                found.append(SRS(g, space, m))
             return
         for bits in range(1 << space.dim):
             v = BitVec(space.dim, bits)
@@ -394,8 +420,9 @@ def _one_node_more(s: SRS, lam: BitVec, gram: BitMat, new_deco: BitVec) -> SRS:
     """s on the graph with one node attached to lam's support, in the space
     of ``gram``, the new node decorated by ``new_deco``."""
     n, d = s.graph.n, s.space.dim
-    graph = Graph(n + 1, list(s.graph.edges) + [(q, n) for q in lam.support()])
-    return SRS(graph, SympSpace(gram), tuple(v.pad(d + 1) for v in s.deco) + (new_deco,))
+    graph = Graph(n + 1, list(s.graph.edges) + [(q, n) for q in support(lam)])
+    padded = [v.pad(d + 1) for v in decorations(s)] + [new_deco]
+    return SRS(graph, SympSpace(gram), BitMat.from_rows(padded, ncols=d + 1))
 
 
 def extend_extraspecial(s: SRS, lam: BitVec) -> tuple[SRS, ExtensionWitness]:
@@ -432,7 +459,7 @@ def extend_nullspace(s: SRS, lam: BitVec) -> tuple[SRS, ExtensionWitness]:
         return out, ExtensionWitness(NEW_NULLVECTOR, zero, c, y)
     # The old form is zero, so y pairs with coordinate i exactly when c_i = 1.
     gram = BitMat(d + 1, [c[i] << d for i in range(d)] + [c.bits])
-    x = BitVec.basis(d + 1, c.support()[0])
+    x = BitVec.basis(d + 1, support(c)[0])
     return _one_node_more(s, lam, gram, y), ExtensionWitness(NEW_HYPERBOLIC, zero, c, y, x)
 
 
@@ -458,7 +485,8 @@ def double_extend_extraspecial(
     space = SympSpace(block_diag(s.space.gram, tail))
     deco_p = w_p.pad(d + 2) ^ BitVec.basis(d + 2, d)
     deco_q = w_q.pad(d + 2) ^ BitVec.basis(d + 2, d + 1)
-    out = SRS(graph, space, tuple(v.pad(d + 2) for v in s.deco) + (deco_p, deco_q))
+    padded = [v.pad(d + 2) for v in decorations(s)] + [deco_p, deco_q]
+    out = SRS(graph, space, BitMat.from_rows(padded, ncols=d + 2))
     assert out.type == ((s.type.n + 1, 0) if hyperbolic else (s.type.n, 2))
     zero = BitVec.zero(d)
     if hyperbolic:
@@ -478,13 +506,13 @@ def double_extend_extraspecial(
 def restrict(s: SRS, nodes: Sequence[int]) -> SRS:
     """Re-coordinatize the kept decorations by their pivot entries."""
     sub_graph = induced_subgraph(s.graph, nodes)
-    vecs = [s.deco[v] for v in nodes]
+    vecs = [s.deco.row(v) for v in nodes]
     basis = echelon_basis(vecs, dim=s.space.dim)
     m = len(basis)
-    pivots = [b.support()[0] for b in basis]
+    pivots = [support(b)[0] for b in basis]
     sub_space = SympSpace(BitMat(m, pairing_rows(s.space, basis)))
-    new_deco = tuple(BitVec.from_bits([v[p] for p in pivots]) for v in vecs)
-    return SRS(sub_graph, sub_space, new_deco)
+    new_deco = [BitVec.from_bits([v[p] for p in pivots]) for v in vecs]
+    return SRS(sub_graph, sub_space, BitMat.from_rows(new_deco, ncols=m))
 
 
 def quotient(s: SRS, u_basis: Sequence[BitVec]) -> tuple[SRS, SympMap]:
@@ -496,7 +524,7 @@ def quotient(s: SRS, u_basis: Sequence[BitVec]) -> tuple[SRS, SympMap]:
         if not (s.space.gram @ u).is_zero():
             raise SRSError(f"subspace vector {u} not in the radical")
     basis = echelon_basis(list(u_basis), dim=s.space.dim)
-    pivots = [b.support()[0] for b in basis]
+    pivots = [support(b)[0] for b in basis]
     keep = [j for j in range(s.space.dim) if j not in pivots]
 
     def project(v: BitVec) -> BitVec:
@@ -513,7 +541,7 @@ def quotient(s: SRS, u_basis: Sequence[BitVec]) -> tuple[SRS, SympMap]:
         quot_space,
         BitMat.from_cols([project(BitVec.basis(s.space.dim, j)) for j in range(s.space.dim)], nrows=len(keep)),
     )
-    quot = SRS(s.graph, quot_space, tuple(project(v) for v in s.deco))
+    quot = SRS(s.graph, quot_space, BitMat.from_rows([project(v) for v in decorations(s)], ncols=len(keep)))
     return quot, proj
 
 
@@ -528,7 +556,7 @@ def radical_subspaces(s: SRS) -> list[tuple[BitVec, ...]]:
         vecs = []
         for coeff in sub:
             v = BitVec.zero(s.space.dim)
-            for i in coeff.support():
+            for i in support(coeff):
                 v = v ^ rad[i]
             vecs.append(v)
         out.append(tuple(vecs))
@@ -558,7 +586,7 @@ def core_decorations(m: int) -> list[frozenset]:
 
 def _basis_matrices(space: SympSpace) -> tuple[BitMat, BitMat]:
     """T with the symplectic basis x.., y.., z.. as columns, and T^-1."""
-    t = BitMat.from_cols(space.basis.vectors(), nrows=space.dim)
+    t = BitMat.from_cols([*space.basis.x, *space.basis.y, *space.basis.z], nrows=space.dim)
     t_inv = inverse(t)
     assert t_inv is not None
     return t, t_inv
@@ -605,7 +633,7 @@ def orthogonal_project(s: SympSpace, wbasis: list[BitVec], v: BitVec) -> tuple[B
 
     def lift(coeff: BitVec) -> BitVec:
         out = BitVec.zero(s.dim)
-        for t in coeff.support():
+        for t in support(coeff):
             out = out ^ basis[t]
         return out
 
@@ -698,7 +726,7 @@ def solve_mat(m: BitMat, b: BitMat) -> BitMat | None:
         raise ValueError(f"rhs rows {b.nrows} != lhs rows {m.nrows}")
     cols = []
     for j in range(b.ncols):
-        x = solve(m, b.col(j))
+        x = solve(m, col(b, j))
         if x is None:
             return None
         cols.append(x)

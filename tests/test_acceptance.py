@@ -109,16 +109,16 @@ def _fork_variant(family: str, rank: int, k: int, fork: list[str]) -> SRS:
     g = dynkin_graph(family, rank)
     n = (rank - 2) // 2
     core = [BitVec.from_string(s[:2 * n + k]) for s in EXPLICIT_DECORATIONS[(family, rank)][:-2]]
-    return SRS(g, standard_space(n, k), tuple(core + [BitVec.from_string(s) for s in fork]))
+    return SRS(g, standard_space(n, k), BitMat.from_rows(core + [BitVec.from_string(s) for s in fork]))
 
 
 def test_criterion_2_explicit_decorations():
     started = time.monotonic()
     for (family, rank), strings in EXPLICIT_DECORATIONS.items():
         s = ade_srs(family, rank)
-        assert [str(v) for v in s.deco] == strings, (family, rank)
+        assert s.deco.to_strings() == strings, (family, rank)
         # the frozen data itself validates as a system on the diagram
-        rebuilt = SRS(s.graph, s.space, tuple(BitVec.from_string(t) for t in strings))
+        rebuilt = SRS(s.graph, s.space, BitMat.from_rows(strings))
         assert rebuilt == s
 
     # The nullity-2 diagrams quotient to exactly three nullity-1 classes,
@@ -184,7 +184,7 @@ def test_criterion_4_restriction_dichotomy():
 
 def _relation_space(s: SRS) -> tuple:
     """Canonical basis of the linear relations among the decorations."""
-    m = BitMat.from_cols(s.deco, nrows=s.space.dim)
+    m = s.deco.transpose()
     return tuple(echelon_basis(kernel_basis(m), dim=s.graph.n))
 
 

@@ -112,17 +112,20 @@ def test_ade_srs_decorations_are_the_published_ones():
             v ^= BitVec.basis(dim, p)
         return v
 
+    def deco(*vectors):
+        return BitMat.from_rows(vectors)
+
     # A4 in standard_space(2, 0): x1 x2 y1 y2 at positions 0 1 2 3.
     a4 = ade_srs("A", 4)
-    assert a4.deco == (vec(4, 0, 1), vec(4, 2), vec(4, 0), vec(4, 2, 3))
+    assert a4.deco == deco(vec(4, 0, 1), vec(4, 2), vec(4, 0), vec(4, 2, 3))
     # A3 in standard_space(1, 1): x1 y1 z1 at positions 0 1 2.
     a3 = ade_srs("A", 3)
-    assert a3.deco == (vec(3, 1, 2), vec(3, 0), vec(3, 1))
+    assert a3.deco == deco(vec(3, 1, 2), vec(3, 0), vec(3, 1))
     # A1 is a lone nullvector.
-    assert ade_srs("A", 1).deco == (vec(1, 0),)
+    assert ade_srs("A", 1).deco == deco(vec(1, 0))
     # A6: x's 0..2, y's 3..5.
     a6 = ade_srs("A", 6)
-    assert a6.deco == (
+    assert a6.deco == deco(
         vec(6, 1, 2),
         vec(6, 3, 4),
         vec(6, 0),
@@ -132,13 +135,13 @@ def test_ade_srs_decorations_are_the_published_ones():
     )
     # D4 in standard_space(1, 2): x1 y1 z1 z2 at 0 1 2 3.
     d4 = ade_srs("D", 4)
-    assert d4.deco == (vec(4, 0), vec(4, 1), vec(4, 1, 2), vec(4, 1, 3))
+    assert d4.deco == deco(vec(4, 0), vec(4, 1), vec(4, 1, 2), vec(4, 1, 3))
     # D5 in standard_space(2, 1): x1 x2 y1 y2 z1 at 0 1 2 3 4.
     d5 = ade_srs("D", 5)
-    assert d5.deco == (vec(5, 0, 1), vec(5, 2), vec(5, 0), vec(5, 2, 3), vec(5, 0, 1, 4))
+    assert d5.deco == deco(vec(5, 0, 1), vec(5, 2), vec(5, 0), vec(5, 2, 3), vec(5, 0, 1, 4))
     # E6 in standard_space(3, 0): x's 0..2, y's 3..5.
     e6 = ade_srs("E", 6)
-    assert e6.deco == (
+    assert e6.deco == deco(
         vec(6, 0, 1),
         vec(6, 3),
         vec(6, 0),
@@ -148,11 +151,11 @@ def test_ade_srs_decorations_are_the_published_ones():
     )
     # E7 in standard_space(3, 1): x's 0..2, y's 3..5, z at 6.
     e7 = ade_srs("E", 7)
-    assert e7.deco[6] == vec(7, 3, 4, 5, 6)
+    assert e7.deco.row(6) == vec(7, 3, 4, 5, 6)
     # E8 in standard_space(4, 0): x's 0..3, y's 4..7.
     e8 = ade_srs("E", 8)
-    assert e8.deco[6] == vec(8, 6, 7)
-    assert e8.deco[7] == vec(8, 1, 2, 3)
+    assert e8.deco.row(6) == vec(8, 6, 7)
+    assert e8.deco.row(7) == vec(8, 1, 2, 3)
 
 
 def test_ade_srs_types():
@@ -291,7 +294,7 @@ def test_weyl_orbit_of_a_decoration():
     # they form a single orbit.
     c = cartan_datum("A", 4)
     rep = weyl_rep(c)
-    orbit = weyl_orbit(rep, rep.srs.deco[0])
+    orbit = weyl_orbit(rep, rep.srs.deco.row(0))
     assert set(orbit) == set(rep.root_images.values())
     assert len(orbit) == 10
 

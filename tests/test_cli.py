@@ -438,6 +438,22 @@ def test_iso_rejects_non_string_decoration(tmp_path, capsys):
     assert "not a bit string: 5" in err
 
 
+@pytest.mark.parametrize("node, value, message", [
+    ("2", "010", "decoration of node 2 has dimension 3, space has 4"),
+    ("3", None, "missing decoration for node 3"),
+])
+def test_iso_names_the_node_of_a_bad_decoration(tmp_path, capsys, node, value, message):
+    code, out, _ = run(capsys, "minimal", "--graph", write_graph(tmp_path, A4_EDGES))
+    good = write_graph(tmp_path, out, "good.json")
+    bad = json.loads(out)
+    if value is None:
+        del bad["deco"][node]
+    else:
+        bad["deco"][node] = value
+    code, out, err = run(capsys, "iso", good, write_graph(tmp_path, json.dumps(bad), "bad.json"))
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["--max-nodes", "-3", "--max-rank", "-1"],
     ["--max-nodes", "-1"],

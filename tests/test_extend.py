@@ -30,7 +30,7 @@ def test_lift_indicator_inverts_decoration_pairing():
     for lam in indicators(4):
         c = lift_indicator(s, lam)
         for q in range(4):
-            assert c.dot(s.deco[q]) == lam[q]
+            assert (c.bits & s.deco.rows[q]).bit_count() % 2 == lam[q]
 
 
 def test_lift_indicator_rejects_nonminimal():
@@ -245,7 +245,7 @@ def test_replay_checks_witness():
     lam = BitVec.from_string("1010")
     out, wit = extend_minimal(s, lam)
     assert replay(s, lam, wit) == out
-    tampered = witness_from_json({**witness_to_json(wit), "w0": str(wit.w0 ^ s.deco[0])})
+    tampered = witness_from_json({**witness_to_json(wit), "w0": str(wit.w0 ^ s.deco.row(0))})
     with pytest.raises(SRSError, match="witness mismatch"):
         replay(s, lam, tampered)
 

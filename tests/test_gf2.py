@@ -78,9 +78,7 @@ def test_bitvec_ops():
     v = BitVec.from_string("1101")
     w = BitVec.from_string("0111")
     assert (v ^ w) == BitVec.from_string("1010")
-    assert v.dot(w) == 0
-    assert v.dot(BitVec.from_string("1000")) == 1
-    assert v.support() == (0, 1, 3)
+    assert list(v) == [v[0], v[1], v[2], v[3]] == [1, 1, 0, 1]
     assert v.pad(6) == BitVec.from_string("110100")
 
 

@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from symprs.cli import main
+from symprs.gf2 import BitMat
 from symprs.graph import Graph
 from symprs.srs import SRS
 from symprs.symplectic import SympSpace
@@ -104,8 +105,8 @@ def test_every_verb_has_a_golden_case():
 
 def test_golden_cases_run_the_trusted_path():
     g = Graph(2, [(0, 1)])
-    s = SRS._trusted(g, SympSpace(g.adjacency()), ())  # no decorations: unchecked
-    assert s.deco == ()
+    s = SRS._trusted(g, SympSpace(g.adjacency()), BitMat.zeros(0, 2))  # no decorations: unchecked
+    assert s.deco == BitMat.zeros(0, 2)
 
 
 if __name__ == "__main__":

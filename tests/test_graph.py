@@ -8,7 +8,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -427,6 +427,15 @@ def test_graph_is_its_adjacency_rows(g):
 
 
 @GRAPH_SEARCH
+@given(graphs(max_n=24))
+@example(Graph(0))
+@example(Graph(9))
+@example(complete(9))
+def test_edge_list_matches_the_per_pair_oracle(g):
+    assert g.edge_list() == oracles.edge_list(g)
+
+
+@GRAPH_SEARCH
 @given(graphs(max_n=10), st.data())
 def test_derived_graphs_equal_the_graphs_of_their_edge_lists(g, data):
     perm = data.draw(st.permutations(range(g.n)))
@@ -437,7 +446,7 @@ def test_derived_graphs_equal_the_graphs_of_their_edge_lists(g, data):
     assert induced_subgraph(g, nodes) == Graph(len(nodes), kept)
     lam = BitVec(g.n, data.draw(st.integers(0, (1 << g.n) - 1)))
     out, _ = extend_minimal(minimal_srs(g), lam)
-    assert out.graph == Graph(g.n + 1, g.edge_list() + [(v, g.n) for v in lam.support()])
+    assert out.graph == Graph(g.n + 1, g.edge_list() + [(v, g.n) for v in oracles.support(lam)])
 
 
 EXTRASPECIAL = [g for n in (0, 2, 4) for g in all_graphs(n) if minimal_srs(g).type.is_extraspecial]
@@ -450,7 +459,8 @@ def test_double_extension_graph_equals_the_graph_of_its_edge_list(g, data):
     pq_edge = data.draw(st.booleans())
     out, _, _ = double_extend_extraspecial(minimal_srs(g), lam_p, lam_q, pq_edge)
     n = g.n
-    edges = g.edge_list() + [(v, n) for v in lam_p.support()] + [(v, n + 1) for v in lam_q.support()]
+    edges = g.edge_list() + [(v, n) for v in oracles.support(lam_p)]
+    edges += [(v, n + 1) for v in oracles.support(lam_q)]
     assert out.graph == Graph(n + 2, edges + [(n, n + 1)] * pq_edge)
 
 

@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 from conftest import random_graph_edges
+from symprs.extend import build_by_extension
 from symprs.gf2 import BitMat, BitVec, inverse, rank
 from symprs.graph import MAX_NODES, Graph, dynkin_graph, parse_graph
 from symprs.srs import (
@@ -37,13 +38,13 @@ def test_minimal_srs_shape():
     s = minimal_srs(A4)
     assert s.type == (2, 0)
     assert s.is_minimal
-    assert s.deco == tuple(BitVec.basis(4, i) for i in range(4))
+    assert s.deco == BitMat.identity(4)
     assert s.space.gram == A4.adjacency()
 
 
 def test_validate_reports_first_bad_pair():
     space = SympSpace(A3.adjacency())
-    deco = (BitVec.basis(3, 0), BitVec.basis(3, 0), BitVec.basis(3, 2))
+    deco = BitMat.from_rows(["100", "100", "001"])
     with pytest.raises(SRSError, match=r"\(0, 1\)"):
         SRS(A3, space, deco)
 
@@ -52,17 +53,58 @@ def test_the_suite_validates_trusted_constructions():
     """``tests/conftest.py`` points ``SRS._trusted`` back at ``SRS``, so a
     bad system built the library's way fails in an ordinary test."""
     space = SympSpace(A3.adjacency())
-    deco = (BitVec.basis(3, 0), BitVec.basis(3, 0), BitVec.basis(3, 2))
+    deco = BitMat.from_rows(["100", "100", "001"])
     with pytest.raises(SRSError, match=r"\(0, 1\)"):
         SRS._trusted(A3, space, deco)
+
+
+@pytest.mark.parametrize("deco, message", [
+    (BitMat.identity(3), "3 decorations for 4 nodes"),
+    (BitMat.zeros(4, 5), "decorations have dimension 5, space has 4"),
+    (tuple(BitVec.basis(4, i) for i in range(4)), "decorations must be a BitMat with one row per node, got tuple"),
+])
+def test_validate_checks_the_shape_of_d(deco, message):
+    with pytest.raises(SRSError, match=f"^{message}$"):
+        SRS(A4, SympSpace(A4.adjacency()), deco)
 
 
 def test_validate_requires_span():
     g = Graph(2, [(0, 1)])
     space = SympSpace(BitMat.from_rows(["0110", "1000", "1000", "0000"]))
-    deco = (BitVec.basis(4, 0), BitVec.basis(4, 1))
+    deco = BitMat.from_rows(["1000", "0100"])
     with pytest.raises(SRSError, match="span"):
         SRS(g, space, deco)
+
+
+@pytest.mark.trusted_constructors
+def test_library_routes_build_no_vector_per_node(monkeypatch):
+    """D is one matrix, so the library routes build its rows as ints: no
+    BitVec in ``minimal_srs``, ``restrict`` or ``quotient``, and a few per
+    extension step in ``build_by_extension``, not one per decoration."""
+    g = Graph(40, random_graph_edges(random.Random(3), 40))
+    s = minimal_srs(g)
+    radical = s.space.radical
+    assert radical
+    built = 0
+    init = BitVec.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(BitVec, "__init__", counting)
+
+    def constructions(route, *args):
+        nonlocal built
+        built = 0
+        route(*args)
+        return built
+
+    assert constructions(minimal_srs, g) == 0
+    assert constructions(restrict, s, range(20)) == 0
+    assert constructions(quotient, s, radical) == 0
+    assert constructions(build_by_extension, g) <= 10 * g.n
 
 
 def test_restrict_minimal_chain_is_exact():
@@ -73,7 +115,7 @@ def test_restrict_disconnected_pair():
     s = restrict(minimal_srs(A4), [1, 3])
     assert s.type == (0, 2)
     assert s.graph.edges == frozenset()
-    assert s.deco == (BitVec.from_string("10"), BitVec.from_string("01"))
+    assert s.deco == BitMat.from_rows(["10", "01"])
 
 
 def test_restriction_trichotomy_small_sweep():
@@ -92,7 +134,7 @@ def test_restriction_same_type_needs_nonminimal():
     # quotient of the 3-chain collapses the end decorations together,
     # so dropping one of them keeps the whole space: case "not minimal"
     quot, _ = quotient(minimal_srs(A3), [BitVec.from_string("101")])
-    assert quot.deco[0] == quot.deco[2]
+    assert quot.deco.rows[0] == quot.deco.rows[2]
     rest = restrict(quot, [0, 1])
     assert rest.type == quot.type
 
@@ -101,7 +143,7 @@ def test_quotient_of_chain_by_radical():
     quot, proj = quotient(minimal_srs(A3), [BitVec.from_string("101")])
     assert quot.type == (1, 0)
     assert quot.space.gram == BitMat.from_rows(["01", "10"])
-    assert quot.deco == (BitVec.from_string("01"), BitVec.from_string("10"), BitVec.from_string("01"))
+    assert quot.deco == BitMat.from_rows(["01", "10", "01"])
     assert proj.matrix @ BitVec.from_string("101") == BitVec.zero(2)
 
 
@@ -143,7 +185,7 @@ def test_isomorphism_after_coordinate_change():
             if t_inv is not None:
                 break
         moved_gram = t_inv.transpose() @ s.space.gram @ t_inv
-        moved = SRS(g, SympSpace(moved_gram), tuple(t @ v for v in s.deco))
+        moved = SRS(g, SympSpace(moved_gram), s.deco @ t.transpose())
         found = srs_isomorphic(s, moved)
         assert found is not None and found.is_isomorphism
         assert found.matrix == t
@@ -196,7 +238,7 @@ def test_every_srs_is_a_quotient_of_the_minimal():
             quot, _ = quotient(s, u)
             m = universal_map(s, quot)
             for p in range(n):
-                assert m(s.deco[p]) == quot.deco[p]
+                assert m(s.deco.row(p)) == quot.deco.row(p)
 
 
 def test_coclique_bound_reports():

@@ -86,7 +86,7 @@ def check_block_form(s: SympSpace):
     assert len(sb.x) == n and len(sb.y) == n and len(sb.z) == k
     if s.dim == 0:
         return
-    t = BitMat.from_cols(sb.vectors(), nrows=s.dim)
+    t = BitMat.from_cols([*sb.x, *sb.y, *sb.z], nrows=s.dim)
     assert rank(t) == s.dim
     assert t.transpose() @ s.gram @ t == standard_space(n, k).gram
 
