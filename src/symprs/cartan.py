@@ -14,11 +14,14 @@ its column images: M v is ``gf2.row_combination(cols, v)``, a product's
 columns are the left factor's images of the right factor's columns, and
 an identity test is one tuple comparison. The stabilizer chain keeps a
 byte table of each strong generator, so its images of a matrix cost one
-lookup per column. ``BitMat`` and ``BitVec`` appear only at the interface.
+lookup per column. The chain is incremental: orbits only grow, and each
+Schreier generator is sifted at most once. ``BitMat`` and ``BitVec``
+appear only at the interface.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -298,9 +301,8 @@ def _columns(m: BitMat) -> Columns:
 
 def _compose(a: Columns, b: Columns) -> Columns:
     """The columns of a times b: a's images of b's columns."""
-    # row_combination(a, col) for each column, inlined: this is the hot loop
-    # of the stabilizer chain, and inlining takes 8% off the algebra
-    # benchmark's job_s.
+    # row_combination(a, col) for each column, inlined: the stabilizer chain
+    # spends most of its time here, on representative inverses and sifting.
     out = []
     for col in b:
         acc = 0
@@ -315,8 +317,8 @@ def _compose(a: Columns, b: Columns) -> Columns:
 def _table_compose(table: list[list[int]], b: Columns) -> Columns:
     """_compose(a, b) read from byte_table(a), for a of dimension 1..16.
 
-    The chain builds one table per strong generator; reading transversal
-    products from it takes 11% off the algebra benchmark's job_s."""
+    The chain builds one table per strong generator and reads every orbit
+    step and Schreier generator from it."""
     if len(table) == 1:
         (lo,) = table
         return tuple([lo[col] for col in b])
@@ -396,55 +398,38 @@ def group_order(
 def _stabilizer_chain_order(gen_list: list[BitMat]) -> int:
     """Order via a base and strong generating set on F_2 vector points.
 
-    Schreier-Sims with sifting. Level i acts with every strong generator
-    stored at levels >= i (those fix the first i base points); verifying a
-    level means checking that all its Schreier generators sift to the
-    identity through the deeper chain, and any residue that survives is
-    installed where it got stuck, after which the levels between are
-    re-verified deepest first. Iteration orders are fixed throughout, so
-    the chain and the result are deterministic.
+    Incremental Schreier-Sims (Seress, *Permutation Group Algorithms*,
+    ch. 4; Holt, Eick and O'Brien, *Handbook of Computational Group
+    Theory*, 4.4.2). Each level keeps its orbit, each point's coset
+    representative and its inverse, an append-only list of acting strong
+    generators, and per orbit point how many of them were tested there.
+    Verifying a level extends its orbit, never rebuilding it, so the
+    representatives stay valid, and sifts the Schreier generator of each
+    untested (point, generator) pair through the deeper levels: each is
+    sifted at most once. A residue that survives is installed at the level
+    j where it got stuck, and the levels it joined are re-verified deepest
+    first. A residue found verifying level i joins levels i+1..j: it is a
+    product of level i's own generators, so level i's group and orbit stay
+    as they are. A residue of an input generator joins levels 0..j.
+    Iteration orders are fixed, so the chain and the result are deterministic.
 
     Each base point is the least vector (as an int) that the generator
     installed with it moves. That vector is always a standard basis vector
-    e_j, so the image of a base point is read off as column j. Generators are square, invertible and
-    of one dimension <= _MAX_CHAIN_DIM (checked by ``group_order``).
+    e_j, so the image of a base point is read off as column j. Generators
+    are square, invertible and of one dimension <= _MAX_CHAIN_DIM (checked
+    by ``group_order``).
     """
     dim = gen_list[0].ncols
     identity = tuple(1 << j for j in range(dim))
     ordered = sorted(set(gen_list), key=lambda m: m.rows)
     external = [cols for cols in map(_columns, ordered) if cols != identity]
     base: list[int] = []  # coordinate j of each base point e_j
-    # (generator, its byte table, its inverse) first stuck at each level
-    own: list[list[tuple[Columns, list[list[int]], Columns]]] = []
+    orbits: list[list[int]] = []
     forward: list[dict[int, Columns]] = []  # orbit point -> coset representative
     backward: list[dict[int, Columns]] = []  # orbit point -> representative inverse
-
-    def moved_coordinate(m: Columns) -> int:
-        # Vectors below e_j are combinations of fixed basis vectors.
-        for j, col in enumerate(m):
-            if col != 1 << j:
-                return j
-        raise AssertionError("identity was filtered out")
-
-    def acting(i: int) -> list[tuple[Columns, list[list[int]], Columns]]:
-        return [g for lvl in range(i, len(base)) for g in own[lvl]]
-
-    def rebuild(i: int, gens: list[tuple[Columns, list[list[int]], Columns]]) -> list[int]:
-        point = 1 << base[i]
-        fwd = forward[i] = {point: identity}
-        bwd = backward[i] = {point: identity}
-        orbit = [point]
-        queue = deque(orbit)
-        while queue:
-            v = queue.popleft()
-            for s, table, s_inv in gens:
-                w = row_combination(s, v)
-                if w not in fwd:
-                    fwd[w] = _table_compose(table, fwd[v])
-                    bwd[w] = _compose(bwd[v], s_inv)
-                    orbit.append(w)
-                    queue.append(w)
-        return orbit
+    # (generator, its byte table, its inverse) acting at each level, append-only
+    acting: list[list[tuple[Columns, list[list[int]], Columns]]] = []
+    tested: list[list[int]] = []  # orbit index -> acting generators tested there
 
     def sift(m: Columns, start: int) -> tuple[Columns, int]:
         for i in range(start, len(base)):
@@ -458,42 +443,51 @@ def _stabilizer_chain_order(gen_list: list[BitMat]) -> int:
             m = _compose(back, m)
         return m, len(base)
 
-    def install(idx: int, m: Columns):
+    def install(top: int, idx: int, m: Columns):
+        # m got stuck at level idx and joins levels top..idx
         if idx == len(base):
-            base.append(moved_coordinate(m))
-            own.append([])
-            forward.append({})
-            backward.append({})
-        own[idx].append((m, byte_table(m), _inverse_columns(m)))
+            # Vectors below e_j are combinations of fixed basis vectors.
+            j = next(j for j, col in enumerate(m) if col != 1 << j)
+            base.append(j)
+            orbits.append([1 << j])
+            forward.append({1 << j: identity})
+            backward.append({1 << j: identity})
+            acting.append([])
+            tested.append([0])
+        entry = (m, byte_table(m), _inverse_columns(m))
+        for level in range(top, idx + 1):
+            acting[level].append(entry)
+        for level in range(idx, top - 1, -1):
+            verify(level)
 
     def verify(i: int):
         # pre: levels deeper than i are complete; only they get touched.
-        gens = acting(i)
-        orbit = rebuild(i, gens)
-        fwd, bwd = forward[i], backward[i]
-        for v in orbit:
-            rep = fwd[v]
-            for _, table, _ in gens:
-                image = _table_compose(table, rep)
-                w = image[base[i]]
-                if image == fwd[w]:
-                    continue  # the Schreier generator is the identity
-                residue, j = sift(_compose(bwd[w], image), i + 1)
-                if residue != identity:
-                    install(j, residue)
-                    for level in range(j, i, -1):
-                        verify(level)
+        orbit, fwd, bwd = orbits[i], forward[i], backward[i]
+        gens, done, b = acting[i], tested[i], base[i]
+        p = 0
+        while p < len(orbit):  # the orbit grows as it is scanned
+            v = orbit[p]
+            for _, table, s_inv in gens[done[p]:]:
+                image = _table_compose(table, fwd[v])
+                w = image[b]
+                known = fwd.get(w)
+                if known is None:  # a new point; its Schreier generator is the identity
+                    fwd[w] = image
+                    bwd[w] = _compose(bwd[v], s_inv)
+                    orbit.append(w)
+                    done.append(0)
+                elif image != known:
+                    residue, j = sift(_compose(bwd[w], image), i + 1)
+                    if residue != identity:
+                        install(i + 1, j, residue)
+            done[p] = len(gens)
+            p += 1
 
     for g in external:
         residue, j = sift(g, 0)
         if residue != identity:
-            install(j, residue)
-            for level in range(j, -1, -1):
-                verify(level)
-    order = 1
-    for trans in forward:
-        order *= len(trans)
-    return order
+            install(0, j, residue)
+    return math.prod(map(len, orbits))
 
 
 def automorphism_action_on_quotients(g: Graph) -> list[tuple[int, ...]]:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMat, BitVec, row_combination, solve
+from .gf2 import BitMat, BitVec, _solve_bits, row_combination, solve
 from .graph import Graph
 from .srs import SRS, SRSError, _gather, minimal_srs
 from .symplectic import SympSpace, default_completion_choices, mixed_completion
@@ -110,20 +110,21 @@ def extend_minimal(
     else:
         proj, radform = choices
         mixed_completion(s.space, proj, radform)  # raises on invalid choices
-    c = lift_indicator(s, lam).bits
+    c = _solve_bits(s.deco, lam.bits)
+    assert c is not None, "minimal decorations always invert"
     radical = s.space._radical
     gamma = sum(((c & r).bit_count() & 1) << j for j, r in enumerate(radical))
-    alpha = solve(radform, BitVec(len(radical), gamma))
+    alpha = _solve_bits(radform, gamma)
     assert alpha is not None, "radical form is nondegenerate"
-    z0 = BitVec(s.space.dim, row_combination(radical, alpha.bits))
-    w = BitVec(s.space.dim, s.space._hyperbolic(c ^ row_combination(proj.rows, c)))
+    w = s.space._hyperbolic(c ^ row_combination(proj.rows, c))
+    pw = sum(((r & w).bit_count() & 1) << i for i, r in enumerate(proj.rows))
     # <<z0, .>> sums the rows of P at the radical pivots (top bits) gamma selects
     pairings = row_combination([proj.rows[r.bit_length() - 1] for r in radical], gamma)
-    return _attach(s, lam, w ^ (proj @ w), z0, pairings)
+    return _attach(s, lam, w ^ pw, row_combination(radical, alpha), pairings)
 
 
 def _attach(
-    s: SRS, lam: BitVec, w0: BitVec, z0: BitVec, pairings: int
+    s: SRS, lam: BitVec, w0: int, z0: int, pairings: int
 ) -> tuple[SRS, ExtensionWitness]:
     """Adjoin one coordinate that pairs with old coordinate i as bit i of
     ``pairings`` says, and decorate the new node by w0 plus it.
@@ -135,7 +136,7 @@ def _attach(
     d = s.space.dim
     rows = [old | ((pairings >> i & 1) << d) for i, old in enumerate(s.space.gram.rows)]
     rows.append(pairings)
-    new_deco = BitVec(d + 1, w0.bits | 1 << d)
+    new_deco = BitVec(d + 1, w0 | 1 << d)
     out = SRS._trusted(
         s.graph._with_node(lam.bits),
         SympSpace._trusted(BitMat._trusted(d + 1, rows)),
@@ -144,10 +145,10 @@ def _attach(
     n, k = s.type
     if not pairings:
         assert out.type == (n, k + 1)
-        return out, ExtensionWitness(NEW_NULLVECTOR, w0, z0, new_deco)
+        return out, ExtensionWitness(NEW_NULLVECTOR, BitVec(d, w0), BitVec(d, z0), new_deco)
     assert out.type == (n + 1, k - 1)
     x_choice = BitVec(d + 1, pairings & -pairings)
-    return out, ExtensionWitness(NEW_HYPERBOLIC, w0, z0, new_deco, x_choice)
+    return out, ExtensionWitness(NEW_HYPERBOLIC, BitVec(d, w0), BitVec(d, z0), new_deco, x_choice)
 
 
 def double_extend_extraspecial(

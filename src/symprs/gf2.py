@@ -422,8 +422,14 @@ def solve(m: BitMat, b: BitVec) -> BitVec | None:
     None if inconsistent. Dimension mismatches are contract violations and raise."""
     if b.dim != m.nrows:
         raise ValueError(f"rhs dimension {b.dim} != row count {m.nrows}")
-    x = _solve_rows(m, [(b.bits >> i) & 1 for i in range(m.nrows)])
-    return None if x is None else BitVec(m.ncols, sum(bit << j for j, bit in enumerate(x)))
+    x = _solve_bits(m, b.bits)
+    return None if x is None else BitVec(m.ncols, x)
+
+
+def _solve_bits(m: BitMat, b: int) -> int | None:
+    """``solve`` on a right-hand side given as an int, answering an int."""
+    x = _solve_rows(m, [(b >> i) & 1 for i in range(m.nrows)])
+    return None if x is None else sum(bit << j for j, bit in enumerate(x))
 
 
 def solve_mat(m: BitMat, b: BitMat) -> BitMat | None:

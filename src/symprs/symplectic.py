@@ -221,13 +221,20 @@ class SympSpace:
 
 
 def standard_space(n: int, k: int) -> SympSpace:
-    """The model space of type (n, k): coordinates x_1..x_n, y_1..y_n, z_1..z_k."""
+    """The model space of type (n, k): coordinates x_1..x_n, y_1..y_n, z_1..z_k.
+
+    Its radical is known in advance: the z coordinates, which is also the
+    kernel elimination's lowest-pivot basis."""
+    if n < 0 or k < 0:
+        raise ValueError(f"negative space type ({n}, {k})")
     dim = 2 * n + k
     rows = [0] * dim
     for i in range(n):
         rows[i] |= 1 << (n + i)
         rows[n + i] |= 1 << i
-    return SympSpace(BitMat(dim, rows))
+    s = SympSpace._trusted(BitMat._trusted(dim, rows))
+    s._radical = [1 << (2 * n + j) for j in range(k)]
+    return s
 
 
 @dataclass(frozen=True)

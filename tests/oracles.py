@@ -613,7 +613,7 @@ def extend_minimal(
     assert w_tilde is not None, "mixed completion is nondegenerate"
     z0 = proj @ w_tilde
     w0 = w_tilde ^ z0
-    return _attach(s, lam, w0, z0, 0 if z0.is_zero() else (mixed.matrix @ z0).bits)
+    return _attach(s, lam, w0.bits, z0.bits, 0 if z0.is_zero() else (mixed.matrix @ z0).bits)
 
 
 def group_cocycle(space: SympSpace) -> BitMat:

@@ -1,8 +1,10 @@
 import itertools
+import math
 
 import pytest
 
 import oracles
+from symprs import cartan
 from symprs.cartan import (
     CartanDatum,
     _core,
@@ -287,6 +289,36 @@ def test_e8_image_order_via_chain():
     # O8+(2); the -1 of the Weyl group is invisible.
     gens = weyl_rep(cartan_datum("E", 8)).generators
     assert group_order(gens, method="chain") == 348364800
+
+
+def test_chain_order_of_gl_n_from_cycle_and_transvection():
+    # The n-cycle permutation matrix and the transvection e_0 -> e_0 + e_1
+    # generate GL(n, 2), of order prod_i (2^n - 2^i).
+    for n in range(2, 9):
+        cycle = BitMat(n, (1 << ((i - 1) % n) for i in range(n)))
+        transvection = BitMat(n, (0b11 if i == 1 else 1 << i for i in range(n)))
+        assert transvection @ BitVec.basis(n, 0) == BitVec.basis(n, 0) ^ BitVec.basis(n, 1)
+        assert cycle @ BitVec.basis(n, n - 1) == BitVec.basis(n, 0)
+        expected = math.prod(2**n - 2**i for i in range(n))
+        assert group_order([cycle, transvection], method="chain") == expected, n
+
+
+def test_chain_sifts_each_schreier_generator_once(monkeypatch):
+    # Orbits only grow, so no Schreier generator is sifted twice: W(A12)
+    # takes 2,773 products, where rebuilding each orbit on every
+    # re-verification took 17,840.
+    gens = weyl_rep(cartan_datum("A", 12)).generators
+    calls = 0
+    compose = cartan._compose
+
+    def counting(a, b):
+        nonlocal calls
+        calls += 1
+        return compose(a, b)
+
+    monkeypatch.setattr(cartan, "_compose", counting)
+    assert group_order(gens, method="chain") == 6227020800
+    assert calls <= 4000
 
 
 def test_weyl_orbit_of_a_decoration():

@@ -21,6 +21,7 @@ extension as two single steps must equal its direct construction.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 
@@ -417,6 +418,47 @@ def test_group_order_chain_matches_oracle_above_one_byte(data):
             rows[coords[i]] = sum(1 << coords[j] for j in range(block) if row >> j & 1)
         gens.append(BitMat(dim, rows))
     assert group_order(gens, method="chain") == oracles.stabilizer_chain_order(gens)
+
+
+@st.composite
+def chain_generators(draw) -> list[BitMat]:
+    """Up to 6 generators of dimension 2..9: transvections, coordinate
+    swaps, random invertibles, the identity, and repeats of earlier ones.
+    Sparse generators make the chain find residues partway through a
+    level's verification and install them several levels deeper."""
+    dim = draw(st.integers(2, 9))
+    gens: list[BitMat] = []
+    for kind in draw(st.lists(st.sampled_from("tsiev"), max_size=6)):
+        rows = [1 << k for k in range(dim)]
+        if kind == "i" or (kind == "e" and not gens):
+            gens.append(BitMat(dim, rows))
+        elif kind == "e":
+            gens.append(draw(st.sampled_from(gens)))
+        elif kind == "v":
+            gens.append(draw(invertible(dim)))
+        else:
+            i, j = draw(st.permutations(range(dim)))[:2]
+            if kind == "t":
+                rows[i] |= 1 << j
+            else:
+                rows[i], rows[j] = rows[j], rows[i]
+            gens.append(BitMat(dim, rows))
+    return gens
+
+
+@settings(deadline=None, max_examples=40)
+@given(chain_generators())
+# Residues found verifying one level stick two levels deeper: GL(4, 2)
+# comes out short unless they act on every level in between.
+@example([BitMat(4, rows) for rows in ((14, 10, 7, 5), (1, 2, 12, 8), (2, 5, 3, 14))])
+def test_group_order_chain_matches_oracle_on_mixed_generators(gens):
+    order = group_order(gens, method="chain")
+    dim = gens[0].ncols if gens else 0
+    assert math.prod(2**dim - 2**i for i in range(dim)) % order == 0  # Lagrange in GL(dim, 2)
+    # The oracle takes seconds per group past |GL(7, 2)| < 2^48, which only
+    # dimensions 8 and 9 reach; every group below that is checked.
+    if order < 2**48:
+        assert order == oracles.stabilizer_chain_order(gens)
 
 
 def test_group_order_chain_matches_oracle_on_weyl_images_above_one_byte():

@@ -104,7 +104,7 @@ def test_library_routes_build_no_vector_per_node(monkeypatch):
     assert constructions(minimal_srs, g) == 0
     assert constructions(restrict, s, range(20)) == 0
     assert constructions(quotient, s, radical) == 0
-    assert constructions(build_by_extension, g) <= 10 * g.n
+    assert constructions(build_by_extension, g) <= 5 * g.n
 
 
 def test_restrict_minimal_chain_is_exact():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from conftest import random_space
-from symprs.gf2 import BitMat, BitVec, rank
+from symprs.gf2 import BitMat, BitVec, _kernel_rows, rank
 from symprs.symplectic import (
     SpaceType,
     SympSpace,
@@ -43,6 +43,17 @@ def test_types_of_small_spaces():
     assert SpaceType(3, 2).dim == 8
     assert SpaceType(2, 0).is_extraspecial
     assert SpaceType(2, 1).is_almost_extraspecial
+
+
+def test_standard_space_radical_is_the_kernel_basis():
+    # standard_space fills in its radical; it must be the kernel elimination's
+    for n in range(7):
+        for k in range(5):
+            s = standard_space(n, k)
+            assert s._radical == _kernel_rows(s.gram.rows, s.dim), (n, k)
+            assert s == SympSpace(s.gram)
+    with pytest.raises(ValueError, match="negative"):
+        standard_space(-1, 3)
 
 
 def test_complete_graph_type_formula():
