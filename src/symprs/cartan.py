@@ -44,12 +44,12 @@ __all__ = [
     "group_order",
     "automorphism_action_on_quotients",
     "MAX_ROOTS",
-    "MAX_GROUP_ORDER_BFS",
 ]
 
 MAX_ROOTS = 10_000
-MAX_GROUP_ORDER_BFS = 1_000_000
-_MAX_CHAIN_DIM = 16  # the stabilizer chain scans all 2^dim vectors
+# _table_compose reads a strong generator from at most two byte tables, and
+# one level's orbit can hold all 2^dim - 1 nonzero vectors.
+_MAX_CHAIN_DIM = 16
 
 
 def _check_chain_dim(dim: int) -> None:
@@ -351,48 +351,30 @@ def weyl_orbit(rep: WeylRep, v: BitVec) -> list[BitVec]:
     return [BitVec(dim, bits) for bits in sorted(seen)]
 
 
-def group_order(
-    generators: Iterable[BitMat], cap: int = MAX_GROUP_ORDER_BFS, method: str = "bfs"
-) -> int:
-    """Order of the matrix group the generators produce.
+def group_order(generators: Iterable[BitMat], method: str = "chain") -> int:
+    """Order of the matrix group the generators produce, by a deterministic
+    stabilizer chain on vectors (``_stabilizer_chain_order``).
 
-    ``method="bfs"`` enumerates elements outright and raises past ``cap``;
-    ``method="chain"`` runs a deterministic stabilizer chain on vectors
-    and handles orders far beyond enumeration (the cap is ignored).
-    Generators must be square, of one dimension and invertible; anything
-    else raises ValueError before any work starts.
+    Generators must be square, of one dimension at most 16 and invertible;
+    anything else raises ValueError before any work starts. The dimension
+    cap is checked first and holds whatever the group's order, even for
+    the identity. ``method`` accepts only ``"chain"``.
     """
     gens = list(generators)
-    if method not in ("bfs", "chain"):
+    if method != "chain":
         raise ValueError(f"unknown method {method!r}")
     if not gens:
         return 1
     dim = gens[0].ncols
+    _check_chain_dim(dim)
     for g in gens:
         if g.nrows != g.ncols:
             raise ValueError(f"generator is not square: {g.shape}")
         if g.ncols != dim:
             raise ValueError(f"generators of mixed dimension {dim} and {g.ncols}")
-    if method == "chain":
-        _check_chain_dim(dim)
     if any(inverse(g) is None for g in gens):
         raise ValueError("singular generator: not a group")
-    if method == "chain":
-        return _stabilizer_chain_order(gens)
-    cols = [_columns(g) for g in gens]
-    identity = tuple(1 << j for j in range(dim))
-    seen = {identity}
-    queue = deque(seen)
-    while queue:
-        m = queue.popleft()
-        for g in cols:
-            image = _compose(g, m)
-            if image not in seen:
-                if len(seen) >= cap:
-                    raise RuntimeError(f"group exceeds enumeration cap {cap}")
-                seen.add(image)
-                queue.append(image)
-    return len(seen)
+    return _stabilizer_chain_order(gens)
 
 
 def _stabilizer_chain_order(gen_list: list[BitMat]) -> int:

@@ -186,7 +186,7 @@ def _weyl_payload(args) -> dict:
         "generators": [m.to_strings() for m in rep.generators],
         "faithful_on_roots": rep.faithful_on_roots,
         "collision_count": rep.collision_count,
-        "image_order": group_order(rep.generators, method="chain"),
+        "image_order": group_order(rep.generators),
     }
 
 

@@ -159,20 +159,7 @@ def parse_graph(text: str) -> Graph:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad graph JSON: {exc}") from exc
-        if not isinstance(payload, dict) or "nodes" not in payload:
-            raise ValueError('graph JSON needs a "nodes" field')
-        nodes = payload["nodes"]
-        edges = payload.get("edges", [])
-        # type() rather than isinstance(): JSON true/false are bools, and
-        # bool is a subclass of int
-        if type(nodes) is not int:
-            raise ValueError('"nodes" must be an integer')
-        if not isinstance(edges, list):
-            raise ValueError('"edges" must be a list')
-        for e in edges:
-            if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
-                raise ValueError(f"bad edge entry {e!r}")
-        return Graph(nodes, [tuple(e) for e in edges])
+        return _graph_from_json(payload)
 
     n: int | None = None
     pairs = []
@@ -198,6 +185,24 @@ def parse_graph(text: str) -> Graph:
     if n is None:
         raise ValueError("missing node-count line")
     return Graph(n, pairs)
+
+
+def _graph_from_json(payload) -> Graph:
+    """The graph of a decoded JSON form {"nodes": N, "edges": [[i, j], ...]}."""
+    if not isinstance(payload, dict) or "nodes" not in payload:
+        raise ValueError('graph JSON needs a "nodes" field')
+    nodes = payload["nodes"]
+    edges = payload.get("edges", [])
+    # type() rather than isinstance(): JSON true/false are bools, and
+    # bool is a subclass of int
+    if type(nodes) is not int:
+        raise ValueError('"nodes" must be an integer')
+    if not isinstance(edges, list):
+        raise ValueError('"edges" must be a list')
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+            raise ValueError(f"bad edge entry {e!r}")
+    return Graph(nodes, [tuple(e) for e in edges])
 
 
 def graph_to_json(g: Graph) -> dict:

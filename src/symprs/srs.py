@@ -55,7 +55,7 @@ from .gf2 import (
     solve_mat,
     subspaces,
 )
-from .graph import Graph, graph_to_json, induced_subgraph, max_coclique, parse_graph
+from .graph import Graph, _graph_from_json, graph_to_json, induced_subgraph, max_coclique
 from .symplectic import SpaceType, SympSpace
 
 __all__ = [
@@ -379,12 +379,10 @@ def srs_to_json(s: SRS) -> dict:
 
 def srs_from_json(payload: dict) -> SRS:
     """Rebuild and re-validate; declared type and minimality must agree."""
-    import json as _json
-
     if not isinstance(payload, dict):
         raise SRSError("malformed SRS JSON: not an object")
     try:
-        graph = parse_graph(_json.dumps(payload["graph"]))
+        graph = _graph_from_json(payload["graph"])
         gram_rows = payload["gram"]
         dim = payload["dim"]
         deco_map = payload["deco"]

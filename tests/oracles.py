@@ -137,68 +137,116 @@ def extraspecial_sign(beta: BitMat) -> str:
     raise AssertionError(f"nondegenerate q must hit an Arf count, got {ones}")
 
 
+Columns = tuple[int, ...]  # a matrix as the tuple of its column images
+
+
+def _columns(m: BitMat) -> Columns:
+    return tuple(col(m, j).bits for j in range(m.ncols))
+
+
+def _apply(m: Columns, v: int) -> int:
+    """m v: the XOR of the columns that v selects, lowest set bit first."""
+    out = 0
+    while v:
+        low = v & -v
+        out ^= m[low.bit_length() - 1]
+        v ^= low
+    return out
+
+
+def _compose(a: Columns, b: Columns) -> Columns:
+    """The columns of a times b: a's images of b's columns."""
+    return tuple([_apply(a, c) for c in b])
+
+
+def _invert(m: Columns) -> Columns:
+    """Gauss-Jordan on the pairs (m x, x) from x = e_j: once the first
+    entries are the unit vectors e_i, the second ones are m^-1's columns."""
+    pairs = [(image, 1 << j) for j, image in enumerate(m)]
+    for i in range(len(pairs)):
+        pivot = next(k for k in range(i, len(pairs)) if pairs[k][0] >> i & 1)
+        pairs[i], pairs[pivot] = pairs[pivot], pairs[i]
+        v, x = pairs[i]
+        pairs = [(w ^ v, y ^ x) if k != i and w >> i & 1 else (w, y)
+                 for k, (w, y) in enumerate(pairs)]
+    return tuple(x for _, x in pairs)
+
+
+def group_order_bfs(gens: Sequence[BitMat]) -> int:
+    """Order of the generated matrix group by listing every element,
+    breadth first from the identity."""
+    if not gens:
+        return 1
+    cols = [_columns(g) for g in gens]
+    identity = tuple(1 << j for j in range(gens[0].ncols))
+    seen = {identity}
+    queue = deque(seen)
+    while queue:
+        m = queue.popleft()
+        for g in cols:
+            image = _compose(g, m)
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return len(seen)
+
+
 def stabilizer_chain_order(gen_list: list[BitMat]) -> int:
     """Order via a base and strong generating set on F_2 vector points.
 
     Schreier-Sims with sifting. Level i acts with every strong generator
     stored at levels >= i (those fix the first i base points); verifying a
-    level means checking that all its Schreier generators sift to the
-    identity through the deeper chain, and any residue that survives is
-    installed where it got stuck, after which the levels between are
-    re-verified deepest first. Iteration orders are fixed throughout, so
-    the chain and the result are deterministic.
+    level means rebuilding its orbit, then checking that all its Schreier
+    generators sift to the identity through the deeper chain, and any
+    residue that survives is installed where it got stuck, after which the
+    levels between are re-verified deepest first. Iteration orders are
+    fixed throughout, so the chain and the result are deterministic.
     """
     if not gen_list:
         return 1
     dim = gen_list[0].ncols
     if dim > 16:
         raise ValueError("stabilizer chain scans all vectors; dimension capped at 16")
-    identity = BitMat.identity(dim)
-    external = sorted({g for g in gen_list if g != identity}, key=lambda m: m.rows)
-    points: list[BitVec] = []
-    own: list[list[BitMat]] = []  # generators first seen stuck at each level
-    forward: list[dict[BitVec, BitMat]] = []  # orbit point -> coset representative
-    backward: list[dict[BitVec, BitMat]] = []  # orbit point -> representative inverse
+    identity = tuple(1 << j for j in range(dim))
+    ordered = sorted(set(gen_list), key=lambda m: m.rows)
+    external = [cols for cols in map(_columns, ordered) if cols != identity]
+    points: list[int] = []
+    own: list[list[Columns]] = []  # generators first seen stuck at each level
+    forward: list[dict[int, Columns]] = []  # orbit point -> coset representative
+    backward: list[dict[int, Columns]] = []  # orbit point -> representative inverse
 
-    def moved_point(m: BitMat) -> BitVec:
-        for bits in range(1, 1 << dim):
-            v = BitVec(dim, bits)
-            if m @ v != v:
-                return v
-        raise AssertionError("identity was filtered out")
+    def moved_point(m: Columns) -> int:
+        return next(v for v in range(1, 1 << dim) if _apply(m, v) != v)
 
-    def acting(i: int) -> list[BitMat]:
+    def acting(i: int) -> list[Columns]:
         return [g for lvl in range(i, len(points)) for g in own[lvl]]
 
-    def rebuild(i: int, gens: list[BitMat]) -> list[BitVec]:
-        inverses = {id(s): inverse(s) for s in gens}
+    def rebuild(i: int, gens: list[Columns]) -> list[int]:
+        pairs = [(s, _invert(s)) for s in gens]
         forward[i] = {points[i]: identity}
         backward[i] = {points[i]: identity}
         order_found = [points[i]]
         queue = deque(order_found)
         while queue:
             v = queue.popleft()
-            for s in gens:
-                w = s @ v
+            for s, back in pairs:
+                w = _apply(s, v)
                 if w not in forward[i]:
-                    forward[i][w] = s @ forward[i][v]
-                    back = inverses[id(s)]
-                    assert back is not None
-                    backward[i][w] = backward[i][v] @ back
+                    forward[i][w] = _compose(s, forward[i][v])
+                    backward[i][w] = _compose(backward[i][v], back)
                     order_found.append(w)
                     queue.append(w)
         return order_found
 
-    def sift(m: BitMat, start: int) -> tuple[BitMat, int]:
+    def sift(m: Columns, start: int) -> tuple[Columns, int]:
         for i in range(start, len(points)):
-            w = m @ points[i]
-            back = backward[i].get(w)
+            back = backward[i].get(_apply(m, points[i]))
             if back is None:
                 return m, i
-            m = back @ m
+            m = _compose(back, m)
         return m, len(points)
 
-    def install(idx: int, m: BitMat):
+    def install(idx: int, m: Columns):
         if idx == len(points):
             points.append(moved_point(m))
             own.append([])
@@ -213,7 +261,7 @@ def stabilizer_chain_order(gen_list: list[BitMat]) -> int:
         for v in orbit:
             rep = forward[i][v]
             for s in gens:
-                schreier = backward[i][s @ v] @ (s @ rep)
+                schreier = _compose(backward[i][_apply(s, v)], _compose(s, rep))
                 residue, j = sift(schreier, i + 1)
                 if residue != identity:
                     install(j, residue)

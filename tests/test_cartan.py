@@ -254,21 +254,34 @@ def test_weyl_image_orders():
 
 
 def test_group_order_methods_agree():
+    # the stabilizer chain against listing every element
     for family, rank in [("A", 2), ("A", 3), ("A", 4), ("B", 3), ("D", 4), ("G", 2)]:
         gens = weyl_rep(cartan_datum(family, rank)).generators
-        assert group_order(gens) == group_order(gens, method="chain"), (family, rank)
+        assert group_order(gens) == oracles.group_order_bfs(gens), (family, rank)
     assert group_order([]) == 1
-    assert group_order([], method="chain") == 1
-    identity = BitMat.identity(3)
-    assert group_order([identity], method="chain") == 1
+    assert group_order([BitMat.identity(3)]) == 1
 
 
 def test_group_order_cap_and_unknown_method():
+    # No enumeration cap is left, and "chain" is the only method.
     gens = weyl_rep(cartan_datum("A", 4)).generators
-    with pytest.raises(RuntimeError, match="cap"):
+    with pytest.raises(TypeError):
         group_order(gens, cap=100)
-    with pytest.raises(ValueError, match="unknown method"):
-        group_order(gens, method="magic")
+    for method in ("magic", "bfs"):
+        with pytest.raises(ValueError, match="unknown method"):
+            group_order(gens, method=method)
+    assert group_order(gens, method="chain") == group_order(gens) == 120
+
+
+def test_group_order_dimension_cap_comes_first(monkeypatch):
+    # Past dimension 16 every call fails, even for the identity, and before
+    # any elimination runs.
+    def unreachable(m):
+        raise AssertionError("a generator was inverted before the dimension check")
+
+    monkeypatch.setattr(cartan, "inverse", unreachable)
+    with pytest.raises(ValueError, match="dimension capped at 16"):
+        group_order([BitMat.identity(17)])
 
 
 def test_group_order_rejects_bad_generators():
@@ -279,16 +292,15 @@ def test_group_order_rejects_bad_generators():
         ("singular", [BitMat.identity(2), BitMat(2, (0, 2))]),
     ]
     for reason, gens in bad_sets:
-        for method in ("bfs", "chain"):
-            with pytest.raises(ValueError, match=reason):
-                group_order(gens, method=method)
+        with pytest.raises(ValueError, match=reason):
+            group_order(gens)
 
 
 def test_e8_image_order_via_chain():
     # The mod-2 Weyl image of E8 is twice the simple orthogonal group
     # O8+(2); the -1 of the Weyl group is invisible.
     gens = weyl_rep(cartan_datum("E", 8)).generators
-    assert group_order(gens, method="chain") == 348364800
+    assert group_order(gens) == 348364800
 
 
 def test_chain_order_of_gl_n_from_cycle_and_transvection():
@@ -300,7 +312,7 @@ def test_chain_order_of_gl_n_from_cycle_and_transvection():
         assert transvection @ BitVec.basis(n, 0) == BitVec.basis(n, 0) ^ BitVec.basis(n, 1)
         assert cycle @ BitVec.basis(n, n - 1) == BitVec.basis(n, 0)
         expected = math.prod(2**n - 2**i for i in range(n))
-        assert group_order([cycle, transvection], method="chain") == expected, n
+        assert group_order([cycle, transvection]) == expected, n
 
 
 def test_chain_sifts_each_schreier_generator_once(monkeypatch):
@@ -317,7 +329,7 @@ def test_chain_sifts_each_schreier_generator_once(monkeypatch):
         return compose(a, b)
 
     monkeypatch.setattr(cartan, "_compose", counting)
-    assert group_order(gens, method="chain") == 6227020800
+    assert group_order(gens) == 6227020800
     assert calls <= 4000
 
 

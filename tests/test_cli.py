@@ -438,6 +438,14 @@ def test_iso_rejects_non_string_decoration(tmp_path, capsys):
     assert "not a bit string: 5" in err
 
 
+def test_iso_rejects_a_graph_that_is_not_an_object(tmp_path, capsys):
+    code, out, _ = run(capsys, "minimal", "--graph", write_graph(tmp_path, A4_EDGES))
+    good = write_graph(tmp_path, out, "good.json")
+    bad = dict(json.loads(out), graph=[[0, 1]])
+    code, out, err = run(capsys, "iso", good, write_graph(tmp_path, json.dumps(bad), "bad.json"))
+    assert (code, out, err) == (1, "", 'error: graph JSON needs a "nodes" field\n')
+
+
 @pytest.mark.parametrize("node, value, message", [
     ("2", "010", "decoration of node 2 has dimension 3, space has 4"),
     ("3", None, "missing decoration for node 3"),

@@ -8,10 +8,10 @@ basis, and SRS acceptance with its exact error message must all agree.
 The radical and symplectic basis kept as int rows must equal the kernel
 and greedy-basis oracles. The 2-group law on (bits, sign) ints and the
 commutator rows of the ``srs verify`` sweep must agree with the BitVec
-law, the byte table with ``row_combination``, and the int stabilizer
-chain with the BitMat chain and with enumeration. Every rank, kernel,
-echelon basis, solve and inverse must equal the two-list elimination it
-replaced. The default completion choices, the group's cocycle, the
+law, the byte table with ``row_combination``, and the stabilizer chain
+with the oracle chain and with enumeration, both on their own column
+arithmetic. Every rank, kernel, echelon basis, solve and inverse must
+equal the two-list elimination it replaced. The default completion choices, the group's cocycle, the
 orthogonal projection and every extension witness, read off the
 symplectic basis, must equal the routes through basis-matrix inverses
 and the completed Gram matrix. Restriction, quotients and radical
@@ -25,7 +25,6 @@ import math
 import random
 from collections import Counter
 
-import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -392,14 +391,10 @@ def invertible(draw, dim: int) -> BitMat:
 def test_group_order_chain_matches_oracle_and_bfs(data):
     dim = data.draw(st.integers(0, 5))
     gens = data.draw(st.lists(invertible(dim), max_size=3))
-    order = group_order(gens, method="chain")
+    order = group_order(gens)
     assert order == oracles.stabilizer_chain_order(gens)
-    cap = 4096
-    if order <= cap:
-        assert group_order(gens, cap=cap) == order
-    else:
-        with pytest.raises(RuntimeError, match="cap"):
-            group_order(gens, cap=cap)
+    if order <= 4096:
+        assert oracles.group_order_bfs(gens) == order
 
 
 @settings(deadline=None, max_examples=20)
@@ -417,7 +412,7 @@ def test_group_order_chain_matches_oracle_above_one_byte(data):
         for i, row in enumerate(small.rows):
             rows[coords[i]] = sum(1 << coords[j] for j in range(block) if row >> j & 1)
         gens.append(BitMat(dim, rows))
-    assert group_order(gens, method="chain") == oracles.stabilizer_chain_order(gens)
+    assert group_order(gens) == oracles.stabilizer_chain_order(gens)
 
 
 @st.composite
@@ -452,7 +447,7 @@ def chain_generators(draw) -> list[BitMat]:
 # comes out short unless they act on every level in between.
 @example([BitMat(4, rows) for rows in ((14, 10, 7, 5), (1, 2, 12, 8), (2, 5, 3, 14))])
 def test_group_order_chain_matches_oracle_on_mixed_generators(gens):
-    order = group_order(gens, method="chain")
+    order = group_order(gens)
     dim = gens[0].ncols if gens else 0
     assert math.prod(2**dim - 2**i for i in range(dim)) % order == 0  # Lagrange in GL(dim, 2)
     # The oracle takes seconds per group past |GL(7, 2)| < 2^48, which only
@@ -464,7 +459,7 @@ def test_group_order_chain_matches_oracle_on_mixed_generators(gens):
 def test_group_order_chain_matches_oracle_on_weyl_images_above_one_byte():
     for family, rank in [("A", 9), ("D", 10), ("A", 11), ("D", 12)]:
         gens = list(weyl_rep(cartan_datum(family, rank)).generators)
-        assert group_order(gens, method="chain") == oracles.stabilizer_chain_order(gens), (family, rank)
+        assert group_order(gens) == oracles.stabilizer_chain_order(gens), (family, rank)
 
 
 def _rows(draw, nrows: int, ncols: int) -> list[int]:

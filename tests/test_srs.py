@@ -295,6 +295,14 @@ def test_json_rejects_node_counts_past_the_cap(n):
         srs_from_json(payload)
 
 
+@pytest.mark.parametrize("graph", [[[0, 1]], "n 3", 5, None])
+def test_json_rejects_graphs_that_are_not_objects(graph):
+    # the graph value is read as decoded JSON, never re-parsed as text
+    payload = dict(srs_to_json(minimal_srs(A3)), graph=graph)
+    with pytest.raises(ValueError, match='graph JSON needs a "nodes" field'):
+        srs_from_json(payload)
+
+
 def test_json_rejects_non_objects():
     with pytest.raises(SRSError, match="not an object"):
         srs_from_json([1, 2])
