@@ -54,7 +54,10 @@ _MAX_CHAIN_DIM = 16
 
 def _check_chain_dim(dim: int) -> None:
     if dim > _MAX_CHAIN_DIM:
-        raise ValueError(f"stabilizer chain scans all vectors; dimension capped at {_MAX_CHAIN_DIM}")
+        raise ValueError(
+            f"stabilizer chain dimension capped at {_MAX_CHAIN_DIM}: strong generators compose "
+            "through two byte tables, and a level orbit can hold 2^dim - 1 points"
+        )
 
 
 @dataclass(frozen=True)

@@ -200,9 +200,9 @@ def _graph_from_json(payload) -> Graph:
     if not isinstance(edges, list):
         raise ValueError('"edges" must be a list')
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
             raise ValueError(f"bad edge entry {e!r}")
-    return Graph(nodes, [tuple(e) for e in edges])
+    return Graph(nodes, edges)
 
 
 def graph_to_json(g: Graph) -> dict:

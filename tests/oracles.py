@@ -206,7 +206,10 @@ def stabilizer_chain_order(gen_list: list[BitMat]) -> int:
         return 1
     dim = gen_list[0].ncols
     if dim > 16:
-        raise ValueError("stabilizer chain scans all vectors; dimension capped at 16")
+        raise ValueError(
+            "stabilizer chain dimension capped at 16: strong generators compose "
+            "through two byte tables, and a level orbit can hold 2^dim - 1 points"
+        )
     identity = tuple(1 << j for j in range(dim))
     ordered = sorted(set(gen_list), key=lambda m: m.rows)
     external = [cols for cols in map(_columns, ordered) if cols != identity]

@@ -8,8 +8,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from symprs.cli import _MAX_ADE_RANK, main
+from symprs.cli import _MAX_ADE_RANK, _json_text, main
 from symprs.graph import MAX_CLASS_NODES, MAX_COCLIQUE_NODES, MAX_NODES, Graph
 from symprs.srs import _MAX_COUNTED_RADICAL_DIM, MAX_QUOTIENT_RADICAL_DIM, SRS, CocliqueReport
 from symprs.symplectic import SympSpace
@@ -393,6 +395,8 @@ def test_stdin_graph(tmp_path, capsys, monkeypatch):
     ('{"nodes": 2, "edges": [[0, 1.7]]}', "bad edge entry"),
     ('{"nodes": true}', '"nodes" must be an integer'),
     ('{"nodes": 2, "edges": [[false, true]]}', "bad edge entry"),
+    ('{"nodes": 2, "edges": [[true, 1]]}', "bad edge entry"),
+    ('{"nodes": 3, "edges": [[0, 1, 2]]}', "bad edge entry"),
     ('{"nodes": 2, "edges": null}', '"edges" must be a list'),
 ])
 def test_graph_json_rejects_non_integers(tmp_path, capsys, text, message):
@@ -417,7 +421,10 @@ def test_weyl_rank_past_the_chain_cap_fails_before_building_roots(capsys, monkey
     monkeypatch.setattr("symprs.cli.roots", unreachable)
     code, out, err = run(capsys, "weyl", "--family", "B", "--rank", "17")
     assert (code, out) == (1, "")
-    assert err == "error: stabilizer chain scans all vectors; dimension capped at 16\n"
+    assert err == (
+        "error: stabilizer chain dimension capped at 16: strong generators compose "
+        "through two byte tables, and a level orbit can hold 2^dim - 1 points\n"
+    )
 
 
 @pytest.mark.parametrize("verb, family", [("ade", "A"), ("weyl", "C")])
@@ -573,3 +580,48 @@ def test_integer_options_accept_signed_seeds_and_spaced_attach(tmp_path, capsys)
     _, spaced, _ = run(capsys, "extend", "--graph", path, "--attach", " 0 , 3 ")
     _, plain, _ = run(capsys, "extend", "--graph", path, "--attach", "0,3")
     assert spaced == plain
+
+
+# The emitter behind stdout, against json.dumps(sort_keys=True, indent=2) as
+# the oracle: the fast joins take ints, strings and [int, int] pairs of
+# exact type; everything else (bools among ints, floats, tuples, int keys,
+# int subclasses) must fall back without changing a byte.
+class _Count(int):
+    pass
+
+
+big_ints = st.integers() | st.sampled_from([1 << 64, -(1 << 64) - 1, 3**90, -(3**90)])
+odd_text = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n\t\x00\x7f", "é", "漢字", "\U0001f600"])
+int_pairs = st.lists(st.tuples(big_ints, big_ints).map(list), max_size=4)
+json_text_payloads = st.recursive(
+    st.none() | st.booleans() | big_ints | st.floats() | odd_text | st.builds(_Count, big_ints)
+    | int_pairs | st.lists(big_ints, max_size=4) | st.lists(odd_text, max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(odd_text, inner, max_size=4)
+    | st.dictionaries(st.integers(-3, 3), inner, max_size=3),
+    max_leaves=20,
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(json_text_payloads)
+@example([True, 1])
+@example([1, False])
+@example({"edges": [[0, 1], [True, 1], [2, 3]], "pair": [[1, False]]})
+@example({"a": {"b": [{"c": [[0, 1]], "d": {}}, []], "e": {"f": {"g": {"h": ["x", "y"]}}}}})
+@example({"": [], "e": {}, "f": [{}], "g": [[]], "h": (1, [2, (3,)])})
+@example([{1: "a", 2: [1.5, -0.0]}, [_Count(3), 4], [[_Count(1), 2]], [[1, 2, 3]], [[1], [2]]])
+@example([["a", 1], [1, "a"], ["a", None], [[0, 1], "a"], [[0, 1], [2]]])
+def test_json_text_matches_json_dumps(payload):
+    assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in GOLDEN.glob("*.out") if not p.stem.endswith("_text")),
+    ids=lambda p: p.stem,
+)
+def test_json_text_re_emits_every_golden_output(path):
+    out = path.read_text(encoding="utf-8").split("\n", 1)[1]
+    assert _json_text(json.loads(out)) + "\n" == out
