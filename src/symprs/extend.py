@@ -13,6 +13,13 @@ matrix is built), and the radical part decides between two outcomes:
 * z0 != 0: the space grows by the partner y of a hyperbolic pair, the new
   node gets w0 + y, type (n, k) -> (n + 1, k - 1).
 
+A step costs O(1) ``_hyperbolic`` calls and O(dim) int work: the lifted
+form is read off the columns of D^-1 that the system caches and each step
+carries to the next, and the default projection P onto the radical is
+applied without being built (``extend_minimal``). What remains per node
+is the kernel elimination behind ``_attach``'s type check and the greedy
+symplectic basis of the new space.
+
 Extraspecial (k = 0) and totally-degenerate (n = 0) inputs admit direct
 constructions that the general route reproduces exactly; the tests keep
 both as independent oracles (``tests/oracles.py``). Every choice made
@@ -38,10 +45,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gf2 import BitMat, BitVec, _solve_bits, row_combination, solve
+from .gf2 import BitMat, BitVec, _solve_bits, row_combination
 from .graph import Graph
 from .srs import SRS, SRSError, _gather, minimal_srs
-from .symplectic import SympSpace, default_completion_choices, mixed_completion
+from .symplectic import SympSpace, mixed_completion
 
 __all__ = [
     "ExtensionWitness",
@@ -84,11 +91,32 @@ def _require_minimal(s: SRS, lam: BitVec):
 
 def lift_indicator(s: SRS, lam: BitVec) -> BitVec:
     """Coefficients of the unique linear form taking value lam(q) on each
-    decoration; exists and is unique because the decorations are a basis."""
+    decoration; exists and is unique because the decorations are a basis.
+    It is c = D^-1 lam, read off the system's cached columns of D^-1."""
     _require_minimal(s, lam)
-    c = solve(s.deco, lam)
-    assert c is not None, "minimal decorations always invert"
-    return c
+    return BitVec(s.space.dim, row_combination(s._deco_inverse, lam.bits))
+
+
+def _completion_maps(space: SympSpace, choices: tuple[BitMat, BitMat] | None):
+    """The maps u -> P^T u, w -> P w and gamma -> R^-1 gamma of the mixed
+    completion built from ``choices``, on ints: read off ``proj``'s rows
+    once ``mixed_completion`` has validated them, or through
+    ``_hyperbolic`` for the default choices (see ``extend_minimal``).
+    """
+    if choices is None:
+        gram, hyperbolic = space.gram.rows, space._hyperbolic
+        return (
+            lambda u: u ^ row_combination(gram, hyperbolic(u)),
+            lambda w: w ^ hyperbolic(row_combination(gram, w)),
+            lambda gamma: gamma,
+        )
+    proj, radform = choices
+    mixed_completion(space, proj, radform)  # raises on invalid choices
+    return (
+        lambda u: row_combination(proj.rows, u),
+        lambda w: sum(((r & w).bit_count() & 1) << i for i, r in enumerate(proj.rows)),
+        lambda gamma: _solve_bits(radform, gamma),
+    )
 
 
 def extend_minimal(
@@ -102,25 +130,28 @@ def extend_minimal(
     in the radical and P w0 = 0, and attaches a nullvector or a hyperbolic
     partner according to z0. Different choices give isomorphic results.
     Over the radical basis r_j, with gamma_j = c . r_j, z0 has coordinates
-    R^-1 gamma and w0 is (I + P) ``_hyperbolic``(c + P^T c).
+    R^-1 gamma and w0 is (I + P) ``_hyperbolic``(c + P^T c). The new
+    coordinate pairs with the old ones as P^T Gamma, the sum of the rows of
+    P at the radical pivots (top bits) that gamma selects.
+
+    The step needs P only through u -> P^T u and w -> P w. The default P
+    (``default_completion_choices``) is never built: with H the symmetric
+    map ``_hyperbolic`` and G the Gram matrix, its column j is e_j + H G e_j,
+    so P = I + H G and P^T = I + G H, and each map is one ``_hyperbolic``
+    call; the default R is the identity. c is read off the cached columns
+    of D^-1, as in ``lift_indicator``, and ``_attach`` carries them to the
+    result.
     """
     _require_minimal(s, lam)
-    if choices is None:
-        proj, radform = default_completion_choices(s.space)
-    else:
-        proj, radform = choices
-        mixed_completion(s.space, proj, radform)  # raises on invalid choices
-    c = _solve_bits(s.deco, lam.bits)
-    assert c is not None, "minimal decorations always invert"
+    transposed, project, radical_coords = _completion_maps(s.space, choices)
+    c = row_combination(s._deco_inverse, lam.bits)
     radical = s.space._radical
     gamma = sum(((c & r).bit_count() & 1) << j for j, r in enumerate(radical))
-    alpha = _solve_bits(radform, gamma)
+    alpha = radical_coords(gamma)
     assert alpha is not None, "radical form is nondegenerate"
-    w = s.space._hyperbolic(c ^ row_combination(proj.rows, c))
-    pw = sum(((r & w).bit_count() & 1) << i for i, r in enumerate(proj.rows))
-    # <<z0, .>> sums the rows of P at the radical pivots (top bits) gamma selects
-    pairings = row_combination([proj.rows[r.bit_length() - 1] for r in radical], gamma)
-    return _attach(s, lam, w ^ pw, row_combination(radical, alpha), pairings)
+    w = s.space._hyperbolic(c ^ transposed(c))
+    pivots = row_combination([1 << (r.bit_length() - 1) for r in radical], gamma)
+    return _attach(s, lam, w ^ project(w), row_combination(radical, alpha), transposed(pivots))
 
 
 def _attach(
@@ -132,6 +163,10 @@ def _attach(
     Zero pairings adjoin a nullvector: type (n, k) -> (n, k + 1). Otherwise
     the new coordinate is the partner of a hyperbolic pair, type
     (n + 1, k - 1), and ``x_choice`` is the lowest coordinate it pairs with.
+
+    The result carries D^-1 with no elimination. The new D is D plus the
+    row w0 + e_d, so its inverse is D^-1 plus the last row w0^T D^-1: old
+    column p gains bit d = w0 . column p, and the new column is e_d.
     """
     d = s.space.dim
     rows = [old | ((pairings >> i & 1) << d) for i, old in enumerate(s.space.gram.rows)]
@@ -142,6 +177,9 @@ def _attach(
         SympSpace._trusted(BitMat._trusted(d + 1, rows)),
         BitMat._trusted(d + 1, s.deco.rows + (new_deco.bits,)),
     )
+    inverse_cols = [col | ((w0 & col).bit_count() & 1) << d for col in s._deco_inverse]
+    inverse_cols.append(1 << d)
+    object.__setattr__(out, "_deco_inverse", inverse_cols)
     n, k = s.type
     if not pairings:
         assert out.type == (n, k + 1)

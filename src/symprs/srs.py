@@ -17,7 +17,9 @@ and rank D = dim. The library builds the rows of D as ints, never a
 vector per node: ``minimal_srs`` takes D = I, ``restrict`` gathers the
 kept rows onto pivot coordinates, ``quotient`` projects every row,
 ``extend`` appends one row (a row of the old space is already a row of
-the larger one) and ``build_by_extension`` reorders the rows.
+the larger one) and ``build_by_extension`` reorders the rows. A minimal
+system caches the columns of D^-1 on first read (``SRS._deco_inverse``),
+and each extension step carries them to the larger system.
 
 Systems are validated once, at the boundary. ``SRS(...)``, ``SympMap(...)``
 and ``srs_from_json`` check every axiom of what they are given. The systems
@@ -40,6 +42,7 @@ checking one, so the test suite still validates each result in full.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .gf2 import (
@@ -49,6 +52,7 @@ from .gf2 import (
     _eliminate,
     _kernel_rows,
     _transpose,
+    inverse,
     rank,
     row_combination,
     row_reduce,  # unused here; perfbench/selftest.py checks that tracing rebinds srs.row_reduce
@@ -133,6 +137,16 @@ class SRS:
         object.__setattr__(s, "space", space)
         object.__setattr__(s, "deco", deco)
         return s
+
+    @cached_property
+    def _deco_inverse(self) -> list[int]:
+        """The columns of D^-1 as ints, for a minimal system: the lifted
+        form of an indicator lam is ``row_combination`` of them at lam. One
+        inversion on first read; ``extend._attach`` carries it to each
+        extended system without one."""
+        inv = inverse(self.deco)
+        assert inv is not None, "minimal decorations always invert"
+        return list(inv.transpose().rows)
 
     @property
     def type(self) -> SpaceType:

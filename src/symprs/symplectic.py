@@ -191,7 +191,8 @@ class SympSpace:
     def _hyperbolic(self, phi: int) -> int:
         """The w in the span of the hyperbolic pairs with <v, w> = phi . v for
         every v there: sum_i (phi . y_i) x_i + (phi . x_i) y_i, since the
-        x_i-coordinate of a vector is its pairing with y_i and vice versa."""
+        x_i-coordinate of a vector is its pairing with y_i and vice versa.
+        As a matrix this map is H = sum_i x_i y_i^T + y_i x_i^T, symmetric."""
         w = 0
         xs, ys, _ = self._basis
         for x, y in zip(xs, ys):
@@ -295,7 +296,9 @@ def mixed_completion(s: SympSpace, proj: BitMat, radform: BitMat) -> MixedForm:
 def default_completion_choices(s: SympSpace) -> tuple[BitMat, BitMat]:
     """Canonical (proj, radform): project along the hyperbolic planes of the
     cached symplectic basis onto its z-span, identity radical form. The
-    hyperbolic part of e_j is ``_hyperbolic`` of Gram row j."""
+    hyperbolic part of e_j is ``_hyperbolic`` of Gram row j, so the
+    projection is I + H G. The default ``extend_minimal`` step applies it
+    and its transpose through ``_hyperbolic`` instead of building it."""
     cols = [(1 << j) ^ s._hyperbolic(g) for j, g in enumerate(s.gram.rows)]
     return BitMat(s.dim, cols).transpose(), BitMat.identity(len(s._radical))
 

@@ -13,7 +13,6 @@ from symprs.extend import (
     ExtensionWitness,
     _attach,
     _require_minimal,
-    lift_indicator,
 )
 from symprs.gf2 import BitMat, BitVec, RowEchelon, echelon_basis, inverse, rank, subspaces
 from symprs.graph import Graph, _isomorphisms, _node_invariants, induced_subgraph
@@ -474,6 +473,15 @@ def _one_node_more(s: SRS, lam: BitVec, gram: BitMat, new_deco: BitVec) -> SRS:
     graph = Graph(n + 1, list(s.graph.edges) + [(q, n) for q in support(lam)])
     padded = [v.pad(d + 1) for v in decorations(s)] + [new_deco]
     return SRS(graph, SympSpace(gram), BitMat.from_rows(padded, ncols=d + 1))
+
+
+def lift_indicator(s: SRS, lam: BitVec) -> BitVec:
+    """c with c . D_q = lam(q) for every decoration, by one ``solve``
+    against D instead of the system's cached D^-1."""
+    _require_minimal(s, lam)
+    c = solve(s.deco, lam)
+    assert c is not None, "minimal decorations always invert"
+    return c
 
 
 def extend_extraspecial(s: SRS, lam: BitVec) -> tuple[SRS, ExtensionWitness]:

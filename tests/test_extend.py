@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -17,7 +19,7 @@ from symprs.extend import (
 )
 from symprs.gf2 import BitMat, BitVec
 from symprs.graph import Graph, all_graphs, dynkin_graph
-from symprs.srs import SRSError, minimal_srs, restrict, srs_isomorphic
+from symprs.srs import SRSError, minimal_srs, restrict, srs_isomorphic, srs_to_json
 from symprs.symplectic import default_completion_choices, mixed_completion, random_completion_choices
 
 
@@ -220,6 +222,21 @@ def test_build_by_extension_order_independent():
         assert srs_isomorphic(base, other) is not None
     with pytest.raises(ValueError, match="permutation"):
         build_by_extension(g, [0, 0, 1, 2, 3, 4])
+
+
+def test_build_by_extension_long_chain_digest():
+    # 120 extension steps in a shuffled order: a decoration inverse carried
+    # wrongly from step to step would only show on long chains, past the
+    # 11-node graphs of the golden corpus
+    rng = random.Random(120)
+    n = 120
+    g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.getrandbits(1)])
+    order = list(range(n))
+    rng.shuffle(order)
+    payload = json.dumps(srs_to_json(build_by_extension(g, order)), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == (
+        "4d4400eb393a8c2ac89958c6eaeb634a7ef8f2ca7a1d51fc3e4ade88cc4887fa"
+    )
 
 
 def test_a_chain_growth_alternates_types():

@@ -16,7 +16,10 @@ orthogonal projection and every extension witness, read off the
 symplectic basis, must equal the routes through basis-matrix inverses
 and the completed Gram matrix. Restriction, quotients and radical
 subspaces on int rows must equal the BitVec routes, and the double
-extension as two single steps must equal its direct construction.
+extension as two single steps must equal its direct construction. The
+default extension step must equal the explicit one with
+``default_completion_choices``, and the decoration inverse that each step
+carries must equal a fresh ``inverse``.
 """
 
 from __future__ import annotations
@@ -24,11 +27,13 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from unittest import mock
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from symprs import extend
 from symprs.cartan import cartan_datum, group_order, weyl_rep
 from symprs.extend import build_by_extension, double_extend_extraspecial, extend_minimal
 from symprs.gf2 import (
@@ -326,6 +331,9 @@ def test_basis_routes_match_completed_matrix_oracles(s, data):
         seed = data.draw(st.none() | st.integers(0, 2**32))
         choices = None if seed is None else random_completion_choices(random.Random(seed), space)
         assert extend_minimal(s, lam, choices) == oracles.extend_minimal(s, lam, choices)
+        # the default step never builds P: it must match the explicit route
+        # through default_completion_choices, system and witness
+        assert extend_minimal(s, lam) == extend_minimal(s, lam, default_completion_choices(space))
         wbasis = [_vec(data.draw, n) for _ in range(data.draw(st.integers(0, n)))]
         v = _vec(data.draw, n)
         fast = _projection(orthogonal_project, space, wbasis, v)
@@ -362,6 +370,56 @@ def test_srs_int_routes_match_bitvec_oracles(s, data):
         stray = _vec(data.draw, s.space.dim + data.draw(st.integers(0, 1)))
         u_basis.insert(data.draw(st.integers(0, len(u_basis))), stray)
     assert _projection(quotient, s, u_basis) == _projection(oracles.quotient, s, u_basis)
+
+
+def _assert_carried_inverse(s: SRS) -> None:
+    """s holds the columns of D^-1 from the step that built it, not from a
+    fresh inversion, and they equal ``inverse(D)``, with D D^-1 = I."""
+    assert "_deco_inverse" in vars(s)
+    carried = BitMat(s.graph.n, s._deco_inverse).transpose()
+    assert carried == inverse(s.deco)
+    assert s.deco @ carried == BitMat.identity(s.graph.n)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    minimal_systems(),
+    st.lists(st.integers(0, 2**24 - 1), max_size=6),
+    st.tuples(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1), st.booleans()),
+    st.randoms(use_true_random=False),
+)
+@example(minimal_srs(Graph(0)), [0, 1, 2, 0], (0, 0, False), random.Random(0))
+@example(minimal_srs(Graph(4, [(0, 1), (1, 2), (2, 3)])), [5, 0, 31], (3, 9, True), random.Random(1))
+@example(minimal_srs(Graph(5)), [0, 7, 2, 63], (1, 2, False), random.Random(2))
+def test_extensions_carry_the_decoration_inverse(s, lams, double, rng):
+    """Along an ``extend_minimal`` chain, through ``double_extend_extraspecial``
+    and at every step of ``build_by_extension`` in a random order, each new
+    system carries D^-1 equal to a fresh inversion. Indicator bits past
+    the current node count are dropped."""
+    t = s
+    for bits in lams:
+        n = t.graph.n
+        t, _ = extend_minimal(t, BitVec(n, bits & ((1 << n) - 1)))
+        _assert_carried_inverse(t)
+    if s.type.k == 0:
+        n, mask = s.graph.n, (1 << s.graph.n) - 1
+        lam_p, lam_q, edge = double
+        out, _, _ = double_extend_extraspecial(s, BitVec(n, lam_p & mask), BitVec(n, lam_q & mask), edge)
+        _assert_carried_inverse(out)
+    steps = []
+
+    def recording(*args):
+        out = extend_minimal(*args)
+        steps.append(out[0])
+        return out
+
+    order = list(range(s.graph.n))
+    rng.shuffle(order)
+    with mock.patch.object(extend, "extend_minimal", recording):
+        build_by_extension(s.graph, order)
+    assert len(steps) == s.graph.n
+    for t in steps:
+        _assert_carried_inverse(t)
 
 
 @settings(deadline=None, max_examples=120)
