@@ -26,10 +26,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .gf2 import BitMat, BitVec, byte_table, echelon_basis, inverse, row_combination
+from .gf2 import BitMat, BitVec, byte_table, echelon_basis, inverse
 from .graph import Graph, automorphisms, dynkin_graph
 from .srs import SRS, _minimal_for_quotients, _quotient_type_counts, minimal_srs, radical_subspaces
-from .symplectic import SympSpace, standard_space
+from .symplectic import SympSpace, _row_reader, standard_space
 
 __all__ = [
     "CartanDatum",
@@ -148,13 +148,20 @@ def roots(c: CartanDatum) -> list[tuple[int, ...]]:
     which only happens for data outside finite type.
     """
     n = c.rank
+    # s_i(beta) = beta - <beta, a_i^v> a_i, with <beta, a_i^v> summed over
+    # the nonzero entries of Cartan row i only
+    entries = [[(j, a) for j, a in enumerate(row) if a] for row in c.matrix]
     seen = set()
     queue = deque(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
     seen.update(queue)
     while queue:
         beta = queue.popleft()
-        for i in range(n):
-            coeff = sum(c.matrix[i][j] * beta[j] for j in range(n))
+        for i, row in enumerate(entries):
+            coeff = 0
+            for j, a in row:
+                coeff += a * beta[j]
+            if not coeff:
+                continue  # s_i fixes beta
             image = beta[:i] + (beta[i] - coeff,) + beta[i + 1 :]
             if image not in seen:
                 if len(seen) >= MAX_ROOTS:
@@ -341,16 +348,17 @@ def weyl_orbit(rep: WeylRep, v: BitVec) -> list[BitVec]:
     dim = rep.datum.rank
     if v.dim != dim:
         raise ValueError(f"dimension mismatch {dim} != {v.dim}")
-    gens = [_columns(m) for m in rep.generators]
+    # each generator applied as its column combination, read off a byte table
+    apply = [_row_reader(_columns(m)) for m in rep.generators]
     seen = {v.bits}
-    queue = deque(seen)
-    while queue:
-        w = queue.popleft()
-        for m in gens:
-            image = row_combination(m, w)
-            if image not in seen:
-                seen.add(image)
-                queue.append(image)
+    frontier = list(seen)
+    while frontier:
+        found = set()
+        for m in apply:
+            found.update(map(m, frontier))
+        found -= seen
+        seen |= found
+        frontier = list(found)
     return [BitVec(dim, bits) for bits in sorted(seen)]
 
 

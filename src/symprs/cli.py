@@ -28,7 +28,7 @@ from collections import Counter
 from . import verify
 from .cartan import _check_chain_dim, ade_srs, cartan_datum, group_order, roots, weyl_rep
 from .extend import extend_minimal, witness_to_json
-from .gf2 import BitVec, bilinear
+from .gf2 import BitVec
 from .graph import DYNKIN_FAMILIES, Graph, dynkin_graph, graph_to_json, parse_graph
 from .grp2 import burnside_check, extraspecial_sign, lift_decoration, make_group
 from .srs import (
@@ -202,8 +202,7 @@ def _group_payload(args) -> dict:
     report = burnside_check(grp, lifts)
     # (0, 0) has order 1 and (0, 1) order 2; for v != 0 both (v, a) square
     # to (0, q(v)), so they have order 4 if q(v) = 1 and 2 otherwise.
-    rows = grp.beta.rows
-    q_ones = sum(bilinear(rows, v, v) for v in range(1 << grp.dim))
+    q_ones = sum(map(grp._q, range(1 << grp.dim)))
     counts = {1: 1, 2: 1 + 2 * ((1 << grp.dim) - 1 - q_ones), 4: 2 * q_ones}
     try:
         sign = extraspecial_sign(grp)

@@ -13,12 +13,14 @@ matrix is built), and the radical part decides between two outcomes:
 * z0 != 0: the space grows by the partner y of a hyperbolic pair, the new
   node gets w0 + y, type (n, k) -> (n + 1, k - 1).
 
-A step costs O(1) ``_hyperbolic`` calls and O(dim) int work: the lifted
-form is read off the columns of D^-1 that the system caches and each step
-carries to the next, and the default projection P onto the radical is
-applied without being built (``extend_minimal``). What remains per node
-is the kernel elimination behind ``_attach``'s type check and the greedy
-symplectic basis of the new space.
+A default step costs three ``_hyperbolic`` calls and O(dim) int work: the
+lifted form is read off the columns of D^-1 that the system caches and
+each step carries to the next, and the default projection P onto the
+radical is never built: its transpose is applied through ``_hyperbolic``,
+and P itself vanishes on the vector it would be applied to
+(``extend_minimal``). What remains per node is the kernel elimination
+behind ``_attach``'s type check and the greedy symplectic basis of the
+new space.
 
 Extraspecial (k = 0) and totally-degenerate (n = 0) inputs admit direct
 constructions that the general route reproduces exactly; the tests keep
@@ -98,23 +100,25 @@ def lift_indicator(s: SRS, lam: BitVec) -> BitVec:
 
 
 def _completion_maps(space: SympSpace, choices: tuple[BitMat, BitMat] | None):
-    """The maps u -> P^T u, w -> P w and gamma -> R^-1 gamma of the mixed
-    completion built from ``choices``, on ints: read off ``proj``'s rows
-    once ``mixed_completion`` has validated them, or through
-    ``_hyperbolic`` for the default choices (see ``extend_minimal``).
+    """The maps u -> P^T u, w -> (I + P) w for w in the span of the
+    hyperbolic pairs, and gamma -> R^-1 gamma of the mixed completion built
+    from ``choices``, on ints: read off ``proj``'s rows once
+    ``mixed_completion`` has validated them, or through ``_hyperbolic`` for
+    the default choices (see ``extend_minimal``).
     """
     if choices is None:
         gram, hyperbolic = space.gram.rows, space._hyperbolic
         return (
             lambda u: u ^ row_combination(gram, hyperbolic(u)),
-            lambda w: w ^ hyperbolic(row_combination(gram, w)),
+            # H G is the identity on the hyperbolic span, so P w = w + H G w = 0
+            lambda w: w,
             lambda gamma: gamma,
         )
     proj, radform = choices
     mixed_completion(space, proj, radform)  # raises on invalid choices
     return (
         lambda u: row_combination(proj.rows, u),
-        lambda w: sum(((r & w).bit_count() & 1) << i for i, r in enumerate(proj.rows)),
+        lambda w: w ^ sum(((r & w).bit_count() & 1) << i for i, r in enumerate(proj.rows)),
         lambda gamma: _solve_bits(radform, gamma),
     )
 
@@ -130,20 +134,21 @@ def extend_minimal(
     in the radical and P w0 = 0, and attaches a nullvector or a hyperbolic
     partner according to z0. Different choices give isomorphic results.
     Over the radical basis r_j, with gamma_j = c . r_j, z0 has coordinates
-    R^-1 gamma and w0 is (I + P) ``_hyperbolic``(c + P^T c). The new
-    coordinate pairs with the old ones as P^T Gamma, the sum of the rows of
-    P at the radical pivots (top bits) that gamma selects.
+    R^-1 gamma and w0 is (I + P) w for w = ``_hyperbolic``(c + P^T c). The
+    new coordinate pairs with the old ones as P^T Gamma, the sum of the rows
+    of P at the radical pivots (top bits) that gamma selects.
 
     The step needs P only through u -> P^T u and w -> P w. The default P
     (``default_completion_choices``) is never built: with H the symmetric
     map ``_hyperbolic`` and G the Gram matrix, its column j is e_j + H G e_j,
-    so P = I + H G and P^T = I + G H, and each map is one ``_hyperbolic``
-    call; the default R is the identity. c is read off the cached columns
-    of D^-1, as in ``lift_indicator``, and ``_attach`` carries them to the
-    result.
+    so P = I + H G and P^T = I + G H, and P^T is one ``_hyperbolic`` call.
+    P w costs nothing: w lies in the span of the hyperbolic pairs, where
+    H G is the identity, so P w = 0 and w0 = w. The default R is the
+    identity. c is read off the cached columns of D^-1, as in
+    ``lift_indicator``, and ``_attach`` carries them to the result.
     """
     _require_minimal(s, lam)
-    transposed, project, radical_coords = _completion_maps(s.space, choices)
+    transposed, complement, radical_coords = _completion_maps(s.space, choices)
     c = row_combination(s._deco_inverse, lam.bits)
     radical = s.space._radical
     gamma = sum(((c & r).bit_count() & 1) << j for j, r in enumerate(radical))
@@ -151,7 +156,7 @@ def extend_minimal(
     assert alpha is not None, "radical form is nondegenerate"
     w = s.space._hyperbolic(c ^ transposed(c))
     pivots = row_combination([1 << (r.bit_length() - 1) for r in radical], gamma)
-    return _attach(s, lam, w ^ project(w), row_combination(radical, alpha), transposed(pivots))
+    return _attach(s, lam, complement(w), row_combination(radical, alpha), transposed(pivots))
 
 
 def _attach(

@@ -12,8 +12,13 @@ the lifts generate and whether they do so minimally.
 
 Arithmetic runs on raw ints. Each group builds a byte table of beta's row
 combinations once (``gf2.byte_table``), so beta(v, w) costs one lookup
-per byte of v and a popcount parity. ``BitVec`` appears only at the
-interface: elements arrive and leave as ``(BitVec, sign)`` pairs. The
+per byte of v and a popcount parity; up to dimension 8 that lookup is the
+table's own ``__getitem__``. ``BitVec`` appears only at the interface:
+elements arrive and leave as ``(BitVec, sign)`` pairs. Every element and
+vector that enters goes through one check, ``CocycleGroup._bits``: the
+dimension must match and the sign must be the int 0 or 1. Each group
+keeps one zero vector, and the identity and every commutator are its two
+shared elements (0, 0) and (0, 1), so a commutator allocates nothing. The
 commutator is evaluated through the group law, never read off the form,
 so checking "commutator = form" tests the law. ``srs verify`` checks it
 on every pair of elements with ``_commutator_mismatches``, on ints: one
@@ -26,12 +31,11 @@ not from beta.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable, Iterator, Sequence
 
-from .gf2 import BitMat, BitVec, _eliminate, _transpose, byte_table, row_combination, table_combination
+from .gf2 import BitMat, BitVec, _eliminate, _transpose, row_combination
 from .srs import SRS
-from .symplectic import SympSpace
+from .symplectic import SympSpace, _row_reader
 
 __all__ = [
     "CocycleGroup",
@@ -53,7 +57,7 @@ class CocycleGroup:
     ``(bits, sign)`` ints, with beta read from the group's byte table.
     """
 
-    __slots__ = ("space", "beta", "dim", "_row")
+    __slots__ = ("space", "beta", "dim", "_row", "_zero", "_sign_line")
 
     def __init__(self, space: SympSpace, beta: BitMat):
         if beta.nrows != space.dim or beta.ncols != space.dim:
@@ -63,14 +67,20 @@ class CocycleGroup:
         self.space = space
         self.beta = beta
         self.dim = space.dim
-        table = byte_table(beta.rows)
-        # v -> v^T beta; a single byte needs no loop over the table.
-        self._row = table[0].__getitem__ if len(table) == 1 else partial(table_combination, table)
+        self._row = _row_reader(beta.rows)  # v -> v^T beta
+        # one zero vector, and the elements (0, 0) and (0, 1) that every
+        # identity and commutator returns
+        self._zero = zero = BitVec.zero(self.dim)
+        self._sign_line = ((zero, 0), (zero, 1))
 
-    def _bits(self, v: BitVec) -> int:
-        """The bits of an element's vector, after checking its dimension."""
+    def _bits(self, v: BitVec, sign: int = 0) -> int:
+        """The bits of a vector, or of an element (v, sign), after checking
+        the dimension and that the sign is the int 0 or 1."""
         if v.dim != self.dim:
             raise ValueError(f"dimension mismatch {v.dim} != {self.dim}")
+        # type() rather than isinstance(): bool is a subclass of int
+        if type(sign) is not int or sign >> 1:
+            raise ValueError(f"element sign {sign!r} is not 0 or 1")
         return v.bits
 
     def _q(self, v: int) -> int:
@@ -83,7 +93,7 @@ class CocycleGroup:
         return 1 << (self.dim + 1)
 
     def identity(self) -> Element:
-        return (BitVec.zero(self.dim), 0)
+        return self._sign_line[0]
 
     def cocycle(self, v: BitVec, w: BitVec) -> int:
         return (self._row(self._bits(v)) & self._bits(w)).bit_count() & 1
@@ -94,30 +104,29 @@ class CocycleGroup:
 
     def multiply(self, g: Element, h: Element) -> Element:
         (v, a), (w, b) = g, h
-        bits, sign = self._mul(self._bits(v), a, self._bits(w), b)
-        return (BitVec(self.dim, bits), sign)
+        bits, sign = self._mul(self._bits(v, a), a, self._bits(w, b), b)
+        return (BitVec(self.dim, bits) if bits else self._zero, sign)
 
     def inverse(self, g: Element) -> Element:
         v, a = g
-        return (v, a ^ self._q(self._bits(v)))
+        return (v, a ^ self._q(self._bits(v, a)))
 
     def commutator(self, g: Element, h: Element) -> Element:
         """gh . g^-1 h^-1 through the group law. Works out to (0, <v, w>),
         so the group remembers the form; it is never read off the form."""
         (v, a), (w, b) = g, h
-        v, w = self._bits(v), self._bits(w)
+        v, w = self._bits(v, a), self._bits(w, b)
         row = self._row
         # _mul and _q inlined, with the row of v shared by beta(v, v) and
-        # beta(v, w): this runs for every pair of elements in the checks,
-        # and inlining takes 13% off the algebra benchmark's job_s.
+        # beta(v, w): this runs for every pair of elements in the checks.
         row_v = row(v)
         beta_vw = (row_v & w).bit_count() & 1
-        gh_bits, gh_sign = v ^ w, a ^ b ^ beta_vw
-        inv_g = a ^ ((row_v & v).bit_count() & 1)
-        inv_h = b ^ ((row(w) & w).bit_count() & 1)
-        inv_bits, inv_sign = v ^ w, inv_g ^ inv_h ^ beta_vw
-        sign = gh_sign ^ inv_sign ^ ((row(gh_bits) & inv_bits).bit_count() & 1)
-        return (BitVec(self.dim, gh_bits ^ inv_bits), sign)
+        gh = a ^ b ^ beta_vw  # gh = (v + w, gh)
+        # g^-1 h^-1 = (v, a + q(v)) (w, b + q(w)) = (v + w, inv)
+        inv = a ^ ((row_v & v).bit_count() & 1) ^ b ^ ((row(w) & w).bit_count() & 1) ^ beta_vw
+        # (u, gh)(u, inv) = (0, gh + inv + beta(u, u)) for u = v + w
+        u = v ^ w
+        return self._sign_line[gh ^ inv ^ ((row(u) & u).bit_count() & 1)]
 
     def _commutator_signs(self, v: int, a: int, q: Sequence[int]) -> list[int]:
         """The sign of [g, h] = gh . g^-1 h^-1 through the group law, for
@@ -138,28 +147,33 @@ class CocycleGroup:
 
     def element_order(self, g: Element) -> int:
         v, a = g
-        bits = self._bits(v)
+        bits = self._bits(v, a)
         if not bits:
-            return 1 if a == 0 else 2
+            return 1 + a
         return 4 if self._q(bits) else 2
 
     def elements(self) -> Iterator[Element]:
-        for bits in range(1 << self.dim):
+        yield from self._sign_line
+        for bits in range(1, 1 << self.dim):
             v = BitVec(self.dim, bits)
             yield (v, 0)
             yield (v, 1)
 
     def center(self) -> list[Element]:
         """The radical paired with the sign coordinate, 2^(k+1) elements."""
-        rad = self.space._radical
-        out = []
-        for bits in range(1 << len(rad)):
-            z = BitVec(self.dim, row_combination(rad, bits))
+        # entry bits of ``span`` is row_combination(radical, bits), doubled
+        # one radical vector at a time: one XOR per element
+        span = [0]
+        for r in self.space._radical:
+            span += [z ^ r for z in span]
+        out = list(self._sign_line)
+        for bits in span[1:]:
+            z = BitVec(self.dim, bits)
             out.extend([(z, 0), (z, 1)])
         return out
 
     def closure(self, gens: Iterable[Element]) -> set[Element]:
-        steps = [(self._bits(w), b) for w, b in gens]
+        steps = [(self._bits(w, b), b) for w, b in gens]
         mul = self._mul
         seen = {(0, 0)}
         frontier = list(seen)
@@ -251,7 +265,7 @@ def burnside_check(grp: CocycleGroup, gens: Iterable[Element]) -> BurnsideReport
     alternating cocycle (G elementary abelian on V x F_2).
     """
     # the sign rides along at bit dim, and counts only in the elementary case
-    images = [grp._bits(v) | a << grp.dim for v, a in gens]
+    images = [grp._bits(v, a) | a << grp.dim for v, a in gens]
     elementary = grp.space.gram.is_zero() and not any(r >> i & 1 for i, r in enumerate(grp.beta.rows))
     quotient_dim = grp.dim + elementary
     image_rank = len(_eliminate(images, quotient_dim))

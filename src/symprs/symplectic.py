@@ -12,14 +12,17 @@ Everything is deterministic: the radical basis comes from kernel
 elimination with lowest-index pivots, and the symplectic basis from a
 fixed greedy pairing, so equal inputs always produce identical bases.
 
-Forms are evaluated on Gram rows (``gf2.bilinear``): the Gram image of a
-vector v is the XOR of the Gram rows that v selects, and <v, w> is the
-parity of that image AND w. Routines that pair one vector with many
-compute its image once. ``pairing_rows`` gives the whole Gram matrix of a
-vector family of ints in O(count x dim) word operations, and the
-symplectic basis carries each candidate's image along with it, so a pair
-test or a projection step costs O(1) word operations instead of a
-matrix-vector product.
+Forms are evaluated on Gram rows: the Gram image of a vector v is the XOR
+of the Gram rows that v selects, and <v, w> is the parity of that image
+AND w. ``form`` reads the image off a byte table of the Gram rows
+(``gf2.byte_table``, one lookup per byte of v), which its first call
+builds and the space caches, so a space that never calls ``form`` never
+builds it; ``MixedForm.value`` does the same with the completed matrix.
+Routines that pair one vector with many compute its image once.
+``pairing_rows`` gives the whole Gram matrix of a vector family of ints
+in O(count x dim) word operations, and the symplectic basis carries each
+candidate's image along with it, so a pair test or a projection step
+costs O(1) word operations instead of a matrix-vector product.
 
 The radical and the symplectic basis are computed and cached as int rows
 (``_radical``, ``_basis``), which the library reads; ``type`` takes k off
@@ -30,8 +33,8 @@ the radical rows. The public ``radical`` and ``basis`` wrap them as
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple, Sequence
+from functools import cached_property, partial
+from typing import Callable, NamedTuple, Sequence
 
 from .gf2 import (
     BitMat,
@@ -39,11 +42,12 @@ from .gf2 import (
     _eliminate,
     _kernel_rows,
     _transpose,
-    bilinear,
+    byte_table,
     echelon_basis,
     inverse,
     rank,
     row_combination,
+    table_combination,
 )
 
 __all__ = [
@@ -57,6 +61,14 @@ __all__ = [
     "default_completion_choices",
     "random_completion_choices",
 ]
+
+
+def _row_reader(rows: Sequence[int]) -> Callable[[int], int]:
+    """v -> v^T M for the matrix with these rows, read off ``byte_table(rows)``:
+    a single byte needs no loop over the table, so up to 8 rows it is the
+    table's own ``__getitem__``."""
+    table = byte_table(rows)
+    return table[0].__getitem__ if len(table) == 1 else partial(table_combination, table)
 
 
 class SpaceType(NamedTuple):
@@ -115,7 +127,13 @@ class SympSpace:
         """Evaluate <v, w>."""
         if v.dim != self.dim or w.dim != self.dim:
             raise ValueError(f"vector dimension mismatch in space of dim {self.dim}")
-        return bilinear(self.gram.rows, v.bits, w.bits)
+        return (self._image(v.bits) & w.bits).bit_count() & 1
+
+    @cached_property
+    def _image(self) -> Callable[[int], int]:
+        """v -> v^T G on ints, read off a byte table of the Gram rows that
+        the first ``form`` call builds."""
+        return _row_reader(self.gram.rows)
 
     def pairing_rows(self, vectors: Sequence[int]) -> list[int]:
         """Gram matrix of a vector family given as ints, as rows: bit q of
@@ -262,8 +280,15 @@ class MixedForm:
         assert rank(completed) == s.dim, "mixed completion came out degenerate"
         return completed
 
+    @cached_property
+    def _image(self) -> Callable[[int], int]:
+        """v -> v^T M for the completed matrix M, read off its byte table."""
+        return _row_reader(self.matrix.rows)
+
     def value(self, v: BitVec, w: BitVec) -> int:
-        return bilinear(self.matrix.rows, v.bits, w.bits)
+        if v.dim != self.space.dim or w.dim != self.space.dim:
+            raise ValueError(f"vector dimension mismatch in space of dim {self.space.dim}")
+        return (self._image(v.bits) & w.bits).bit_count() & 1
 
 
 def mixed_completion(s: SympSpace, proj: BitMat, radform: BitMat) -> MixedForm:

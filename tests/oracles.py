@@ -7,6 +7,7 @@ from collections import deque
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from symprs.cartan import MAX_ROOTS, CartanDatum, WeylRep
 from symprs.extend import (
     NEW_HYPERBOLIC,
     NEW_NULLVECTOR,
@@ -188,6 +189,42 @@ def group_order_bfs(gens: Sequence[BitMat]) -> int:
                 seen.add(image)
                 queue.append(image)
     return len(seen)
+
+
+def roots(c: CartanDatum) -> list[tuple[int, ...]]:
+    """All roots in simple-root coordinates, sorted: the closure of the simple
+    roots under s_i(beta) = beta - (sum_j C_ij beta_j) a_i, summed over the
+    whole Cartan row."""
+    n = c.rank
+    seen = set()
+    queue = deque(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
+    seen.update(queue)
+    while queue:
+        beta = queue.popleft()
+        for i in range(n):
+            coeff = sum(c.matrix[i][j] * beta[j] for j in range(n))
+            image = beta[:i] + (beta[i] - coeff,) + beta[i + 1 :]
+            if image not in seen:
+                if len(seen) >= MAX_ROOTS:
+                    raise RuntimeError(f"root closure exceeds {MAX_ROOTS}; not finite type?")
+                seen.add(image)
+                queue.append(image)
+    return sorted(seen)
+
+
+def weyl_orbit(rep: WeylRep, v: BitVec) -> list[BitVec]:
+    """The orbit of v under the generators of ``rep``, breadth first with
+    one ``BitMat @ BitVec`` per point and generator, sorted by bits."""
+    seen = {v}
+    queue = deque(seen)
+    while queue:
+        w = queue.popleft()
+        for m in rep.generators:
+            image = m @ w
+            if image not in seen:
+                seen.add(image)
+                queue.append(image)
+    return sorted(seen, key=lambda u: u.bits)
 
 
 def stabilizer_chain_order(gen_list: list[BitMat]) -> int:

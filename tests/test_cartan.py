@@ -1,7 +1,10 @@
 import itertools
 import math
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from symprs import cartan
@@ -31,6 +34,13 @@ ALL_FAMILIES = (
     + [("E", 6), ("E", 7), ("E", 8)]
     + [("F", 4), ("G", 2)]
 )
+# the Weyl images of the benchmark's algebra workload, up to dimension 12
+WEYL_CASES = [("E", 6), ("E", 7), ("E", 8), ("D", 10), ("A", 12), ("B", 8), ("C", 8), ("F", 4), ("G", 2)]
+
+
+@lru_cache(maxsize=None)
+def _weyl_rep(family: str, rank: int):
+    return weyl_rep(cartan_datum(family, rank))
 
 
 def test_datum_validation():
@@ -97,6 +107,30 @@ def test_root_closure_cap():
     affine = CartanDatum(((2, -2), (-2, 2)), (1, 1))
     with pytest.raises(RuntimeError, match="not finite type"):
         roots(affine)
+    with pytest.raises(RuntimeError, match="not finite type"):
+        oracles.roots(affine)
+
+
+def test_roots_match_dense_closure_oracle():
+    for family, rank in ALL_FAMILIES + WEYL_CASES:
+        c = cartan_datum(family, rank)
+        assert roots(c) == oracles.roots(c), (family, rank)
+
+
+def test_weyl_orbits_match_bfs_oracle_on_every_datum():
+    for family, rank in ALL_FAMILIES + WEYL_CASES:
+        rep = _weyl_rep(family, rank)
+        d = rep.datum.rank
+        for v in (BitVec.zero(d), BitVec(d, (1 << d) - 1), rep.srs.deco.row(d - 1)):
+            assert weyl_orbit(rep, v) == oracles.weyl_orbit(rep, v), (family, rank, v)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(ALL_FAMILIES + WEYL_CASES), st.integers(0, (1 << 12) - 1))
+def test_weyl_orbit_matches_bfs_oracle(case, bits):
+    rep = _weyl_rep(*case)
+    v = BitVec(rep.datum.rank, bits & ((1 << rep.datum.rank) - 1))
+    assert weyl_orbit(rep, v) == oracles.weyl_orbit(rep, v)
 
 
 def test_parity_graph_matches_diagram_tables():

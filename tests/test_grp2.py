@@ -62,6 +62,31 @@ def test_mismatched_dimensions_raise():
             grp.closure([good, bad])
 
 
+def test_signs_outside_zero_and_one_raise():
+    grp = make_group(standard_space(1, 0))
+    v = BitVec(2, 1)
+    good = (v, 0)
+    for bad in [(v, 2), (v, 5), (v, 3), (v, -1), (v, True), (v, False), (v, 1.0)]:
+        for op in (grp.multiply, grp.commutator):
+            with pytest.raises(ValueError, match=r"element sign .* is not 0 or 1"):
+                op(good, bad)
+            with pytest.raises(ValueError, match=r"element sign .* is not 0 or 1"):
+                op(bad, good)
+        for op in (grp.inverse, grp.element_order):
+            with pytest.raises(ValueError, match=r"element sign .* is not 0 or 1"):
+                op(bad)
+        with pytest.raises(ValueError, match=r"element sign .* is not 0 or 1"):
+            grp.closure([good, bad])
+        with pytest.raises(ValueError, match=r"element sign .* is not 0 or 1"):
+            burnside_check(grp, [good, bad])
+    # the dimension is checked first, with its own message
+    with pytest.raises(ValueError, match="dimension mismatch 3 != 2"):
+        grp.multiply(good, (BitVec.zero(3), 2))
+    # the exact message, bools included
+    with pytest.raises(ValueError, match=r"^element sign True is not 0 or 1$"):
+        grp.inverse((v, True))
+
+
 def test_group_axioms_exhaustively():
     rng = random.Random(5)
     for dim in (1, 2, 3):

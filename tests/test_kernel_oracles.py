@@ -5,6 +5,9 @@ Bit strings of vectors and matrix rows must equal the per-bit join.
 Random alternating Gram matrices of dimension 0..40 and random, partly
 invalid decoration families: form and cocycle values, the symplectic
 basis, and SRS acceptance with its exact error message must all agree.
+Form, completed form, cocycle and group law also run at the byte
+boundaries of their tables (dimensions 0, 1, 7, 8, 9, 16 and 17), and a
+vector of the wrong dimension must raise the same ``ValueError``.
 The radical and symplectic basis kept as int rows must equal the kernel
 and greedy-basis oracles. The 2-group law on (bits, sign) ints and the
 commutator rows of the ``srs verify`` sweep must agree with the BitVec
@@ -66,6 +69,7 @@ from symprs.srs import (
 from symprs.symplectic import (
     SympSpace,
     default_completion_choices,
+    mixed_completion,
     orthogonal_project,
     random_completion_choices,
 )
@@ -112,29 +116,105 @@ def test_bit_strings_match_per_bit_oracle(dim, draws):
     assert BitMat(dim, rows).to_strings() == strings
 
 
+# dimensions on both sides of the byte boundaries of a byte table: none,
+# part of one, exactly one, one and a bit, two, two and a bit
+BYTE_EDGES = (0, 1, 7, 8, 9, 16, 17)
+
+
+def _at_byte_edges(case):
+    """``@example(case(dim))`` for every dimension in ``BYTE_EDGES``."""
+
+    def decorate(test):
+        for dim in BYTE_EDGES:
+            test = example(case(dim))(test)
+        return test
+
+    return decorate
+
+
+def _edge_space(dim: int, rng: random.Random) -> SympSpace:
+    return SympSpace(_alternating(dim, rng.getrandbits(dim * (dim - 1) // 2)))
+
+
+def _edge_vecs(dim: int, rng: random.Random, count: int) -> list[BitVec]:
+    """The all-ones vector, which reaches the last byte, then random ones."""
+    return [BitVec(dim, (1 << dim) - 1)] + [BitVec(dim, rng.getrandbits(dim)) for _ in range(count - 1)]
+
+
+def _value_error(fn, *args) -> str:
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return str(exc)
+    return "no error"
+
+
+@st.composite
+def form_cases(draw, max_dim: int = 40):
+    """A space and eight pairs of its vectors."""
+    space = draw(spaces(max_dim))
+    return space, [(_vec(draw, space.dim), _vec(draw, space.dim)) for _ in range(8)]
+
+
+def _edge_form_case(dim: int):
+    rng = random.Random(dim)
+    vecs = _edge_vecs(dim, rng, 16)
+    return _edge_space(dim, rng), list(zip(vecs[::2], vecs[1::2]))
+
+
 @FAST
-@given(st.data())
-def test_form_matches_oracle(data):
-    space = data.draw(spaces())
-    for _ in range(8):
-        v, w = _vec(data.draw, space.dim), _vec(data.draw, space.dim)
+@given(form_cases())
+@_at_byte_edges(_edge_form_case)
+def test_form_matches_oracle(case):
+    space, pairs = case
+    mixed = mixed_completion(space, *default_completion_choices(space))
+    for v, w in pairs:
         assert space.form(v, w) == oracles.form(space, v, w)
+        assert mixed.value(v, w) == oracles.dot(v, mixed.matrix @ w)
+    v, bad = pairs[0][0], BitVec(space.dim + 1)
+    for args in ((v, bad), (bad, v)):
+        assert _value_error(space.form, *args) == _value_error(oracles.form, space, *args)
+        assert _value_error(mixed.value, *args) == _value_error(oracles.form, space, *args)
+
+
+def _splitting(space: SympSpace, sym: int, diag: int) -> BitMat:
+    """beta = the strict upper part of the form plus the symmetric matrix
+    with strict upper triangle ``sym`` and diagonal ``diag``."""
+    d = space.dim
+    upper = [r & ~((1 << (i + 1)) - 1) for i, r in enumerate(space.gram.rows)]
+    rows = _alternating(d, sym).rows
+    return BitMat(d, (u ^ s ^ (diag & 1 << i) for i, (u, s) in enumerate(zip(upper, rows))))
+
+
+@st.composite
+def cocycle_cases(draw, max_dim: int = 16):
+    """A space, a splitting of its form and eight pairs of vectors."""
+    space = draw(spaces(max_dim))
+    d = space.dim
+    sym = draw(st.integers(0, (1 << (d * (d - 1) // 2)) - 1))
+    beta = _splitting(space, sym, draw(st.integers(0, (1 << d) - 1)))
+    return space, beta, [(_vec(draw, d), _vec(draw, d)) for _ in range(8)]
+
+
+def _edge_cocycle_case(dim: int):
+    rng = random.Random(dim)
+    space = _edge_space(dim, rng)
+    beta = _splitting(space, rng.getrandbits(dim * (dim - 1) // 2), rng.getrandbits(dim))
+    vecs = _edge_vecs(dim, rng, 16)
+    return space, beta, list(zip(vecs[::2], vecs[1::2]))
 
 
 @FAST
-@given(st.data())
-def test_cocycle_matches_oracle(data):
-    space = data.draw(spaces(max_dim=16))
-    d = space.dim
-    # beta = strict upper part of the form plus any symmetric matrix
-    sym = _alternating(d, data.draw(st.integers(0, (1 << (d * (d - 1) // 2)) - 1)))
-    diag = data.draw(st.integers(0, (1 << d) - 1))
-    upper = [r & ~((1 << (i + 1)) - 1) for i, r in enumerate(space.gram.rows)]
-    beta = BitMat(d, (u ^ s ^ (diag & 1 << i) for i, (u, s) in enumerate(zip(upper, sym.rows))))
+@given(cocycle_cases())
+@_at_byte_edges(_edge_cocycle_case)
+def test_cocycle_matches_oracle(case):
+    space, beta, pairs = case
     grp = CocycleGroup(space, beta)
-    for _ in range(8):
-        v, w = _vec(data.draw, d), _vec(data.draw, d)
+    for v, w in pairs:
         assert grp.cocycle(v, w) == oracles.cocycle(beta, v, w)
+    v, bad = pairs[0][0], BitVec(space.dim + 1)
+    for args in ((v, bad), (bad, v)):
+        assert _value_error(grp.cocycle, *args) == f"dimension mismatch {space.dim + 1} != {space.dim}"
 
 
 @FAST
@@ -238,22 +318,44 @@ def _element(draw, dim: int):
     return (_vec(draw, dim), draw(st.integers(0, 1)))
 
 
-@FAST
-@given(st.data())
-def test_group_law_matches_oracle(data):
-    space = data.draw(spaces(max_dim=10))
+@st.composite
+def law_cases(draw, max_dim: int = 10):
+    """A space, an optional diagonal twist, eight pairs of elements and up
+    to four generators."""
+    space = draw(spaces(max_dim))
     d = space.dim
-    diagonal = data.draw(st.none() | st.builds(BitVec, st.just(d), st.integers(0, (1 << d) - 1)))
+    diagonal = draw(st.none() | st.builds(BitVec, st.just(d), st.integers(0, (1 << d) - 1)))
+    pairs = [(_element(draw, d), _element(draw, d)) for _ in range(8)]
+    gens = [_element(draw, d) for _ in range(draw(st.integers(0, 4)))]
+    return space, diagonal, pairs, gens
+
+
+def _edge_law_case(dim: int):
+    rng = random.Random(dim)
+    space = _edge_space(dim, rng)
+    elements = [(v, rng.getrandbits(1)) for v in _edge_vecs(dim, rng, 19)]
+    return space, BitVec(dim, rng.getrandbits(dim)), list(zip(elements[:16:2], elements[1:16:2])), elements[16:]
+
+
+@FAST
+@given(law_cases())
+@_at_byte_edges(_edge_law_case)
+def test_group_law_matches_oracle(case):
+    space, diagonal, pairs, gens = case
+    d = space.dim
     grp = make_group(space, diagonal)
     law = oracles.CocycleLaw(grp.beta)
-    for _ in range(8):
-        g, h = _element(data.draw, d), _element(data.draw, d)
+    for g, h in pairs:
         assert grp.multiply(g, h) == law.multiply(g, h)
         assert grp.inverse(g) == law.inverse(g)
         assert grp.commutator(g, h) == law.commutator(g, h)
         assert grp.element_order(g) == law.element_order(g)
-    gens = [_element(data.draw, d) for _ in range(data.draw(st.integers(0, 4)))]
     assert grp.closure(gens) == law.closure(gens)
+    g, bad = pairs[0][0], (BitVec(d + 1), 0)
+    calls = [(grp.multiply, g, bad), (grp.multiply, bad, g), (grp.commutator, g, bad),
+             (grp.commutator, bad, g), (grp.inverse, bad), (grp.element_order, bad), (grp.closure, [bad])]
+    for fn, *args in calls:
+        assert _value_error(fn, *args) == f"dimension mismatch {d + 1} != {d}"
 
 
 @FAST
