@@ -26,7 +26,7 @@ import sys
 from collections import Counter
 
 from . import verify
-from .cartan import _check_chain_dim, ade_srs, cartan_datum, group_order, roots, weyl_rep
+from .cartan import _check_chain_dim, ade_srs, cartan_datum, group_order, weyl_rep
 from .extend import extend_minimal, witness_to_json
 from .gf2 import BitVec
 from .graph import DYNKIN_FAMILIES, Graph, dynkin_graph, graph_to_json, parse_graph
@@ -182,7 +182,7 @@ def _weyl_payload(args) -> dict:
     return {
         "family": args.family,
         "rank": args.rank,
-        "root_count": len(roots(c)),
+        "root_count": len(rep.root_images),
         "parity_graph": graph_to_json(rep.srs.graph),
         "generators": [m.to_strings() for m in rep.generators],
         "faithful_on_roots": rep.faithful_on_roots,
@@ -212,7 +212,8 @@ def _group_payload(args) -> dict:
     return {
         "order": grp.order(),
         "type": [n, k],
-        "center_order": len(grp.center()),
+        # the center is the radical times the sign line, whatever the diagonal
+        "center_order": 1 << (k + 1),
         "sign": sign,
         "element_orders": {str(o): count for o, count in counts.items() if count},
         "lifts_generate": report.generates,

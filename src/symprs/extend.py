@@ -18,9 +18,9 @@ lifted form is read off the columns of D^-1 that the system caches and
 each step carries to the next, and the default projection P onto the
 radical is never built: its transpose is applied through ``_hyperbolic``,
 and P itself vanishes on the vector it would be applied to
-(``extend_minimal``). What remains per node is the kernel elimination
-behind ``_attach``'s type check and the greedy symplectic basis of the
-new space.
+(``extend_minimal``). What remains per node is the greedy symplectic
+basis of the new space, which ``_attach``'s type check computes and the
+next step's ``_hyperbolic`` reads.
 
 Extraspecial (k = 0) and totally-degenerate (n = 0) inputs admit direct
 constructions that the general route reproduces exactly; the tests keep

@@ -392,15 +392,11 @@ def kernel_basis(m: BitMat) -> list[BitVec]:
     Free columns are visited in increasing index order and each basis vector
     has a 1 in exactly one free position, so the output is canonical.
     """
-    return [BitVec(m.ncols, bits) for bits in _kernel_rows(m.rows, m.ncols)]
-
-
-def _kernel_rows(rows: Sequence[int], ncols: int) -> list[int]:
-    """``kernel_basis`` of the matrix with these rows, as ints."""
-    rows = list(rows)
-    pivots = _eliminate(rows, ncols)
-    free = set(range(ncols)).difference(pivots)
-    return [sum((rows[r] >> f & 1) << p for r, p in enumerate(pivots)) | 1 << f for f in sorted(free)]
+    rows = list(m.rows)
+    pivots = _eliminate(rows, m.ncols)
+    free = set(range(m.ncols)).difference(pivots)
+    return [BitVec(m.ncols, sum((rows[r] >> f & 1) << p for r, p in enumerate(pivots)) | 1 << f)
+            for f in sorted(free)]
 
 
 def _solve_rows(m: BitMat, right: Sequence[int]) -> list[int] | None:

@@ -50,9 +50,9 @@ from .gf2 import (
     BitVec,
     _echelon_rows,
     _eliminate,
-    _kernel_rows,
     _transpose,
     inverse,
+    kernel_basis,
     rank,
     row_combination,
     row_reduce,  # unused here; perfbench/selftest.py checks that tracing rebinds srs.row_reduce
@@ -180,7 +180,7 @@ class SympMap:
             raise ValueError(f"matrix shape {self.matrix.shape} != {(self.dst.dim, self.src.dim)}")
         rows, gram = self.matrix.rows, self.src.gram.rows
         if tuple(self.dst.pairing_rows(_transpose(rows, self.src.dim))) != gram:
-            if any(row_combination(gram, v) for v in _kernel_rows(rows, self.src.dim)):
+            if any(row_combination(gram, v.bits) for v in kernel_basis(self.matrix)):
                 raise ValueError("kernel not contained in the radical")
             raise ValueError("map does not preserve the forms")
 
@@ -411,7 +411,7 @@ def srs_from_json(payload: dict) -> SRS:
         raise SRSError('"deco" must map node numbers to bit strings')
     if len(gram_rows) != dim:
         raise SRSError(f"gram has {len(gram_rows)} rows, dim is {dim}")
-    space = SympSpace(BitMat.from_rows(gram_rows, ncols=dim) if dim else BitMat.zeros(0, 0))
+    space = SympSpace(BitMat.from_rows(gram_rows, ncols=dim))
     deco = []
     for p in range(graph.n):
         key = str(p)

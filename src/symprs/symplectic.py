@@ -8,9 +8,9 @@ plus a radical, which yields the type invariant (n, k) with dim = 2n + k.
 Spaces with k = 0 are called extraspecial here, k = 1 almost extraspecial,
 after the finite 2-groups they give rise to.
 
-Everything is deterministic: the radical basis comes from kernel
-elimination with lowest-index pivots, and the symplectic basis from a
-fixed greedy pairing, so equal inputs always produce identical bases.
+Everything is deterministic: the symplectic basis comes from a fixed
+greedy pairing with lowest-index choices, and the radical basis is its
+leftover part, so equal inputs always produce identical bases.
 
 Forms are evaluated on Gram rows: the Gram image of a vector v is the XOR
 of the Gram rows that v selects, and <v, w> is the parity of that image
@@ -24,10 +24,10 @@ in O(count x dim) word operations, and the symplectic basis carries each
 candidate's image along with it, so a pair test or a projection step
 costs O(1) word operations instead of a matrix-vector product.
 
-The radical and the symplectic basis are computed and cached as int rows
-(``_radical``, ``_basis``), which the library reads; ``type`` takes k off
-the radical rows. The public ``radical`` and ``basis`` wrap them as
-``BitVec``s on first read.
+Each space is decomposed once: the symplectic basis is computed and
+cached as int rows (``_basis``), the radical rows (``_radical``) are its
+z part, and ``type`` counts its x and z parts. The public ``radical``
+and ``basis`` wrap them as ``BitVec``s on first read.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .gf2 import (
     BitMat,
     BitVec,
     _eliminate,
-    _kernel_rows,
     _transpose,
     byte_table,
     echelon_basis,
@@ -150,8 +149,24 @@ class SympSpace:
 
     @cached_property
     def _radical(self) -> list[int]:
-        """Deterministic basis of V^perp, the kernel of the Gram matrix."""
-        return _kernel_rows(self.gram.rows, self.dim)
+        """Deterministic basis of V^perp, the kernel of the Gram matrix: the
+        z part of ``_basis``.
+
+        It is the canonical kernel basis (``gf2.kernel_basis``: lowest-index
+        pivots, one vector per free column, free columns ascending). Each
+        greedy candidate starts as e_t, its origin t, keeps its origin
+        order, and only ever absorbs picked vectors of lower origin: a pair
+        (v, w) picked from origins i < j is added only to candidates of
+        origin above i (v) or above j (w), since the candidates before i
+        have zero image and j is the first candidate that pairs with v.
+        So a leftover z_t has its highest bit at t, and no bit at any other
+        leftover origin, because no picked vector ever has one. Distinct
+        highest bits make the leftover origins the set of highest bits of
+        the kernel, which is the set of free columns, and a kernel vector
+        is fixed by its bits at the free columns: so the z_t, in ascending
+        origin order, are the kernel basis.
+        """
+        return self._basis[2]
 
     @cached_property
     def radical(self) -> tuple[BitVec, ...]:
@@ -222,9 +237,8 @@ class SympSpace:
 
     @cached_property
     def type(self) -> SpaceType:
-        k = len(self._radical)
-        assert (self.dim - k) % 2 == 0, "alternating form with odd rank"
-        return SpaceType((self.dim - k) // 2, k)
+        xs, _, zs = self._basis
+        return SpaceType(len(xs), len(zs))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SympSpace):
@@ -242,8 +256,9 @@ class SympSpace:
 def standard_space(n: int, k: int) -> SympSpace:
     """The model space of type (n, k): coordinates x_1..x_n, y_1..y_n, z_1..z_k.
 
-    Its radical is known in advance: the z coordinates, which is also the
-    kernel elimination's lowest-pivot basis."""
+    Its symplectic basis is known in advance: the coordinate vectors in
+    that order, which is also what the greedy pairing of ``_basis`` picks,
+    so the radical is the z coordinates."""
     if n < 0 or k < 0:
         raise ValueError(f"negative space type ({n}, {k})")
     dim = 2 * n + k
@@ -252,7 +267,8 @@ def standard_space(n: int, k: int) -> SympSpace:
         rows[i] |= 1 << (n + i)
         rows[n + i] |= 1 << i
     s = SympSpace._trusted(BitMat._trusted(dim, rows))
-    s._radical = [1 << (2 * n + j) for j in range(k)]
+    units = [1 << i for i in range(dim)]
+    s._basis = units[:n], units[n:2 * n], units[2 * n:]
     return s
 
 
@@ -272,9 +288,10 @@ class MixedForm:
     @cached_property
     def matrix(self) -> BitMat:
         s = self.space
-        # radical basis vector i is the kernel vector of free Gram column f_i, its
-        # highest set bit, and no other basis vector sets bit f_i: so bit f_i of
-        # a radical vector is its i-th coordinate, and coords maps into them
+        # radical basis vector i is the leftover of greedy candidate f_i, its
+        # highest set bit, and no other basis vector sets bit f_i (see
+        # SympSpace._radical): so bit f_i of a radical vector is its i-th
+        # coordinate, and coords maps into them
         coords = BitMat(s.dim, (1 << (v.bit_length() - 1) for v in s._radical)) @ self.proj
         completed = s.gram ^ (coords.transpose() @ self.radform @ coords)
         assert rank(completed) == s.dim, "mixed completion came out degenerate"
@@ -371,10 +388,10 @@ def orthogonal_project(s: SympSpace, wbasis: list[BitVec], v: BitVec) -> tuple[B
     if v.dim != s.dim:
         raise ValueError(f"vector dimension mismatch in space of dim {s.dim}")
     basis = [b.bits for b in echelon_basis(wbasis, dim=s.dim)]
-    sub = SympSpace(BitMat(len(basis), s.pairing_rows(basis)))
+    sub = SympSpace._trusted(BitMat._trusted(len(basis), s.pairing_rows(basis)))
     image = row_combination(s.gram.rows, v.bits)
     phi = sum(((image & b).bit_count() & 1) << t for t, b in enumerate(basis))
-    if any((phi & z).bit_count() & 1 for z in sub._basis[2]):
+    if any((phi & z).bit_count() & 1 for z in sub._radical):
         raise ValueError("vector not orthogonal to the radical of W; no splitting exists")
     v_w = BitVec(s.dim, row_combination(basis, sub._hyperbolic(phi)))
     return v ^ v_w, v_w

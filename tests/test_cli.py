@@ -418,7 +418,6 @@ def test_weyl_rank_past_the_chain_cap_fails_before_building_roots(capsys, monkey
         raise AssertionError("roots enumerated for a rank the chain cannot take")
 
     monkeypatch.setattr("symprs.cartan.roots", unreachable)
-    monkeypatch.setattr("symprs.cli.roots", unreachable)
     code, out, err = run(capsys, "weyl", "--family", "B", "--rank", "17")
     assert (code, out) == (1, "")
     assert err == (

@@ -9,7 +9,8 @@ Form, completed form, cocycle and group law also run at the byte
 boundaries of their tables (dimensions 0, 1, 7, 8, 9, 16 and 17), and a
 vector of the wrong dimension must raise the same ``ValueError``.
 The radical and symplectic basis kept as int rows must equal the kernel
-and greedy-basis oracles. The 2-group law on (bits, sign) ints and the
+and greedy-basis oracles, also on forms of rank at most 6 with twin rows,
+whose radicals are large. The 2-group law on (bits, sign) ints and the
 commutator rows of the ``srs verify`` sweep must agree with the BitVec
 law, the byte table with ``row_combination``, and the stabilizer chain
 with the oracle chain and with enumeration, both on their own column
@@ -98,6 +99,30 @@ def spaces(draw, max_dim: int = 40) -> SympSpace:
     a, b, c = (draw(st.integers(0, full)) for _ in range(3))
     upper = draw(st.sampled_from([0, a & b & c, a, a | b | c, full]))
     return SympSpace(_alternating(dim, upper))
+
+
+def _low_rank(dim: int, pairs: list[tuple[int, int]], twins: list[tuple[int, int]]) -> SympSpace:
+    """The form sum of (a b^T + b a^T) over ``pairs`` (vectors as ints), of
+    rank at most twice their number, after each (s, t) in ``twins`` copies
+    coordinate s of every a and b to coordinate t, so Gram row t is row s."""
+    for s, t in twins:
+        pairs = [tuple(v & ~(1 << t) | (v >> s & 1) << t for v in pair) for pair in pairs]
+    rows = [0] * dim
+    for a, b in pairs:
+        for i in range(dim):
+            rows[i] ^= (b if a >> i & 1 else 0) ^ (a if b >> i & 1 else 0)
+    return SympSpace(BitMat(dim, rows))
+
+
+@st.composite
+def low_rank_spaces(draw, max_dim: int = 40) -> SympSpace:
+    """Forms of rank at most 6 with twin rows: radicals of dimension up to 40."""
+    dim = draw(st.integers(0, max_dim))
+    vec = st.integers(0, (1 << dim) - 1)
+    pairs = draw(st.lists(st.tuples(vec, vec), max_size=3))
+    coord = st.integers(0, max(dim - 1, 0))
+    twins = draw(st.lists(st.tuples(coord, coord), max_size=dim // 2)) if dim else []
+    return _low_rank(dim, pairs, twins)
 
 
 def _vec(draw, dim: int) -> BitVec:
@@ -245,6 +270,20 @@ def test_int_radical_and_basis_rows_match_oracles(space):
     assert space._radical == [v.bits for v in oracles.kernel_basis(space.gram)]
     assert space._basis == tuple([v.bits for v in part] for part in oracles.greedy_basis(space))
     assert space.type == (len(space._basis[0]), len(space._radical))
+
+
+@FAST
+@given(low_rank_spaces())
+@example(_low_rank(0, [], []))
+@example(_low_rank(1, [(1, 1)], []))
+@example(_low_rank(8, [(0b00000011, 0b10000100), (0b01010000, 0b00101000)], [(1, 6)]))
+@example(_low_rank(9, [(0b100000001, 0b011000000)], [(0, 4), (7, 3)]))
+@example(_low_rank(17, [(0x10001, 0x0f0f0), (0x00ff0, 0x1000f), (0x0aaaa, 0x15555)], [(16, 8), (2, 12)]))
+def test_low_rank_radical_and_basis_rows_match_oracles(space):
+    assert space._radical == [v.bits for v in oracles.kernel_basis(space.gram)]
+    assert space._basis == tuple([v.bits for v in part] for part in oracles.greedy_basis(space))
+    assert space.type == (len(space._basis[0]), len(space._radical))
+    assert space.radical == space.basis.z
 
 
 @FAST

@@ -253,7 +253,11 @@ def test_coclique_bound_reports():
 
 
 def test_json_roundtrip():
-    for s in [minimal_srs(A4), quotient(minimal_srs(A3), [BitVec.from_string("101")])[0]]:
+    for s in [
+        minimal_srs(A4),
+        quotient(minimal_srs(A3), [BitVec.from_string("101")])[0],
+        minimal_srs(Graph(0)),
+    ]:
         payload = json.loads(json.dumps(srs_to_json(s)))
         assert srs_from_json(payload) == s
 

@@ -7,7 +7,8 @@ import random
 import pytest
 
 from conftest import random_space
-from symprs.gf2 import BitMat, BitVec, _kernel_rows, rank
+from symprs import gf2, symplectic
+from symprs.gf2 import BitMat, BitVec, kernel_basis, rank
 from symprs.symplectic import (
     SpaceType,
     SympSpace,
@@ -46,14 +47,33 @@ def test_types_of_small_spaces():
 
 
 def test_standard_space_radical_is_the_kernel_basis():
-    # standard_space fills in its radical; it must be the kernel elimination's
+    # standard_space fills in its basis; it must be the greedy pass's, and its
+    # z part the kernel elimination's basis
     for n in range(7):
         for k in range(5):
             s = standard_space(n, k)
-            assert s._radical == _kernel_rows(s.gram.rows, s.dim), (n, k)
+            assert s._basis == SympSpace(s.gram)._basis, (n, k)
+            assert s._radical == [v.bits for v in kernel_basis(s.gram)], (n, k)
             assert s == SympSpace(s.gram)
     with pytest.raises(ValueError, match="negative"):
         standard_space(-1, 3)
+
+
+def test_space_decomposition_runs_no_elimination(monkeypatch):
+    # type and radical are read off the greedy symplectic basis alone
+    def eliminate(rows, ncols):
+        raise AssertionError("the space decomposition ran a GF(2) elimination")
+
+    for module in (gf2, symplectic):
+        monkeypatch.setattr(module, "_eliminate", eliminate)
+    rng = random.Random(20)
+    spaces = [random_space(rng, dim) for dim in (0, 1, 2, 5, 9, 17, 40)]
+    spaces += [SympSpace(BitMat.zeros(6, 6)), standard_space(3, 2), standard_space(0, 4)]
+    for s in spaces:
+        n, k = s.type
+        assert 2 * n + k == s.dim
+        assert len(s._radical) == k
+        assert [v.bits for v in s.radical] == s._radical
 
 
 def test_complete_graph_type_formula():
