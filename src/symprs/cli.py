@@ -30,7 +30,7 @@ from .cartan import _check_chain_dim, ade_srs, cartan_datum, group_order, weyl_r
 from .extend import extend_minimal, witness_to_json
 from .gf2 import BitVec
 from .graph import DYNKIN_FAMILIES, Graph, dynkin_graph, graph_to_json, parse_graph
-from .grp2 import burnside_check, extraspecial_sign, lift_decoration, make_group
+from .grp2 import _arf, burnside_check, extraspecial_sign, lift_decoration, make_group
 from .srs import (
     SRSError,
     _quotient_type_counts,
@@ -202,13 +202,19 @@ def _group_payload(args) -> dict:
     report = burnside_check(grp, lifts)
     # (0, 0) has order 1 and (0, 1) order 2; for v != 0 both (v, a) square
     # to (0, q(v)), so they have order 4 if q(v) = 1 and 2 otherwise.
-    q_ones = sum(map(grp._q, range(1 << grp.dim)))
+    # q(h + z) = q(h) + q(z) for h in the span of the hyperbolic pairs and z
+    # in the radical, where q is linear: q = 1 on half of all vectors if q is
+    # nonzero on the radical, else on 2^k (2^(2n-1) - (-1)^Arf 2^(n-1)) ones.
+    n, k = s.type
+    if any(map(grp.quadratic, grp.space.basis.z)):
+        q_ones = 1 << (grp.dim - 1)
+    else:
+        q_ones = ((1 << 2 * n) - (-1) ** _arf(grp) * (1 << n)) << k >> 1
     counts = {1: 1, 2: 1 + 2 * ((1 << grp.dim) - 1 - q_ones), 4: 2 * q_ones}
     try:
         sign = extraspecial_sign(grp)
     except ValueError:
         sign = None
-    n, k = s.type
     return {
         "order": grp.order(),
         "type": [n, k],

@@ -285,6 +285,11 @@ def extraspecial_sign(grp: CocycleGroup) -> str:
     n, k = grp.space.type
     if k != 0 or n == 0:
         raise ValueError(f"sign needs an extraspecial group; space has type ({n},{k})")
+    return "minus" if _arf(grp) else "plus"
+
+
+def _arf(grp: CocycleGroup) -> int:
+    """Arf invariant sum_i q(x_i) q(y_i) of q on the hyperbolic pairs of
+    the symplectic basis, 0 when there are none."""
     basis = grp.space.basis
-    arf = sum(grp.quadratic(x) & grp.quadratic(y) for x, y in zip(basis.x, basis.y)) & 1
-    return "minus" if arf else "plus"
+    return sum(grp.quadratic(x) & grp.quadratic(y) for x, y in zip(basis.x, basis.y)) & 1

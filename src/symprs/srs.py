@@ -18,8 +18,9 @@ vector per node: ``minimal_srs`` takes D = I, ``restrict`` gathers the
 kept rows onto pivot coordinates, ``quotient`` projects every row,
 ``extend`` appends one row (a row of the old space is already a row of
 the larger one) and ``build_by_extension`` reorders the rows. A minimal
-system caches the columns of D^-1 on first read (``SRS._deco_inverse``),
-and each extension step carries them to the larger system.
+system caches the columns of D^-1 (``SRS._deco_inverse``): ``minimal_srs``
+presets them to the unit vectors, a system from elsewhere inverts D on
+first read, and each extension step carries them to the larger system.
 
 Systems are validated once, at the boundary. ``SRS(...)``, ``SympMap(...)``
 and ``srs_from_json`` check every axiom of what they are given. The systems
@@ -142,8 +143,9 @@ class SRS:
     def _deco_inverse(self) -> list[int]:
         """The columns of D^-1 as ints, for a minimal system: the lifted
         form of an indicator lam is ``row_combination`` of them at lam. One
-        inversion on first read; ``extend._attach`` carries it to each
-        extended system without one."""
+        inversion on first read, unless preset: ``minimal_srs`` sets the
+        unit vectors, and ``extend._attach`` carries them to each extended
+        system."""
         inv = inverse(self.deco)
         assert inv is not None, "minimal decorations always invert"
         return list(inv.transpose().rows)
@@ -208,8 +210,11 @@ def minimal_srs(g: Graph) -> SRS:
 
 
 def _minimal_on(g: Graph, space: SympSpace) -> SRS:
-    """The minimal SRS of g on ``space``, the space of g's adjacency matrix."""
-    return SRS._trusted(g, space, BitMat.identity(g.n))
+    """The minimal SRS of g on ``space``, the space of g's adjacency matrix.
+    D = I, so the columns of D^-1 are preset to the unit vectors."""
+    s = SRS._trusted(g, space, BitMat.identity(g.n))
+    object.__setattr__(s, "_deco_inverse", [1 << p for p in range(g.n)])
+    return s
 
 
 def _check_radical_cap(space: SympSpace) -> None:

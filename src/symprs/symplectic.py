@@ -17,7 +17,8 @@ of the Gram rows that v selects, and <v, w> is the parity of that image
 AND w. ``form`` reads the image off a byte table of the Gram rows
 (``gf2.byte_table``, one lookup per byte of v), which its first call
 builds and the space caches, so a space that never calls ``form`` never
-builds it; ``MixedForm.value`` does the same with the completed matrix.
+builds it. ``MixedForm.value``, which no library route calls, pairs on
+the completed matrix's rows with ``gf2.bilinear`` and builds no table.
 Routines that pair one vector with many compute its image once.
 ``pairing_rows`` gives the whole Gram matrix of a vector family of ints
 in O(count x dim) word operations, and the symplectic basis carries each
@@ -41,6 +42,7 @@ from .gf2 import (
     BitVec,
     _eliminate,
     _transpose,
+    bilinear,
     byte_table,
     echelon_basis,
     inverse,
@@ -297,15 +299,10 @@ class MixedForm:
         assert rank(completed) == s.dim, "mixed completion came out degenerate"
         return completed
 
-    @cached_property
-    def _image(self) -> Callable[[int], int]:
-        """v -> v^T M for the completed matrix M, read off its byte table."""
-        return _row_reader(self.matrix.rows)
-
     def value(self, v: BitVec, w: BitVec) -> int:
         if v.dim != self.space.dim or w.dim != self.space.dim:
             raise ValueError(f"vector dimension mismatch in space of dim {self.space.dim}")
-        return (self._image(v.bits) & w.bits).bit_count() & 1
+        return bilinear(self.matrix.rows, v.bits, w.bits)
 
 
 def mixed_completion(s: SympSpace, proj: BitMat, radform: BitMat) -> MixedForm:
@@ -339,8 +336,8 @@ def default_completion_choices(s: SympSpace) -> tuple[BitMat, BitMat]:
     """Canonical (proj, radform): project along the hyperbolic planes of the
     cached symplectic basis onto its z-span, identity radical form. The
     hyperbolic part of e_j is ``_hyperbolic`` of Gram row j, so the
-    projection is I + H G. The default ``extend_minimal`` step applies it
-    and its transpose through ``_hyperbolic`` instead of building it."""
+    projection is I + H G. The default ``extend_minimal`` step never
+    builds it: the projection drops out of that step."""
     cols = [(1 << j) ^ s._hyperbolic(g) for j, g in enumerate(s.gram.rows)]
     return BitMat(s.dim, cols).transpose(), BitMat.identity(len(s._radical))
 

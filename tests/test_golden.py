@@ -69,6 +69,8 @@ CASES = {
     "group_empty3": ["group", "--graph", "@empty3.g"],
     "group_petersen": ["group", "--graph", "@petersen.json"],
     "group_star5_text": ["group", "--graph", "@star5.g", "--diagonal", "11000", "--format", "text"],
+    "group_empty16": ["group", "--graph", "@empty16.g"],
+    "group_empty16_twisted": ["group", "--graph", "@empty16.g", "--diagonal", "1" * 16],
     "coclique_petersen": ["coclique", "--graph", "@petersen.json"],
     "coclique_random12": ["coclique", "--graph", "@random12.g"],
     "coclique_k4": ["coclique", "--graph", "@k4.g"],

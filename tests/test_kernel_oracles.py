@@ -22,8 +22,10 @@ and the completed Gram matrix. Restriction, quotients and radical
 subspaces on int rows must equal the BitVec routes, and the double
 extension as two single steps must equal its direct construction. The
 default extension step must equal the explicit one with
-``default_completion_choices``, and the decoration inverse that each step
-carries must equal a fresh ``inverse``.
+``default_completion_choices``, and the decoration inverse that
+``minimal_srs`` presets and each step carries must equal a fresh
+``inverse``. The two identities that leave the default step one
+``_hyperbolic`` call must hold on random, standard and extended spaces.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from symprs.symplectic import (
     mixed_completion,
     orthogonal_project,
     random_completion_choices,
+    standard_space,
 )
 
 FAST = settings(deadline=None, max_examples=80)
@@ -514,8 +517,8 @@ def test_srs_int_routes_match_bitvec_oracles(s, data):
 
 
 def _assert_carried_inverse(s: SRS) -> None:
-    """s holds the columns of D^-1 from the step that built it, not from a
-    fresh inversion, and they equal ``inverse(D)``, with D D^-1 = I."""
+    """s holds the columns of D^-1 from the routine that built it, not from
+    a fresh inversion, and they equal ``inverse(D)``, with D D^-1 = I."""
     assert "_deco_inverse" in vars(s)
     carried = BitMat(s.graph.n, s._deco_inverse).transpose()
     assert carried == inverse(s.deco)
@@ -533,10 +536,12 @@ def _assert_carried_inverse(s: SRS) -> None:
 @example(minimal_srs(Graph(4, [(0, 1), (1, 2), (2, 3)])), [5, 0, 31], (3, 9, True), random.Random(1))
 @example(minimal_srs(Graph(5)), [0, 7, 2, 63], (1, 2, False), random.Random(2))
 def test_extensions_carry_the_decoration_inverse(s, lams, double, rng):
-    """Along an ``extend_minimal`` chain, through ``double_extend_extraspecial``
-    and at every step of ``build_by_extension`` in a random order, each new
-    system carries D^-1 equal to a fresh inversion. Indicator bits past
-    the current node count are dropped."""
+    """``minimal_srs`` presets D^-1 = I, and along an ``extend_minimal``
+    chain, through ``double_extend_extraspecial`` and at every step of
+    ``build_by_extension`` in a random order, each new system carries D^-1
+    equal to a fresh inversion. Indicator bits past the current node count
+    are dropped."""
+    _assert_carried_inverse(minimal_srs(s.graph))
     t = s
     for bits in lams:
         n = t.graph.n
@@ -561,6 +566,37 @@ def test_extensions_carry_the_decoration_inverse(s, lams, double, rng):
     assert len(steps) == s.graph.n
     for t in steps:
         _assert_carried_inverse(t)
+
+
+@st.composite
+def extended_spaces(draw):
+    """The space at the end of an ``extend_minimal`` chain from a minimal
+    system; indicator bits past the current node count are dropped."""
+    s = draw(minimal_systems(max_nodes=8))
+    for bits in draw(st.lists(st.integers(0, 2**16 - 1), max_size=6)):
+        n = s.graph.n
+        s, _ = extend_minimal(s, BitVec(n, bits & ((1 << n) - 1)))
+    return s.space
+
+
+@FAST
+@given(
+    st.one_of(spaces(), st.builds(standard_space, st.integers(0, 12), st.integers(0, 12)), extended_spaces()),
+    st.data(),
+)
+def test_hyperbolic_identities_of_the_default_step(space, data):
+    """The two identities that leave the default ``extend_minimal`` step
+    one ``_hyperbolic`` call, with H = ``_hyperbolic`` and G the Gram
+    matrix: H G is the identity on the image of H, so H(G H phi) = H phi,
+    and H vanishes on every combination of the radical pivots."""
+    hyperbolic, gram = space._hyperbolic, space.gram.rows
+    pivots = [1 << (r.bit_length() - 1) for r in space._radical]
+    for _ in range(8):
+        phi = data.draw(st.integers(0, (1 << space.dim) - 1))
+        gamma = data.draw(st.integers(0, (1 << len(pivots)) - 1))
+        h = hyperbolic(phi)
+        assert hyperbolic(row_combination(gram, h)) == h
+        assert hyperbolic(row_combination(pivots, gamma)) == 0
 
 
 @settings(deadline=None, max_examples=120)
