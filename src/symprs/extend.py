@@ -17,9 +17,14 @@ A default step costs one ``_hyperbolic`` call and O(dim) int work: the
 lifted form is read off the columns of D^-1 that the system caches and
 each step carries to the next, and the default projection P onto the
 radical is never built, since two identities make it drop out of the
-step (``extend_minimal``). What remains per node is the greedy
-symplectic basis of the new space, which ``_attach``'s type check
-computes and the next step's ``_hyperbolic`` reads.
+step (``extend_minimal``). The new space's hyperbolic pairs and radical
+rows are carried the same way (``_attach``): the null case keeps the
+pairs and adds e_d to the radical, the hyperbolic case moves one radical
+row into a new pair, on the default route and with explicit choices
+alike. So no step builds a greedy symplectic basis. The pairs differ
+from the greedy ones, but ``_hyperbolic`` does not depend on the pairs
+(see ``SympSpace._hyperbolic``), so every witness and output is the
+same.
 
 Extraspecial (k = 0) and totally-degenerate (n = 0) inputs admit direct
 constructions that the general route reproduces exactly; the tests keep
@@ -156,24 +161,61 @@ def _attach(
     The result carries D^-1 with no elimination. The new D is D plus the
     row w0 + e_d, so its inverse is D^-1 plus the last row w0^T D^-1: old
     column p gains bit d = w0 . column p, and the new column is e_d.
+
+    The new space carries its hyperbolic pairs and radical rows too, in
+    O(dim) int work and with no greedy basis. An old vector pairs with e_d
+    by its dot product with ``pairings``, and old vectors pair with each
+    other as before. With zero pairings, e_d joins the radical and the
+    pairs stay as they are (shared, not copied). Otherwise let z_m be the
+    first radical row with z_m . pairings = 1. It exists exactly when the
+    type goes to (n + 1, k - 1): were pairings zero on the radical, it
+    would be G v for some v, and e_d + v a new radical vector, type
+    (n, k + 1). So asserting z_m checks what a type assertion would,
+    without building a greedy basis. Then (z_m, e_d + h), with
+    h = ``_hyperbolic``(pairings), is one more pair: h pairs with every
+    old pair vector as pairings does, so e_d + h pairs with none, and
+    <z_m, e_d + h> = 1. The later radical rows that pair with e_d absorb
+    z_m. On the default route h = 0, since pairings is a sum of radical
+    pivots there (see ``extend_minimal``).
+
+    The radical rows stay the canonical kernel basis: one row per free
+    column t_j, with its highest bit there and no bit at another free
+    column (see ``SympSpace._radical``). In the hyperbolic case the kept
+    rows, z_j and z_j + z_m for j > m, are k - 1 kernel vectors with
+    highest bits at the t_j other than t_m and no bit at another of them,
+    so they are the canonical basis of the new kernel, of dimension
+    k - 1, whose free columns are those t_j. In the null case the free
+    columns gain d, with row e_d. The new pair, z_m and e_d + h, has no
+    bit at a new free column, so the pairs span the new W and
+    ``_hyperbolic`` reads the same map as a fresh space's.
     """
-    d = s.space.dim
-    rows = [old | ((pairings >> i & 1) << d) for i, old in enumerate(s.space.gram.rows)]
+    space = s.space
+    d = space.dim
+    rows = [old | ((pairings >> i & 1) << d) for i, old in enumerate(space.gram.rows)]
     rows.append(pairings)
     new_deco = BitVec(d + 1, w0 | 1 << d)
+    new_space = SympSpace._trusted(BitMat._trusted(d + 1, rows))
     out = SRS._trusted(
         s.graph._with_node(lam.bits),
-        SympSpace._trusted(BitMat._trusted(d + 1, rows)),
+        new_space,
         BitMat._trusted(d + 1, s.deco.rows + (new_deco.bits,)),
     )
     inverse_cols = [col | ((w0 & col).bit_count() & 1) << d for col in s._deco_inverse]
     inverse_cols.append(1 << d)
     object.__setattr__(out, "_deco_inverse", inverse_cols)
-    n, k = s.type
+    radical = space._radical
     if not pairings:
-        assert out.type == (n, k + 1)
+        new_space._pairs = space._pairs
+        new_space._radical = radical + [1 << d]
         return out, ExtensionWitness(NEW_NULLVECTOR, BitVec(d, w0), BitVec(d, z0), new_deco)
-    assert out.type == (n + 1, k - 1)
+    m = next((j for j, z in enumerate(radical) if (z & pairings).bit_count() & 1), None)
+    assert m is not None, "a hyperbolic step needs a radical row that pairs with the new coordinate"
+    z_m = radical[m]
+    xs, ys = space._pairs
+    new_space._pairs = xs + [z_m], ys + [1 << d ^ space._hyperbolic(pairings)]
+    new_space._radical = radical[:m] + [
+        z ^ z_m if (z & pairings).bit_count() & 1 else z for z in radical[m + 1:]
+    ]
     x_choice = BitVec(d + 1, pairings & -pairings)
     return out, ExtensionWitness(NEW_HYPERBOLIC, BitVec(d, w0), BitVec(d, z0), new_deco, x_choice)
 

@@ -25,10 +25,19 @@ in O(count x dim) word operations, and the symplectic basis carries each
 candidate's image along with it, so a pair test or a projection step
 costs O(1) word operations instead of a matrix-vector product.
 
-Each space is decomposed once: the symplectic basis is computed and
-cached as int rows (``_basis``), the radical rows (``_radical``) are its
-z part, and ``type`` counts its x and z parts. The public ``radical``
-and ``basis`` wrap them as ``BitVec``s on first read.
+Each space is decomposed once, into int rows: hyperbolic pairs
+(``_pairs``) and the radical rows (``_radical``), the canonical kernel
+basis; ``type`` counts them. A fresh space takes both from the greedy
+symplectic basis (``_basis``), while ``extend._attach`` gives each
+extended space its pairs and radical by an O(dim) update of the old ones
+and builds no greedy basis. Either way the pairs span the coordinate
+subspace W on the non-free columns of the Gram matrix, so
+``_hyperbolic``, the inverse of the form on W, does not depend on which
+pairs they are. On an extended space the greedy basis is built only
+where its pairing itself is read: the public ``basis`` (which
+``grp2.extraspecial_sign`` reads) and ``grp2.make_group``. The public
+``radical`` and ``basis`` wrap the int rows as ``BitVec``s on first
+read.
 """
 
 from __future__ import annotations
@@ -101,8 +110,11 @@ class SymplecticBasis(NamedTuple):
 
 
 class SympSpace:
-    """GF(2)^dim with an alternating form; radical, basis and type cached,
-    the radical and basis as int rows that ``radical`` and ``basis`` wrap."""
+    """GF(2)^dim with an alternating form; hyperbolic pairs, radical,
+    basis and type cached, the pairs, radical and basis as int rows that
+    ``radical`` and ``basis`` wrap. ``_pairs`` and ``_radical`` may be
+    preset (``extend._attach``), and then ``type`` and ``_hyperbolic``
+    read no greedy basis."""
 
     def __init__(self, gram: BitMat):
         if gram.nrows != gram.ncols:
@@ -152,7 +164,7 @@ class SympSpace:
     @cached_property
     def _radical(self) -> list[int]:
         """Deterministic basis of V^perp, the kernel of the Gram matrix: the
-        z part of ``_basis``.
+        z part of ``_basis``, unless ``extend._attach`` presets it.
 
         It is the canonical kernel basis (``gf2.kernel_basis``: lowest-index
         pivots, one vector per free column, free columns ascending). Each
@@ -167,8 +179,20 @@ class SympSpace:
         the kernel, which is the set of free columns, and a kernel vector
         is fixed by its bits at the free columns: so the z_t, in ascending
         origin order, are the kernel basis.
+
+        So no x_i or y_i has a bit at a free column either, since the picked
+        vectors never do, and the pairs span exactly the coordinate subspace
+        W on the non-free columns.
         """
         return self._basis[2]
+
+    @cached_property
+    def _pairs(self) -> tuple[list[int], list[int]]:
+        """Hyperbolic pairs as int rows x.., y.., with <x_i, y_j> = [i == j],
+        <x_i, x_j> = <y_i, y_j> = 0, that span W, the coordinate subspace on
+        the non-free columns: the x and y parts of ``_basis`` (the same
+        lists, not copies), unless ``extend._attach`` presets them."""
+        return self._basis[:2]
 
     @cached_property
     def radical(self) -> tuple[BitVec, ...]:
@@ -227,10 +251,14 @@ class SympSpace:
         """The w in the span of the hyperbolic pairs with <v, w> = phi . v for
         every v there: sum_i (phi . y_i) x_i + (phi . x_i) y_i, since the
         x_i-coordinate of a vector is its pairing with y_i and vice versa.
-        As a matrix this map is H = sum_i x_i y_i^T + y_i x_i^T, symmetric."""
+        As a matrix this map is H = sum_i x_i y_i^T + y_i x_i^T, symmetric.
+
+        H does not depend on the pairs: they span W (see ``_pairs``), the
+        form is nondegenerate on W, and H restricted to W is its inverse
+        there, embedded with zeros on the free columns. Any symplectic basis
+        of W gives that inverse, the greedy one or the carried one."""
         w = 0
-        xs, ys, _ = self._basis
-        for x, y in zip(xs, ys):
+        for x, y in zip(*self._pairs):
             if (phi & y).bit_count() & 1:
                 w ^= x
             if (phi & x).bit_count() & 1:
@@ -239,8 +267,7 @@ class SympSpace:
 
     @cached_property
     def type(self) -> SpaceType:
-        xs, _, zs = self._basis
-        return SpaceType(len(xs), len(zs))
+        return SpaceType(len(self._pairs[0]), len(self._radical))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SympSpace):
@@ -290,10 +317,10 @@ class MixedForm:
     @cached_property
     def matrix(self) -> BitMat:
         s = self.space
-        # radical basis vector i is the leftover of greedy candidate f_i, its
-        # highest set bit, and no other basis vector sets bit f_i (see
-        # SympSpace._radical): so bit f_i of a radical vector is its i-th
-        # coordinate, and coords maps into them
+        # radical basis vector i has its highest set bit at free column f_i,
+        # and no other basis vector sets bit f_i (see SympSpace._radical):
+        # so bit f_i of a radical vector is its i-th coordinate, and coords
+        # maps into them
         coords = BitMat(s.dim, (1 << (v.bit_length() - 1) for v in s._radical)) @ self.proj
         completed = s.gram ^ (coords.transpose() @ self.radform @ coords)
         assert rank(completed) == s.dim, "mixed completion came out degenerate"
@@ -333,8 +360,8 @@ def mixed_completion(s: SympSpace, proj: BitMat, radform: BitMat) -> MixedForm:
 
 
 def default_completion_choices(s: SympSpace) -> tuple[BitMat, BitMat]:
-    """Canonical (proj, radform): project along the hyperbolic planes of the
-    cached symplectic basis onto its z-span, identity radical form. The
+    """Canonical (proj, radform): project along W, the span of the cached
+    hyperbolic pairs, onto the radical, identity radical form. The
     hyperbolic part of e_j is ``_hyperbolic`` of Gram row j, so the
     projection is I + H G. The default ``extend_minimal`` step never
     builds it: the projection drops out of that step."""

@@ -1,5 +1,6 @@
-"""Shared helpers for building random-but-seeded test objects, and the
-fixture that validates every system the library builds."""
+"""Shared helpers for building random-but-seeded test objects, the
+fixture that validates every system the library builds, and the one that
+checks the symplectic split each extension step carries."""
 
 from __future__ import annotations
 
@@ -8,7 +9,8 @@ import random
 
 import pytest
 
-from symprs.gf2 import BitMat
+from symprs import extend
+from symprs.gf2 import BitMat, kernel_basis
 from symprs.graph import Graph
 from symprs.srs import SRS, SympMap
 from symprs.symplectic import SympSpace
@@ -24,6 +26,46 @@ def validate_trusted_constructions(request, monkeypatch):
         return
     for cls in (BitMat, SympSpace, SRS, SympMap):
         monkeypatch.setattr(cls, "_trusted", classmethod(lambda c, *args: c(*args)))
+
+
+def assert_carried_split(space: SympSpace) -> None:
+    """The hyperbolic pairs and radical rows that ``extend._attach`` preset
+    on ``space``, against a fresh ``SympSpace`` of its Gram matrix: the
+    radical rows are the canonical kernel basis, the pairs a symplectic
+    basis of W, the coordinate subspace on the non-free columns (pairings
+    <x_i, y_j> = [i == j], all others 0, no bit at a radical pivot, 2n + k
+    vectors in all), and their map ``_hyperbolic`` equals the fresh
+    space's, read off its greedy basis, on every unit vector. The fresh
+    greedy basis is the int route that ``tests/test_kernel_oracles.py``
+    checks against ``oracles.greedy_basis``; the oracle itself takes
+    O(dim^3) word operations per space, seconds on a 120-step chain."""
+    (xs, ys), radical = vars(space)["_pairs"], vars(space)["_radical"]
+    fresh = SympSpace(space.gram)
+    assert radical == [v.bits for v in kernel_basis(fresh.gram)]
+    assert len(xs) == len(ys) and 2 * len(xs) + len(radical) == space.dim
+    vectors = [v for pair in zip(xs, ys) for v in pair]
+    # x_i, y_i are vectors 2i and 2i + 1, partners when their indices differ in bit 0
+    assert fresh.pairing_rows(vectors) == [1 << (p ^ 1) for p in range(len(vectors))]
+    pivots = sum(1 << (z.bit_length() - 1) for z in radical)
+    assert not any(v & pivots for v in vectors)
+    assert all(space._hyperbolic(1 << t) == fresh._hyperbolic(1 << t) for t in range(space.dim))
+
+
+@pytest.fixture(autouse=True)
+def check_carried_splits(request, monkeypatch):
+    """Check the split of every space an extension step makes with
+    ``assert_carried_split``. Tests marked ``trusted_constructors`` run the
+    shipped path instead."""
+    if request.node.get_closest_marker("trusted_constructors"):
+        return
+    attach = extend._attach
+
+    def checked(*args):
+        out = attach(*args)
+        assert_carried_split(out[0].space)
+        return out
+
+    monkeypatch.setattr(extend, "_attach", checked)
 
 
 def random_space(rng: random.Random, dim: int) -> SympSpace:

@@ -8,13 +8,7 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from symprs.cartan import MAX_ROOTS, CartanDatum, WeylRep
-from symprs.extend import (
-    NEW_HYPERBOLIC,
-    NEW_NULLVECTOR,
-    ExtensionWitness,
-    _attach,
-    _require_minimal,
-)
+from symprs.extend import NEW_HYPERBOLIC, NEW_NULLVECTOR, ExtensionWitness, _require_minimal
 from symprs.gf2 import BitMat, BitVec, RowEchelon, echelon_basis, inverse, rank, subspaces
 from symprs.graph import Graph, _isomorphisms, _node_invariants, induced_subgraph
 from symprs.srs import MAX_QUOTIENT_RADICAL_DIM, SRS, SRSError, SympMap
@@ -701,7 +695,9 @@ def extend_minimal(
     s: SRS, lam: BitVec, choices: tuple[BitMat, BitMat] | None = None
 ) -> tuple[SRS, ExtensionWitness]:
     """Solve <<w, .>> = c against the completed Gram matrix and split the
-    solution into w0 + z0 along the radical projection."""
+    solution into w0 + z0 along the radical projection. The new coordinate
+    pairs with the old ones as <<z0, .>>, in a fresh space of the bordered
+    Gram matrix; the new node gets w0 plus it."""
     proj, radform = choices if choices is not None else default_completion_choices(s.space)
     mixed = mixed_completion(s.space, proj, radform)
     c = lift_indicator(s, lam)
@@ -709,7 +705,16 @@ def extend_minimal(
     assert w_tilde is not None, "mixed completion is nondegenerate"
     z0 = proj @ w_tilde
     w0 = w_tilde ^ z0
-    return _attach(s, lam, w0.bits, z0.bits, 0 if z0.is_zero() else (mixed.matrix @ z0).bits)
+    d = s.space.dim
+    pairings = mixed.matrix @ z0
+    rows = [row | pairings[i] << d for i, row in enumerate(s.space.gram.rows)]
+    gram = BitMat(d + 1, rows + [pairings.bits])
+    new_deco = w0.pad(d + 1) ^ BitVec.basis(d + 1, d)
+    out = _one_node_more(s, lam, gram, new_deco)
+    if z0.is_zero():
+        return out, ExtensionWitness(NEW_NULLVECTOR, w0, z0, new_deco)
+    x_choice = BitVec.basis(d + 1, support(pairings)[0])
+    return out, ExtensionWitness(NEW_HYPERBOLIC, w0, z0, new_deco, x_choice)
 
 
 def group_cocycle(space: SympSpace) -> BitMat:

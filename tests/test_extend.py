@@ -6,6 +6,7 @@ import random
 import pytest
 
 from oracles import extend_extraspecial, extend_nullspace
+from symprs import extend
 from symprs.extend import (
     NEW_HYPERBOLIC,
     NEW_NULLVECTOR,
@@ -20,7 +21,12 @@ from symprs.extend import (
 from symprs.gf2 import BitMat, BitVec
 from symprs.graph import Graph, all_graphs, dynkin_graph
 from symprs.srs import SRSError, minimal_srs, restrict, srs_isomorphic, srs_to_json
-from symprs.symplectic import default_completion_choices, mixed_completion, random_completion_choices
+from symprs.symplectic import (
+    SympSpace,
+    default_completion_choices,
+    mixed_completion,
+    random_completion_choices,
+)
 
 
 def indicators(n):
@@ -237,6 +243,36 @@ def test_build_by_extension_long_chain_digest():
     assert hashlib.sha256(payload.encode()).hexdigest() == (
         "4d4400eb393a8c2ac89958c6eaeb634a7ef8f2ca7a1d51fc3e4ade88cc4887fa"
     )
+
+
+def test_extension_steps_build_no_greedy_basis(monkeypatch):
+    # each step carries the new space's hyperbolic pairs and radical, so no
+    # space an extension made builds the greedy basis, on the default route
+    # or with explicit choices; where the pairing is read it is the greedy one
+    made = []
+    attach = extend._attach
+
+    def recording(*args):
+        out = attach(*args)
+        made.append(out[0].space)
+        return out
+
+    monkeypatch.setattr(extend, "_attach", recording)
+    rng = random.Random(60)
+    n = 60
+    g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.getrandbits(1)])
+    order = list(range(n))
+    rng.shuffle(order)
+    built = build_by_extension(g, order)
+    s = minimal_srs(dynkin_graph("D", 6))
+    for _ in range(12):
+        lam = BitVec(s.graph.n, rng.getrandbits(s.graph.n))
+        s, _ = extend_minimal(s, lam, random_completion_choices(rng, s.space))
+    assert len(made) == n + 12
+    assert not [space for space in made if "_basis" in vars(space)]
+    for space in (built.space, s.space):
+        assert space.type == SympSpace(space.gram).type
+        assert space.basis == SympSpace(space.gram).basis
 
 
 def test_a_chain_growth_alternates_types():

@@ -24,7 +24,8 @@ extension as two single steps must equal its direct construction. The
 default extension step must equal the explicit one with
 ``default_completion_choices``, and the decoration inverse that
 ``minimal_srs`` presets and each step carries must equal a fresh
-``inverse``. The two identities that leave the default step one
+``inverse``, and so must the hyperbolic pairs and radical rows each step
+carries equal a fresh decomposition. The two identities that leave the default step one
 ``_hyperbolic`` call must hold on random, standard and extended spaces.
 """
 
@@ -39,6 +40,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import assert_carried_split
 from symprs import extend
 from symprs.cartan import cartan_datum, group_order, weyl_rep
 from symprs.extend import build_by_extension, double_extend_extraspecial, extend_minimal
@@ -57,7 +59,7 @@ from symprs.gf2 import (
     solve_mat,
     table_combination,
 )
-from symprs.graph import Graph
+from symprs.graph import Graph, dynkin_graph
 from symprs.grp2 import CocycleGroup, _commutator_mismatches, extraspecial_sign, make_group
 from symprs.srs import (
     SRS,
@@ -474,7 +476,10 @@ def test_basis_routes_match_completed_matrix_oracles(s, data):
         lam = _vec(data.draw, n)
         seed = data.draw(st.none() | st.integers(0, 2**32))
         choices = None if seed is None else random_completion_choices(random.Random(seed), space)
-        assert extend_minimal(s, lam, choices) == oracles.extend_minimal(s, lam, choices)
+        got, expected = extend_minimal(s, lam, choices), oracles.extend_minimal(s, lam, choices)
+        assert got == expected
+        assert got[0].type == expected[0].type
+        assert got[0].space._radical == expected[0].space._radical
         # the default step never builds P: it must match the explicit route
         # through default_completion_choices, system and witness
         assert extend_minimal(s, lam) == extend_minimal(s, lam, default_completion_choices(space))
@@ -566,6 +571,55 @@ def test_extensions_carry_the_decoration_inverse(s, lams, double, rng):
     assert len(steps) == s.graph.n
     for t in steps:
         _assert_carried_inverse(t)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    minimal_systems(),
+    st.lists(st.tuples(st.integers(0, 2**24 - 1), st.none() | st.integers(0, 2**32)), max_size=6),
+    st.tuples(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1), st.booleans()),
+    st.randoms(use_true_random=False),
+)
+@example(minimal_srs(Graph(0)), [(0, None), (1, 3), (2, None), (0, 5)], (0, 0, False), random.Random(0))
+@example(minimal_srs(dynkin_graph("A", 4)), [(5, 1), (0, None), (31, 2)], (3, 9, True), random.Random(1))
+@example(minimal_srs(Graph(5)), [(0, 4), (7, None), (2, 6), (63, 7)], (1, 2, False), random.Random(2))
+def test_extensions_carry_the_symplectic_split(s, steps, double, rng):
+    """Every space an extension step makes carries hyperbolic pairs and
+    radical rows that ``assert_carried_split`` accepts: along an
+    ``extend_minimal`` chain, each step with the default choices (seed
+    None) or with ``random_completion_choices`` from the seed, through
+    ``double_extend_extraspecial`` and in ``build_by_extension`` in a
+    random order; the greedy basis of a fresh space, which that check
+    reads H from, is the oracle's. Indicator bits past the current node
+    count are dropped."""
+    made = []
+    attach = extend._attach
+
+    def recording(*args):
+        out = attach(*args)
+        made.append(out[0].space)
+        return out
+
+    with mock.patch.object(extend, "_attach", recording):
+        t = s
+        for bits, seed in steps:
+            choices = None if seed is None else random_completion_choices(random.Random(seed), t.space)
+            n = t.graph.n
+            t, _ = extend_minimal(t, BitVec(n, bits & ((1 << n) - 1)), choices)
+        if s.type.k == 0:
+            n, mask = s.graph.n, (1 << s.graph.n) - 1
+            lam_p, lam_q, edge = double
+            double_extend_extraspecial(s, BitVec(n, lam_p & mask), BitVec(n, lam_q & mask), edge)
+        order = list(range(s.graph.n))
+        rng.shuffle(order)
+        build_by_extension(s.graph, order)
+    assert len(made) == len(steps) + 2 * (s.type.k == 0) + s.graph.n
+    for space in made:
+        assert_carried_split(space)
+        # the fresh greedy basis that the split is checked against is the oracle's
+        greedy = oracles.greedy_basis(space)
+        fresh = SympSpace(space.gram)
+        assert fresh._pairs == ([x.bits for x in greedy.x], [y.bits for y in greedy.y])
 
 
 @st.composite
