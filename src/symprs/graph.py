@@ -50,6 +50,25 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+_BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _checked_adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
+    """The adjacency rows of ``Graph(n, pairs)``, one edge at a time: raises
+    at the first edge out of range, self-loop or duplicate."""
+    adj = [0] * n
+    for a, b in pairs:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"edge ({a}, {b}) out of range for {n} nodes")
+        if a == b:
+            raise ValueError(f"self-loop at node {a}")
+        if adj[a] >> b & 1:
+            raise ValueError(f"duplicate edge {(min(a, b), max(a, b))}")
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
 class Graph:
     """An undirected simple graph on nodes 0..n-1: bit b of ``adj[a]`` is set iff a-b is an edge."""
 
@@ -60,16 +79,23 @@ class Graph:
             raise ValueError(f"negative node count {n}")
         if n > MAX_NODES:
             raise ValueError(f"{n} nodes exceeds the node cap of {MAX_NODES}")
+        # One lean pass, checked in bulk: a node past n - 1 is no row
+        # index (both rows are read before any shift, so no huge shift is
+        # tried), a negative one no shift count, and each edge sets two
+        # new bits unless it is a self-loop or a duplicate. Any failure
+        # reruns the per-edge checks, which name the first culprit.
+        pairs = list(edges)
         adj = [0] * n
-        for a, b in edges:
-            if not (0 <= a < n and 0 <= b < n):
-                raise ValueError(f"edge ({a}, {b}) out of range for {n} nodes")
-            if a == b:
-                raise ValueError(f"self-loop at node {a}")
-            if adj[a] >> b & 1:
-                raise ValueError(f"duplicate edge {(min(a, b), max(a, b))}")
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
+        try:
+            for a, b in pairs:
+                row = adj[b]
+                adj[a] |= 1 << b
+                adj[b] = row | 1 << a
+            valid = sum(map(int.bit_count, adj)) == 2 * len(pairs)
+        except (IndexError, TypeError, ValueError):
+            valid = False
+        if not valid:
+            adj = _checked_adjacency(n, pairs)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(adj))
 
@@ -105,7 +131,14 @@ class Graph:
         return frozenset(self.edge_list())
 
     def edge_list(self) -> list[tuple[int, int]]:
-        return [(a, b) for a, row in enumerate(self.adj) for b in _bits(row >> (a + 1) << (a + 1))]
+        """The edges (a, b), a < b, in lexicographic order: each row's bits
+        above a, lowest first, as one byte string of 0s and 1s that
+        ``compress`` reads."""
+        out = []
+        for a, row in enumerate(self.adj):
+            flags = bin(row >> (a + 1))[:1:-1].encode().translate(_BIT_FLAGS)
+            out.extend(zip(itertools.repeat(a), itertools.compress(itertools.count(a + 1), flags)))
+        return out
 
     def adjacency(self) -> BitMat:
         return BitMat._trusted(self.n, self.adj)
@@ -206,7 +239,7 @@ def _graph_from_json(payload) -> Graph:
 
 
 def graph_to_json(g: Graph) -> dict:
-    return {"nodes": g.n, "edges": [list(e) for e in g.edge_list()]}
+    return {"nodes": g.n, "edges": list(map(list, g.edge_list()))}
 
 
 def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:

@@ -51,6 +51,7 @@ from .gf2 import (
     BitVec,
     _echelon_rows,
     _eliminate,
+    _string_bits,
     _transpose,
     inverse,
     kernel_basis,
@@ -235,7 +236,10 @@ def _minimal_for_quotients(g: Graph) -> SRS:
 
 def _gather(bits: int, positions: Sequence[int]) -> int:
     """Bit i of the result is bit ``positions[i]`` of ``bits``."""
-    return sum((bits >> p & 1) << i for i, p in enumerate(positions))
+    out = 0
+    for i, p in enumerate(positions):
+        out |= (bits >> p & 1) << i
+    return out
 
 
 def restrict(s: SRS, nodes: Sequence[int]) -> SRS:
@@ -264,7 +268,10 @@ def quotient(s: SRS, u_basis: Sequence[BitVec]) -> tuple[SRS, SympMap]:
     the quotient of a quotient stays deterministic. Projecting reduces a
     vector by the echelon rows at its pivot bits and keeps the other
     coordinates, so the image of unit vector j is the kept part of the
-    echelon row pivoting at j, or of the unit vector itself.
+    echelon row pivoting at j, or the unit vector at j's position in the
+    kept ones. The quotient's Gram matrix is G on the kept rows and
+    columns: G is symmetric, so it is read off the transpose of the kept
+    rows at the kept positions.
     """
     dim = s.space.dim
     gram = s.space.gram.rows
@@ -276,8 +283,10 @@ def quotient(s: SRS, u_basis: Sequence[BitVec]) -> tuple[SRS, SympMap]:
     basis = _echelon_rows([u.bits for u in u_basis], dim)
     reducer = {(b & -b).bit_length() - 1: b for b in basis}
     keep = [j for j in range(dim) if j not in reducer]
-    cols = [_gather(reducer.get(j, 1 << j), keep) for j in range(dim)]
-    quot_space = SympSpace._trusted(BitMat._trusted(len(keep), (_gather(gram[j], keep) for j in keep)))
+    position = {j: i for i, j in enumerate(keep)}
+    cols = [1 << position[j] if j in position else _gather(reducer[j], keep) for j in range(dim)]
+    kept_cols = _transpose([gram[j] for j in keep], dim)
+    quot_space = SympSpace._trusted(BitMat._trusted(len(keep), [kept_cols[j] for j in keep]))
     proj = SympMap._trusted(s.space, quot_space, BitMat._trusted(dim, _transpose(cols, len(keep))))
     deco = BitMat._trusted(len(keep), (row_combination(cols, v) for v in s.deco.rows))
     quot = SRS._trusted(s.graph, quot_space, deco)
@@ -417,16 +426,18 @@ def srs_from_json(payload: dict) -> SRS:
     if len(gram_rows) != dim:
         raise SRSError(f"gram has {len(gram_rows)} rows, dim is {dim}")
     space = SympSpace(BitMat.from_rows(gram_rows, ncols=dim))
-    deco = []
+    rows, dims = [], []
     for p in range(graph.n):
         key = str(p)
         if key not in deco_map:
             raise SRSError(f"missing decoration for node {p}")
-        deco.append(BitVec.from_string(deco_map[key]))
-    for p, v in enumerate(deco):
-        if v.dim != dim:
-            raise SRSError(f"decoration of node {p} has dimension {v.dim}, space has {dim}")
-    s = SRS(graph, space, BitMat(dim, (v.bits for v in deco)))
+        text = deco_map[key]
+        rows.append(_string_bits(text))
+        dims.append(len(text))
+    for p, d in enumerate(dims):
+        if d != dim:
+            raise SRSError(f"decoration of node {p} has dimension {d}, space has {dim}")
+    s = SRS(graph, space, BitMat(dim, rows))
     declared_type = payload.get("type", list(s.type))
     if not (isinstance(declared_type, list) and len(declared_type) == 2
             and all(type(x) is int for x in declared_type)):

@@ -154,12 +154,15 @@ class SympSpace:
         past the space's dimension.
 
         Computes B G B^T for B with the vectors as rows: first each Gram
-        image v_p^T G, then each row as the XOR of the columns of B that
-        the image selects.
+        image v_q^T G, then, since B G B^T is symmetric, row p as the XOR
+        of the columns of the image matrix that v_p selects. The images
+        are the dense side (half their bits on a random form), so their
+        transpose takes ``_transpose``'s string route where it pays, and a
+        near-unit family such as a minimal system's costs one XOR per row.
         """
         images = [row_combination(self.gram.rows, v) for v in vectors]
-        cols = _transpose(vectors, self.dim)
-        return [row_combination(cols, g) for g in images]
+        cols = _transpose(images, self.dim)
+        return [row_combination(cols, v) for v in vectors]
 
     @cached_property
     def _radical(self) -> list[int]:

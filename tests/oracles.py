@@ -10,9 +10,71 @@ from typing import Iterable, Sequence
 from symprs.cartan import MAX_ROOTS, CartanDatum, WeylRep
 from symprs.extend import NEW_HYPERBOLIC, NEW_NULLVECTOR, ExtensionWitness, _require_minimal
 from symprs.gf2 import BitMat, BitVec, RowEchelon, echelon_basis, inverse, rank, subspaces
-from symprs.graph import Graph, _isomorphisms, _node_invariants, induced_subgraph
+from symprs.graph import MAX_NODES, Graph, _isomorphisms, _node_invariants, induced_subgraph
 from symprs.srs import MAX_QUOTIENT_RADICAL_DIM, SRS, SRSError, SympMap
 from symprs.symplectic import SymplecticBasis, SympSpace, mixed_completion, standard_space
+
+
+def bit_string_bits(text) -> int:
+    """The value of a vector's wire form, with the per-character check
+    ``BitVec.from_string`` made before its checks ran in one string pass."""
+    if not (isinstance(text, str) and all(c in "01" for c in text)):
+        raise ValueError(f"not a bit string: {text!r}")
+    return sum(1 << i for i, c in enumerate(text) if c == "1")
+
+
+def bit_matrix_rows(rows, ncols: int | None = None) -> tuple[int, tuple[int, ...]]:
+    """(ncols, rows) of ``BitMat.from_rows(rows, ncols)``, one ``BitVec``
+    per row, each string row parsed by ``bit_string_bits``."""
+    vecs = [r if isinstance(r, BitVec)
+            else BitVec(len(r), bit_string_bits(r)) if isinstance(r, str)
+            else BitVec.from_bits(r)
+            for r in rows]
+    if ncols is None:
+        if not vecs:
+            raise ValueError("cannot infer column count from zero rows")
+        ncols = vecs[0].dim
+    if any(v.dim != ncols for v in vecs):
+        raise ValueError("ragged rows")
+    return ncols, BitMat(ncols, (v.bits for v in vecs)).rows
+
+
+def graph_rows(n: int, edges) -> tuple[int, ...]:
+    """The adjacency rows of ``Graph(n, edges)``, with each edge checked in
+    turn, as ``Graph`` did before its checks ran in bulk: the first edge out
+    of range, self-loop or duplicate names the error."""
+    if n < 0:
+        raise ValueError(f"negative node count {n}")
+    if n > MAX_NODES:
+        raise ValueError(f"{n} nodes exceeds the node cap of {MAX_NODES}")
+    adj = [0] * n
+    for a, b in edges:
+        if not (0 <= a < n and 0 <= b < n):
+            raise ValueError(f"edge ({a}, {b}) out of range for {n} nodes")
+        if a == b:
+            raise ValueError(f"self-loop at node {a}")
+        if adj[a] >> b & 1:
+            raise ValueError(f"duplicate edge {(min(a, b), max(a, b))}")
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return tuple(adj)
+
+
+def graph_json_rows(payload) -> tuple[int, ...]:
+    """The adjacency rows of ``graph._graph_from_json(payload)``, with each
+    edge entry checked in turn before ``graph_rows``."""
+    if not isinstance(payload, dict) or "nodes" not in payload:
+        raise ValueError('graph JSON needs a "nodes" field')
+    nodes = payload["nodes"]
+    edges = payload.get("edges", [])
+    if type(nodes) is not int:
+        raise ValueError('"nodes" must be an integer')
+    if not isinstance(edges, list):
+        raise ValueError('"edges" must be a list')
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
+            raise ValueError(f"bad edge entry {e!r}")
+    return graph_rows(nodes, edges)
 
 
 def bit_string(v: BitVec) -> str:

@@ -54,6 +54,7 @@ CASES = {
     "iso_cycle5_relabeled": ["iso", "@cycle5_minimal.json", "@cycle5_recoordinated.json"],
     "iso_d6_minimal_vs_quotient": ["iso", "@d6_minimal.json", "@d6_quotient.json"],
     "iso_d6_quotients_text": ["iso", "@d6_quotient.json", "@d6_quotient.json", "--format", "text"],
+    "iso_random40_minimal_self": ["iso", "@random40_minimal.json", "@random40_minimal.json"],
     "ade_a5": ["ade", "--family", "A", "--rank", "5"],
     "ade_d6": ["ade", "--family", "D", "--rank", "6"],
     "ade_e8": ["ade", "--family", "E", "--rank", "8"],

@@ -27,6 +27,12 @@ default extension step must equal the explicit one with
 ``inverse``, and so must the hyperbolic pairs and radical rows each step
 carries equal a fresh decomposition. The two identities that leave the default step one
 ``_hyperbolic`` call must hold on random, standard and extended spaces.
+``_transpose`` must equal the column-by-column oracle on both of its
+routes, and ``pairing_rows`` the pairwise one also on families whose
+images take the string route. On malformed edge lists and bit strings,
+``Graph``, ``_graph_from_json``, ``BitVec.from_string`` and
+``BitMat.from_rows`` must raise the same exception and message as the
+entry-by-entry checks kept as oracles.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import random
 from collections import Counter
 from unittest import mock
 
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -47,6 +53,7 @@ from symprs.extend import build_by_extension, double_extend_extraspecial, extend
 from symprs.gf2 import (
     BitMat,
     BitVec,
+    _transpose,
     bilinear,
     byte_table,
     echelon_basis,
@@ -59,7 +66,7 @@ from symprs.gf2 import (
     solve_mat,
     table_combination,
 )
-from symprs.graph import Graph, dynkin_graph
+from symprs.graph import Graph, _graph_from_json, dynkin_graph
 from symprs.grp2 import CocycleGroup, _commutator_mismatches, extraspecial_sign, make_group
 from symprs.srs import (
     SRS,
@@ -97,9 +104,9 @@ def _alternating(dim: int, upper: int) -> BitMat:
 
 
 @st.composite
-def spaces(draw, max_dim: int = 40) -> SympSpace:
+def spaces(draw, max_dim: int = 40, min_dim: int = 0) -> SympSpace:
     """Zero, sparse (1/8), half, dense (7/8) or complete alternating forms."""
-    dim = draw(st.integers(0, max_dim))
+    dim = draw(st.integers(min_dim, max_dim))
     full = (1 << (dim * (dim - 1) // 2)) - 1
     a, b, c = (draw(st.integers(0, full)) for _ in range(3))
     upper = draw(st.sampled_from([0, a & b & c, a, a | b | c, full]))
@@ -291,12 +298,124 @@ def test_low_rank_radical_and_basis_rows_match_oracles(space):
     assert space.radical == space.basis.z
 
 
+@st.composite
+def transpose_inputs(draw) -> BitMat:
+    """Matrices on both sides of ``_transpose``'s route choice: small ones,
+    and 40-80 rows at densities from none to full, as identity-like rows,
+    or with every row's top bit set."""
+    big = draw(st.booleans())
+    nrows = draw(st.integers(40, 80) if big else st.integers(0, 12))
+    ncols = draw(st.integers(0, 80) if big else st.integers(0, 12))
+    mask = (1 << ncols) - 1
+    rand = st.integers(0, mask)
+    kind = draw(st.sampled_from(["zero", "sparse", "half", "dense", "full", "identity", "top"]))
+    if kind == "identity":
+        rows = [1 << i & mask for i in range(nrows)]
+    else:
+        rows = []
+        for _ in range(nrows):
+            a, b, c = draw(rand), draw(rand), draw(rand)
+            rows.append({"zero": 0, "sparse": a & b & c, "half": a, "dense": a | b | c,
+                         "full": mask, "top": a | 1 << ncols >> 1}[kind])
+    return BitMat(ncols, rows)
+
+
+@FAST
+@given(transpose_inputs())
+@example(BitMat(0, []))
+@example(BitMat(0, [0] * 40))
+@example(BitMat(64, []))
+@example(BitMat.identity(64))
+@example(BitMat(40, [(1 << 40) - 1] * 40))
+@example(BitMat(33, [1 << 32 | i for i in range(32)]))
+def test_transpose_matches_entrywise_oracle(m):
+    string_route = m.nrows * m.ncols >= 1024 and 8 * sum(r.bit_count() for r in m.rows) >= m.nrows * m.ncols
+    event(f"string route: {string_route}")
+    assert _transpose(m.rows, m.ncols) == [oracles.col(m, j).bits for j in range(m.ncols)]
+
+
 @FAST
 @given(st.data())
 def test_pairing_rows_match_oracle(data):
-    space = data.draw(spaces())
-    vecs = [_vec(data.draw, space.dim) for _ in range(data.draw(st.integers(0, 12)))]
+    # 32 vectors of dimension 32 make 1024 entries, from which images that
+    # set one bit in 8 are transposed as a string
+    big = data.draw(st.booleans())
+    space = data.draw(spaces(min_dim=32) if big else spaces())
+    count = data.draw(st.integers(32, 48) if big else st.integers(0, 12))
+    vecs = [_vec(data.draw, space.dim) for _ in range(count)]
     assert space.pairing_rows([v.bits for v in vecs]) == oracles.pairing_rows(space, vecs)
+
+
+def _result(fn, *args):
+    """What ``fn(*args)`` gives: ("ok", value), or the exception's type and message."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the comparison covers every exception, not just ValueError
+        return type(exc), str(exc)
+
+
+edge_entries = (
+    st.lists(st.integers(0, 6), min_size=2, max_size=2)  # valid, self-loops, duplicates
+    | st.lists(st.integers(-3, 9), min_size=2, max_size=2)  # out of range
+    | st.lists(st.integers(0, 6), max_size=3)  # wrong length
+    | st.lists(st.booleans(), min_size=2, max_size=2)
+    | st.tuples(st.integers(0, 6), st.integers(0, 6))
+    | st.sampled_from([None, 3, "01", "ab", [1.0, 2], [0, "1"], [0, 1 << 62], [10**20, 0],
+                       [0, -10**20], {0: 1, 1: 2}, (0, 1, 2)])
+)
+
+
+def _containers(edges: list):
+    """The same edges as a list, a tuple and a generator, each made fresh."""
+    return [lambda: list(edges), lambda: tuple(edges), lambda: (e for e in edges)]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(0, 6), st.lists(edge_entries, max_size=8))
+@example(3, [[0, 1], [1, 0]])
+@example(3, [[0, 1], [2, 2]])
+@example(3, [[0, 5], [1, 1]])
+@example(3, [[-1, 0]])
+@example(2, [[True, False]])
+@example(0, [[0, 1]])
+def test_graph_checks_match_per_edge_oracle(n, edges):
+    for make in _containers(edges):
+        assert _result(lambda: Graph(n, make()).adj) == _result(oracles.graph_rows, n, make())
+    for payload in ({"nodes": n, "edges": edges}, {"nodes": n, "edges": tuple(edges)}):
+        assert _result(lambda: _graph_from_json(payload).adj) == _result(oracles.graph_json_rows, payload)
+
+
+bit_texts = (
+    st.text(alphabet="01_ +-\n\t\uff11\u0663b", max_size=5)
+    | st.sampled_from(["0_1", " 01", "01\n", "+1", "\uff11", "", "-0", "0b1", "1" * 70])
+    | st.none() | st.integers(0, 3) | st.binary(max_size=2) | st.lists(st.integers(0, 2), max_size=3)
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(bit_texts, st.lists(bit_texts, max_size=4), st.none() | st.integers(0, 3))
+@example("0_1", [], None)
+@example(" 01", ["01", " 01"], 2)
+@example("01\n", ["01", "1"], None)
+@example("+1", [[0, 2], "x"], None)
+@example("\uff11", [], 0)
+@example("", [""], 0)
+@example(5, [[0, 1], "10"], None)
+def test_bit_string_checks_match_per_character_oracle(text, rows, ncols):
+    def parsed(t):
+        v = BitVec.from_string(t)
+        return v.dim, v.bits
+
+    def parsed_by_oracle(t):
+        bits = oracles.bit_string_bits(t)
+        return len(t), bits
+
+    def matrix(rows, ncols):
+        m = BitMat.from_rows(rows, ncols)
+        return m.ncols, m.rows
+
+    assert _result(parsed, text) == _result(parsed_by_oracle, text)
+    assert _result(matrix, rows, ncols) == _result(oracles.bit_matrix_rows, rows, ncols)
 
 
 def _outcome(check, *args):
