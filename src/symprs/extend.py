@@ -17,11 +17,11 @@ A default step costs one ``_hyperbolic`` call and O(dim) int work: the
 lifted form is read off the columns of D^-1 that the system caches and
 each step carries to the next, and the default projection P onto the
 radical is never built, since two identities make it drop out of the
-step (``extend_minimal``). The new space's hyperbolic pairs and radical
-rows are carried the same way (``_attach``): the null case keeps the
-pairs and adds e_d to the radical, the hyperbolic case moves one radical
-row into a new pair, on the default route and with explicit choices
-alike. So no step builds a greedy symplectic basis. The pairs differ
+step (``extend_minimal``). The new space carries its hyperbolic pairs
+and radical rows the same way (``SympSpace._adjoined``): the null case
+keeps the pairs and adds e_d to the radical, the hyperbolic case moves
+one radical row into a new pair, on the default route and with explicit
+choices alike. So no step builds a greedy symplectic basis. The pairs differ
 from the greedy ones, but ``_hyperbolic`` does not depend on the pairs
 (see ``SympSpace._hyperbolic``), so every witness and output is the
 same.
@@ -38,10 +38,9 @@ The extended system is not re-validated (``SRS._trusted``). Since z0 is
 radical and P w0 = 0, the lifted form is c . v = <w0, v> + <<z0, v>>, and
 the adjoined coordinate e pairs with v as <<z0, v>>. So the new decoration
 w0 + e, appended as the last row of D, pairs with row q as c . D_q =
-lam(q). The old rows are kept as they are, since a row of the old space is
-a row of the larger one with e-coordinate 0: old pairings are unchanged,
-and the old rows span the old coordinates, e the new one.
-``build_by_extension`` only reorders the rows of the result.
+lam(q). The old rows are kept as they are (``SRS._appended``), so old
+pairings are unchanged. ``build_by_extension`` only reorders the rows of
+the result.
 The test suite validates every result in full (``tests/conftest.py``), and
 acceptance criterion 3 checks that the built system is isomorphic to the
 minimal one.
@@ -49,12 +48,12 @@ minimal one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .gf2 import BitMat, BitVec, _solve_bits, row_combination
+from .gf2 import BitMat, BitVec, _gather, _solve_bits, row_combination
 from .graph import Graph
-from .srs import SRS, SRSError, _gather, minimal_srs
-from .symplectic import SympSpace, mixed_completion
+from .srs import SRS, SRSError, minimal_srs
+from .symplectic import mixed_completion
 
 __all__ = [
     "ExtensionWitness",
@@ -117,8 +116,16 @@ def extend_minimal(
     R^-1 gamma and w0 is (I + P) w for w = ``_hyperbolic``(c + P^T c). The
     new coordinate pairs with the old ones as P^T Gamma, where Gamma is the
     sum of the unit vectors at the radical pivots (top bits) that gamma
-    selects. c is read off the cached columns of D^-1, as in
-    ``lift_indicator``, and ``_attach`` carries them to the result.
+    selects: ``SympSpace._adjoined`` makes the larger space from these
+    pairings, and ``SRS._appended`` the larger system, decorating the new
+    node by w0 plus the new coordinate.
+
+    The pairings are zero exactly when z0 is, the null case, and then the
+    new space gains a nullvector. Otherwise radical row r_j pairs with them
+    as gamma_j (P is the identity on the radical), so one that pairs to 1
+    exists, and the new coordinate is the partner of a hyperbolic pair:
+    the new radical is one row shorter. So the h = ``_hyperbolic``(pairings)
+    of ``_adjoined`` is 0 in the null case.
 
     The default choices (``default_completion_choices``) are never built:
     R is the identity, and with H the symmetric map ``_hyperbolic`` and G
@@ -138,86 +145,21 @@ def extend_minimal(
     gamma = sum(((c & r).bit_count() & 1) << j for j, r in enumerate(radical))
     pivots = row_combination([1 << (r.bit_length() - 1) for r in radical], gamma)
     if choices is None:
-        return _attach(s, lam, space._hyperbolic(c), row_combination(radical, gamma), pivots)
-    proj, radform = choices
-    mixed_completion(space, proj, radform)  # raises on invalid choices
-    w = space._hyperbolic(c ^ row_combination(proj.rows, c))
-    w0 = w ^ sum(((r & w).bit_count() & 1) << i for i, r in enumerate(proj.rows))
-    alpha = _solve_bits(radform, gamma)
-    assert alpha is not None, "radical form is nondegenerate"
-    return _attach(s, lam, w0, row_combination(radical, alpha), row_combination(proj.rows, pivots))
-
-
-def _attach(
-    s: SRS, lam: BitVec, w0: int, z0: int, pairings: int
-) -> tuple[SRS, ExtensionWitness]:
-    """Adjoin one coordinate that pairs with old coordinate i as bit i of
-    ``pairings`` says, and decorate the new node by w0 plus it.
-
-    Zero pairings adjoin a nullvector: type (n, k) -> (n, k + 1). Otherwise
-    the new coordinate is the partner of a hyperbolic pair, type
-    (n + 1, k - 1), and ``x_choice`` is the lowest coordinate it pairs with.
-
-    The result carries D^-1 with no elimination. The new D is D plus the
-    row w0 + e_d, so its inverse is D^-1 plus the last row w0^T D^-1: old
-    column p gains bit d = w0 . column p, and the new column is e_d.
-
-    The new space carries its hyperbolic pairs and radical rows too, in
-    O(dim) int work and with no greedy basis. An old vector pairs with e_d
-    by its dot product with ``pairings``, and old vectors pair with each
-    other as before. With zero pairings, e_d joins the radical and the
-    pairs stay as they are (shared, not copied). Otherwise let z_m be the
-    first radical row with z_m . pairings = 1. It exists exactly when the
-    type goes to (n + 1, k - 1): were pairings zero on the radical, it
-    would be G v for some v, and e_d + v a new radical vector, type
-    (n, k + 1). So asserting z_m checks what a type assertion would,
-    without building a greedy basis. Then (z_m, e_d + h), with
-    h = ``_hyperbolic``(pairings), is one more pair: h pairs with every
-    old pair vector as pairings does, so e_d + h pairs with none, and
-    <z_m, e_d + h> = 1. The later radical rows that pair with e_d absorb
-    z_m. On the default route h = 0, since pairings is a sum of radical
-    pivots there (see ``extend_minimal``).
-
-    The radical rows stay the canonical kernel basis: one row per free
-    column t_j, with its highest bit there and no bit at another free
-    column (see ``SympSpace._radical``). In the hyperbolic case the kept
-    rows, z_j and z_j + z_m for j > m, are k - 1 kernel vectors with
-    highest bits at the t_j other than t_m and no bit at another of them,
-    so they are the canonical basis of the new kernel, of dimension
-    k - 1, whose free columns are those t_j. In the null case the free
-    columns gain d, with row e_d. The new pair, z_m and e_d + h, has no
-    bit at a new free column, so the pairs span the new W and
-    ``_hyperbolic`` reads the same map as a fresh space's.
-    """
-    space = s.space
+        w0, z0, pairings = space._hyperbolic(c), row_combination(radical, gamma), pivots
+    else:
+        proj, radform = choices
+        mixed_completion(space, proj, radform)  # raises on invalid choices
+        w = space._hyperbolic(c ^ row_combination(proj.rows, c))
+        w0 = w ^ sum(((r & w).bit_count() & 1) << i for i, r in enumerate(proj.rows))
+        alpha = _solve_bits(radform, gamma)
+        assert alpha is not None, "radical form is nondegenerate"
+        z0, pairings = row_combination(radical, alpha), row_combination(proj.rows, pivots)
     d = space.dim
-    rows = [old | ((pairings >> i & 1) << d) for i, old in enumerate(space.gram.rows)]
-    rows.append(pairings)
-    new_deco = BitVec(d + 1, w0 | 1 << d)
-    new_space = SympSpace._trusted(BitMat._trusted(d + 1, rows))
-    out = SRS._trusted(
-        s.graph._with_node(lam.bits),
-        new_space,
-        BitMat._trusted(d + 1, s.deco.rows + (new_deco.bits,)),
-    )
-    inverse_cols = [col | ((w0 & col).bit_count() & 1) << d for col in s._deco_inverse]
-    inverse_cols.append(1 << d)
-    object.__setattr__(out, "_deco_inverse", inverse_cols)
-    radical = space._radical
-    if not pairings:
-        new_space._pairs = space._pairs
-        new_space._radical = radical + [1 << d]
-        return out, ExtensionWitness(NEW_NULLVECTOR, BitVec(d, w0), BitVec(d, z0), new_deco)
-    m = next((j for j, z in enumerate(radical) if (z & pairings).bit_count() & 1), None)
-    assert m is not None, "a hyperbolic step needs a radical row that pairs with the new coordinate"
-    z_m = radical[m]
-    xs, ys = space._pairs
-    new_space._pairs = xs + [z_m], ys + [1 << d ^ space._hyperbolic(pairings)]
-    new_space._radical = radical[:m] + [
-        z ^ z_m if (z & pairings).bit_count() & 1 else z for z in radical[m + 1:]
-    ]
-    x_choice = BitVec(d + 1, pairings & -pairings)
-    return out, ExtensionWitness(NEW_HYPERBOLIC, BitVec(d, w0), BitVec(d, z0), new_deco, x_choice)
+    out = s._appended(s.graph._with_node(lam.bits), space._adjoined(pairings), w0)
+    assert (len(out.space._radical) < len(radical)) == bool(pairings), "case and type disagree"
+    case = NEW_HYPERBOLIC if pairings else NEW_NULLVECTOR
+    x_choice = BitVec(d + 1, pairings & -pairings) if pairings else None
+    return out, ExtensionWitness(case, BitVec(d, w0), BitVec(d, z0), out.deco.row(d), x_choice)
 
 
 def double_extend_extraspecial(
@@ -245,14 +187,9 @@ def double_extend_extraspecial(
     n, d = s.graph.n, s.space.dim
     mid, step_p = extend_minimal(s, lam_p)
     out, step_q = extend_minimal(mid, BitVec(n + 1, lam_q.bits | pq_edge << n))
-    zero = BitVec.zero(d)
-    wit_p = ExtensionWitness(
-        step_q.case, step_p.w0, zero, step_p.new_deco.pad(d + 2),
-        BitVec.basis(d + 2, d + 1) if step_q.case == NEW_HYPERBOLIC else None,
-    )
-    wit_q = ExtensionWitness(
-        step_q.case, BitVec(d, step_q.w0.bits), zero, step_q.new_deco, step_q.x_choice
-    )
+    wit_q = replace(step_q, w0=BitVec(d, step_q.w0.bits), z0=BitVec.zero(d))
+    x_choice = BitVec.basis(d + 2, d + 1) if step_q.case == NEW_HYPERBOLIC else None
+    wit_p = replace(wit_q, w0=step_p.w0, new_deco=step_p.new_deco.pad(d + 2), x_choice=x_choice)
     return out, wit_p, wit_q
 
 

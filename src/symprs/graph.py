@@ -14,7 +14,7 @@ import json
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .gf2 import BitMat
+from .gf2 import BitMat, _gather
 
 __all__ = [
     "Graph",
@@ -248,7 +248,7 @@ def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
         raise ValueError("repeated node in selection")
     if any(not 0 <= v < g.n for v in nodes):
         raise ValueError("node selection out of range")
-    return Graph._from_adj(sum((g.adj[v] >> u & 1) << i for i, u in enumerate(nodes)) for v in nodes)
+    return Graph._from_adj(_gather(g.adj[v], nodes) for v in nodes)
 
 
 def max_coclique(g: Graph) -> tuple[int, ...]:

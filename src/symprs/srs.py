@@ -16,11 +16,12 @@ A system stores its decorations as one matrix D, ``SRS.deco``: a
 and rank D = dim. The library builds the rows of D as ints, never a
 vector per node: ``minimal_srs`` takes D = I, ``restrict`` gathers the
 kept rows onto pivot coordinates, ``quotient`` projects every row,
-``extend`` appends one row (a row of the old space is already a row of
-the larger one) and ``build_by_extension`` reorders the rows. A minimal
-system caches the columns of D^-1 (``SRS._deco_inverse``): ``minimal_srs``
-presets them to the unit vectors, a system from elsewhere inverts D on
-first read, and each extension step carries them to the larger system.
+``SRS._appended`` adds one row for an extension step (a row of the old
+space is already a row of the larger one) and ``build_by_extension``
+reorders the rows. A minimal system caches the columns of D^-1
+(``SRS._deco_inverse``): ``minimal_srs`` presets them to the unit
+vectors, ``_appended`` carries them to the larger system, and a system
+from elsewhere inverts D on first read.
 
 Systems are validated once, at the boundary. ``SRS(...)``, ``SympMap(...)``
 and ``srs_from_json`` check every axiom of what they are given. The systems
@@ -51,6 +52,7 @@ from .gf2 import (
     BitVec,
     _echelon_rows,
     _eliminate,
+    _gather,
     _string_bits,
     _transpose,
     inverse,
@@ -145,11 +147,29 @@ class SRS:
         """The columns of D^-1 as ints, for a minimal system: the lifted
         form of an indicator lam is ``row_combination`` of them at lam. One
         inversion on first read, unless preset: ``minimal_srs`` sets the
-        unit vectors, and ``extend._attach`` carries them to each extended
-        system."""
+        unit vectors, and ``_appended`` carries them to the larger system."""
         inv = inverse(self.deco)
         assert inv is not None, "minimal decorations always invert"
         return list(inv.transpose().rows)
+
+    def _appended(self, graph: Graph, space: SympSpace, w0: int) -> "SRS":
+        """This minimal system plus one node, on ``graph`` (this graph plus
+        that node) and ``space`` (this space plus a last coordinate e_d):
+        the new node is decorated by w0 + e_d, appended as the last row of
+        D. The old rows are kept as they are, since a row of the old space
+        is a row of the larger one with e_d-coordinate 0; they span the old
+        coordinates, and the new row adds e_d.
+
+        The result carries D^-1 with no elimination. The new D is D plus
+        the row w0 + e_d, so its inverse is D^-1 plus the last row
+        w0^T D^-1: old column p gains bit d = w0 . column p, and the new
+        column is e_d."""
+        d = self.space.dim
+        out = SRS._trusted(graph, space, BitMat._trusted(d + 1, self.deco.rows + (w0 | 1 << d,)))
+        cols = [col | ((w0 & col).bit_count() & 1) << d for col in self._deco_inverse]
+        cols.append(1 << d)
+        object.__setattr__(out, "_deco_inverse", cols)
+        return out
 
     @property
     def type(self) -> SpaceType:
@@ -226,20 +246,12 @@ def _check_radical_cap(space: SympSpace) -> None:
 
 def _minimal_for_quotients(g: Graph) -> SRS:
     """``minimal_srs(g)``, built only once its radical is within
-    ``MAX_QUOTIENT_RADICAL_DIM``. The radical takes one elimination of the
-    adjacency matrix, and the system is built on the space whose radical
-    was read, so that elimination is not repeated."""
+    ``MAX_QUOTIENT_RADICAL_DIM``. The radical is read off the greedy
+    symplectic basis of the adjacency matrix, and the system is built on
+    the space whose radical was read, so that basis is not built again."""
     space = SympSpace._trusted(g.adjacency())
     _check_radical_cap(space)
     return _minimal_on(g, space)
-
-
-def _gather(bits: int, positions: Sequence[int]) -> int:
-    """Bit i of the result is bit ``positions[i]`` of ``bits``."""
-    out = 0
-    for i, p in enumerate(positions):
-        out |= (bits >> p & 1) << i
-    return out
 
 
 def restrict(s: SRS, nodes: Sequence[int]) -> SRS:
@@ -437,6 +449,11 @@ def srs_from_json(payload: dict) -> SRS:
     for p, d in enumerate(dims):
         if d != dim:
             raise SRSError(f"decoration of node {p} has dimension {d}, space has {dim}")
+    # every node's key is present, so any further key is a stray one
+    if len(deco_map) > graph.n:
+        nodes = set(map(str, range(graph.n)))
+        stray = next(key for key in deco_map if key not in nodes)
+        raise SRSError(f"decoration key {stray!r} is not a node number below {graph.n}")
     s = SRS(graph, space, BitMat(dim, rows))
     declared_type = payload.get("type", list(s.type))
     if not (isinstance(declared_type, list) and len(declared_type) == 2

@@ -28,12 +28,12 @@ costs O(1) word operations instead of a matrix-vector product.
 Each space is decomposed once, into int rows: hyperbolic pairs
 (``_pairs``) and the radical rows (``_radical``), the canonical kernel
 basis; ``type`` counts them. A fresh space takes both from the greedy
-symplectic basis (``_basis``), while ``extend._attach`` gives each
-extended space its pairs and radical by an O(dim) update of the old ones
+symplectic basis (``_basis``), while a space made by ``_adjoined``, one
+coordinate larger, takes them by an O(dim) update of the smaller space's
 and builds no greedy basis. Either way the pairs span the coordinate
 subspace W on the non-free columns of the Gram matrix, so
 ``_hyperbolic``, the inverse of the form on W, does not depend on which
-pairs they are. On an extended space the greedy basis is built only
+pairs they are. On an adjoined space the greedy basis is built only
 where its pairing itself is read: the public ``basis`` (which
 ``grp2.extraspecial_sign`` reads) and ``grp2.make_group``. The public
 ``radical`` and ``basis`` wrap the int rows as ``BitVec``s on first
@@ -112,9 +112,9 @@ class SymplecticBasis(NamedTuple):
 class SympSpace:
     """GF(2)^dim with an alternating form; hyperbolic pairs, radical,
     basis and type cached, the pairs, radical and basis as int rows that
-    ``radical`` and ``basis`` wrap. ``_pairs`` and ``_radical`` may be
-    preset (``extend._attach``), and then ``type`` and ``_hyperbolic``
-    read no greedy basis."""
+    ``radical`` and ``basis`` wrap. ``_adjoined`` presets ``_pairs`` and
+    ``_radical`` on the space it makes, and then ``type`` and
+    ``_hyperbolic`` read no greedy basis."""
 
     def __init__(self, gram: BitMat):
         if gram.nrows != gram.ncols:
@@ -167,7 +167,7 @@ class SympSpace:
     @cached_property
     def _radical(self) -> list[int]:
         """Deterministic basis of V^perp, the kernel of the Gram matrix: the
-        z part of ``_basis``, unless ``extend._attach`` presets it.
+        z part of ``_basis``, unless ``_adjoined`` presets it.
 
         It is the canonical kernel basis (``gf2.kernel_basis``: lowest-index
         pivots, one vector per free column, free columns ascending). Each
@@ -194,7 +194,7 @@ class SympSpace:
         """Hyperbolic pairs as int rows x.., y.., with <x_i, y_j> = [i == j],
         <x_i, x_j> = <y_i, y_j> = 0, that span W, the coordinate subspace on
         the non-free columns: the x and y parts of ``_basis`` (the same
-        lists, not copies), unless ``extend._attach`` presets them."""
+        lists, not copies), unless ``_adjoined`` presets them."""
         return self._basis[:2]
 
     @cached_property
@@ -267,6 +267,56 @@ class SympSpace:
             if (phi & x).bit_count() & 1:
                 w ^= y
         return w
+
+    def _adjoined(self, pairings: int) -> "SympSpace":
+        """The space one coordinate larger: the new coordinate e_d pairs
+        with old coordinate i as bit i of ``pairings``, and the old
+        coordinates pair with each other as before. It carries its
+        hyperbolic pairs and radical rows, in O(dim) int work and with no
+        greedy basis.
+
+        Let h = ``_hyperbolic``(pairings), 0 for zero pairings. An old
+        vector pairs with e_d by its dot product with ``pairings``, and h
+        pairs with every pair vector as ``pairings`` does, so e_d + h pairs
+        with none, with a radical row z as z . pairings, and with e_d as
+        pairings . h = 0, since H is alternating. If no radical row pairs
+        with e_d, e_d + h pairs with nothing: it joins the radical, the
+        pairs stay as they are (shared, not copied), type (n, k) ->
+        (n, k + 1).
+        Otherwise let z_m be the first radical row with z_m . pairings = 1.
+        Then (z_m, e_d + h) is one more pair, since <z_m, e_d + h> = 1, and
+        the later radical rows that pair with e_d absorb z_m, type
+        (n + 1, k - 1).
+
+        The radical rows stay the canonical kernel basis: one row per free
+        column t_j, with its highest bit there and no bit at another free
+        column (see ``_radical``). h is in the span of the pairs, so it has
+        no bit at a free column. In the null case the free columns gain d,
+        with row e_d + h. In the hyperbolic case the kept rows, z_j and
+        z_j + z_m for j > m, are k - 1 kernel vectors with highest bits at
+        the t_j other than t_m and no bit at another of them, so they are
+        the canonical basis of the new kernel, of dimension k - 1, whose
+        free columns are those t_j. The new pair, z_m and e_d + h, has no
+        bit at a new free column, so the pairs span the new W and
+        ``_hyperbolic`` reads the same map as a fresh space's.
+        """
+        d = self.dim
+        rows = [old | ((pairings >> i & 1) << d) for i, old in enumerate(self.gram.rows)]
+        rows.append(pairings)
+        out = SympSpace._trusted(BitMat._trusted(d + 1, rows))
+        radical = self._radical
+        partner = 1 << d ^ self._hyperbolic(pairings) if pairings else 1 << d
+        m = next((j for j, z in enumerate(radical) if (z & pairings).bit_count() & 1), None)
+        if m is None:
+            out._pairs, out._radical = self._pairs, radical + [partner]
+            return out
+        xs, ys = self._pairs
+        z_m = radical[m]
+        out._pairs = xs + [z_m], ys + [partner]
+        out._radical = radical[:m] + [
+            z ^ z_m if (z & pairings).bit_count() & 1 else z for z in radical[m + 1:]
+        ]
+        return out
 
     @cached_property
     def type(self) -> SpaceType:

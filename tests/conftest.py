@@ -9,7 +9,6 @@ import random
 
 import pytest
 
-from symprs import extend
 from symprs.gf2 import BitMat, kernel_basis
 from symprs.graph import Graph
 from symprs.srs import SRS, SympMap
@@ -29,8 +28,8 @@ def validate_trusted_constructions(request, monkeypatch):
 
 
 def assert_carried_split(space: SympSpace) -> None:
-    """The hyperbolic pairs and radical rows that ``extend._attach`` preset
-    on ``space``, against a fresh ``SympSpace`` of its Gram matrix: the
+    """The hyperbolic pairs and radical rows that ``SympSpace._adjoined``
+    preset on ``space``, against a fresh ``SympSpace`` of its Gram matrix: the
     radical rows are the canonical kernel basis, the pairs a symplectic
     basis of W, the coordinate subspace on the non-free columns (pairings
     <x_i, y_j> = [i == j], all others 0, no bit at a radical pivot, 2n + k
@@ -53,19 +52,19 @@ def assert_carried_split(space: SympSpace) -> None:
 
 @pytest.fixture(autouse=True)
 def check_carried_splits(request, monkeypatch):
-    """Check the split of every space an extension step makes with
-    ``assert_carried_split``. Tests marked ``trusted_constructors`` run the
-    shipped path instead."""
+    """Check the split of every space ``SympSpace._adjoined`` makes, as each
+    extension step does, with ``assert_carried_split``. Tests marked
+    ``trusted_constructors`` run the shipped path instead."""
     if request.node.get_closest_marker("trusted_constructors"):
         return
-    attach = extend._attach
+    adjoined = SympSpace._adjoined
 
-    def checked(*args):
-        out = attach(*args)
-        assert_carried_split(out[0].space)
+    def checked(space, pairings):
+        out = adjoined(space, pairings)
+        assert_carried_split(out)
         return out
 
-    monkeypatch.setattr(extend, "_attach", checked)
+    monkeypatch.setattr(SympSpace, "_adjoined", checked)
 
 
 def random_space(rng: random.Random, dim: int) -> SympSpace:

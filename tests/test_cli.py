@@ -455,6 +455,7 @@ def test_iso_rejects_a_graph_that_is_not_an_object(tmp_path, capsys):
 @pytest.mark.parametrize("node, value, message", [
     ("2", "010", "decoration of node 2 has dimension 3, space has 4"),
     ("3", None, "missing decoration for node 3"),
+    ("7", "1111", "decoration key '7' is not a node number below 4"),
 ])
 def test_iso_names_the_node_of_a_bad_decoration(tmp_path, capsys, node, value, message):
     code, out, _ = run(capsys, "minimal", "--graph", write_graph(tmp_path, A4_EDGES))

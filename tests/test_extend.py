@@ -6,7 +6,6 @@ import random
 import pytest
 
 from oracles import extend_extraspecial, extend_nullspace
-from symprs import extend
 from symprs.extend import (
     NEW_HYPERBOLIC,
     NEW_NULLVECTOR,
@@ -250,14 +249,14 @@ def test_extension_steps_build_no_greedy_basis(monkeypatch):
     # space an extension made builds the greedy basis, on the default route
     # or with explicit choices; where the pairing is read it is the greedy one
     made = []
-    attach = extend._attach
+    adjoined = SympSpace._adjoined
 
-    def recording(*args):
-        out = attach(*args)
-        made.append(out[0].space)
+    def recording(space, pairings):
+        out = adjoined(space, pairings)
+        made.append(out)
         return out
 
-    monkeypatch.setattr(extend, "_attach", recording)
+    monkeypatch.setattr(SympSpace, "_adjoined", recording)
     rng = random.Random(60)
     n = 60
     g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.getrandbits(1)])

@@ -25,7 +25,9 @@ default extension step must equal the explicit one with
 ``default_completion_choices``, and the decoration inverse that
 ``minimal_srs`` presets and each step carries must equal a fresh
 ``inverse``, and so must the hyperbolic pairs and radical rows each step
-carries equal a fresh decomposition. The two identities that leave the default step one
+carries equal a fresh decomposition. ``SympSpace._adjoined`` must carry
+them for any pairings, also those no extension route makes, and
+``SRS._appended`` must carry ``inverse`` of the larger D. The two identities that leave the default step one
 ``_hyperbolic`` call must hold on random, standard and extended spaces.
 ``_transpose`` must equal the column-by-column oracle on both of its
 routes, and ``pairing_rows`` the pairwise one also on families whose
@@ -712,14 +714,14 @@ def test_extensions_carry_the_symplectic_split(s, steps, double, rng):
     reads H from, is the oracle's. Indicator bits past the current node
     count are dropped."""
     made = []
-    attach = extend._attach
+    adjoined = SympSpace._adjoined
 
-    def recording(*args):
-        out = attach(*args)
-        made.append(out[0].space)
+    def recording(space, pairings):
+        out = adjoined(space, pairings)
+        made.append(out)
         return out
 
-    with mock.patch.object(extend, "_attach", recording):
+    with mock.patch.object(SympSpace, "_adjoined", recording):
         t = s
         for bits, seed in steps:
             choices = None if seed is None else random_completion_choices(random.Random(seed), t.space)
@@ -739,6 +741,74 @@ def test_extensions_carry_the_symplectic_split(s, steps, double, rng):
         greedy = oracles.greedy_basis(space)
         fresh = SympSpace(space.gram)
         assert fresh._pairs == ([x.bits for x in greedy.x], [y.bits for y in greedy.y])
+
+
+def _unit_hyperbolic(basis, t: int) -> int:
+    """H e_t off a symplectic basis of ``BitVec``s: the sum over i of
+    x_i where y_i has bit t and y_i where x_i has bit t."""
+    h = 0
+    for x, y in zip(basis.x, basis.y):
+        h ^= (x.bits if y[t] else 0) ^ (y.bits if x[t] else 0)
+    return h
+
+
+@FAST
+@given(
+    st.one_of(spaces(), low_rank_spaces()),
+    st.sampled_from(["zero", "radical", "image"]),
+    st.integers(0, 2**40 - 1),
+    st.randoms(use_true_random=False),
+)
+@example(SympSpace(dynkin_graph("A", 3).adjacency()), "image", 0b010, random.Random(0))
+def test_adjoined_carries_the_split_for_every_pairing(space, regime, bits, rng):
+    """``SympSpace._adjoined`` on edgeless, random, dense and low-rank twin
+    spaces of dimension 0 to 40, with pairings from all three regimes:
+    zero, one that meets the radical (the hyperbolic case), and one in the
+    image of G (the null case, with h nonzero when the pairings are, which
+    no extension route makes). The bordered Gram matrix, the radical rows
+    against ``kernel_basis``, the pairs as a symplectic basis with no bit
+    at a free column, and ``_hyperbolic`` on every unit vector against H
+    of ``oracles.greedy_basis``. Then ``SRS._appended`` on a system over
+    the space with a random invertible D = L U (L, U unit triangular)
+    satisfies the axioms and carries the columns of ``inverse`` of the new
+    D. In the example, A3 with pairings e0 + e2 = G e1 gives C4, whose
+    radical e0 + e2, e1 + e3 needs h = e1."""
+    d, gram, radical = space.dim, space.gram.rows, space._radical
+    mask = (1 << d) - 1
+    bits &= mask
+    if regime == "zero":
+        pairings = 0
+    elif regime == "image":
+        pairings = row_combination(gram, bits)
+    else:
+        assume(radical)
+        met = any((z & bits).bit_count() & 1 for z in radical)
+        pairings = bits if met else bits ^ 1 << (radical[0].bit_length() - 1)
+    new = space._adjoined(pairings)
+    assert new.gram.is_symmetric() and new.gram.rows[d] == pairings
+    assert [row & mask for row in new.gram.rows[:d]] == list(gram)
+    assert new._radical == [v.bits for v in kernel_basis(new.gram)]
+    xs, ys = new._pairs
+    vectors = [BitVec(d + 1, v) for pair in zip(xs, ys) for v in pair]
+    # x_i, y_i are vectors 2i and 2i + 1, partners when their indices differ in bit 0
+    assert oracles.pairing_rows(new, vectors) == [1 << (p ^ 1) for p in range(len(vectors))]
+    free = sum(1 << (z.bit_length() - 1) for z in new._radical)
+    assert not any(v.bits & free for v in vectors)
+    assert len(vectors) + len(new._radical) == d + 1
+    greedy = oracles.greedy_basis(new)
+    assert all(new._hyperbolic(1 << t) == _unit_hyperbolic(greedy, t) for t in range(d + 1))
+
+    lower = BitMat(d, [1 << i | rng.getrandbits(i) for i in range(d)])
+    upper = BitMat(d, [1 << i | rng.getrandbits(d - 1 - i) << (i + 1) for i in range(d)])
+    deco = lower @ upper
+    adj = space.pairing_rows(deco.rows)
+    g = Graph(d, [(p, q) for p in range(d) for q in range(p + 1, d) if adj[p] >> q & 1])
+    s = SRS(g, space, deco)
+    w0 = rng.getrandbits(d)
+    lam = new.pairing_rows([*deco.rows, w0 | 1 << d])[d]
+    out = s._appended(g._with_node(lam), new, w0)
+    assert out == SRS(g._with_node(lam), new, BitMat(d + 1, [*deco.rows, w0 | 1 << d]))
+    assert BitMat(d + 1, out._deco_inverse).transpose() == inverse(out.deco)
 
 
 @st.composite

@@ -29,6 +29,7 @@ from symprs.srs import (
 )
 from symprs.symplectic import SympSpace
 
+A2 = parse_graph("n 2\ne 0 1")
 A3 = parse_graph("n 3\ne 0 1\ne 1 2")
 A4 = parse_graph("n 4\ne 0 1\ne 1 2\ne 2 3")
 STAR = dynkin_graph("D", 4)
@@ -305,6 +306,26 @@ def test_json_rejects_graphs_that_are_not_objects(graph):
     payload = dict(srs_to_json(minimal_srs(A3)), graph=graph)
     with pytest.raises(ValueError, match='graph JSON needs a "nodes" field'):
         srs_from_json(payload)
+
+
+@pytest.mark.parametrize("graph, deco, message", [
+    (A2, {"0": "10", "1": "01", "7": "11", "x": "zz", "00": "10"},
+     "decoration key '7' is not a node number below 2"),
+    (A2, {"0": "10", "-1": "11", "1": "01"}, "decoration key '-1' is not a node number below 2"),
+    (A2, {"01": "10", "0": "10", "1": "01"}, "decoration key '01' is not a node number below 2"),
+    (A2, {"0": "10", "1": "01", " 1": None}, "decoration key ' 1' is not a node number below 2"),
+    (Graph(0), {"0": ""}, "decoration key '0' is not a node number below 0"),
+    # the missing-node, bit-string and dimension checks keep their place before it
+    (A2, {"1": "01", "7": "11"}, "missing decoration for node 0"),
+    (A2, {"0": "12", "1": "01", "7": "11"}, "not a bit string: '12'"),
+    (A2, {"0": "1", "1": "01", "7": "11"}, "decoration of node 0 has dimension 1, space has 2"),
+])
+def test_json_names_the_first_stray_decoration_key(graph, deco, message):
+    # SRSError is a ValueError, the error of a bad bit string
+    payload = dict(srs_to_json(minimal_srs(graph)), deco=deco)
+    with pytest.raises(ValueError) as caught:
+        srs_from_json(payload)
+    assert str(caught.value) == message
 
 
 def test_json_rejects_non_objects():

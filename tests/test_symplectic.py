@@ -229,3 +229,12 @@ def test_completed_form_definition():
             pv, pw = proj @ v, proj @ w
             delta2 = done.value(pv, pw) ^ s.form(pv, pw)
             assert delta == delta2
+
+
+def test_adjoining_to_a3_a_pairing_in_the_image_gives_c4():
+    # e0 + e2 = G e1 meets no radical row, so the new coordinate is null
+    # only after adding h = H(e0 + e2) = e1: the radical gains e1 + e3
+    c4 = PATH3._adjoined(0b101)
+    assert c4.gram == BitMat.from_rows(["0101", "1010", "0101", "1010"])
+    assert c4._radical == [0b0101, 0b1010]
+    assert c4.type == (1, 2)
