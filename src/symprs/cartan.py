@@ -26,7 +26,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .gf2 import BitMat, BitVec, byte_table, echelon_basis, inverse
+from .gf2 import BitMat, BitVec, _echelon_rows, _gather, byte_table, inverse
 from .graph import Graph, automorphisms, dynkin_graph
 from .srs import SRS, _minimal_for_quotients, _quotient_type_counts, minimal_srs, radical_subspaces
 from .symplectic import SympSpace, _row_reader, standard_space
@@ -113,32 +113,26 @@ def cartan_datum(family: str, rank: int) -> CartanDatum:
     two, G2 lengthens the second; the double (triple) bond sits at the end
     of the chain in each case.
     """
+    g = dynkin_graph(family, rank)  # checks the family and the rank
     if family in ("A", "D", "E"):
-        g = dynkin_graph(family, rank)
         c = [
             [2 if i == j else (-1 if g.has_edge(i, j) else 0) for j in range(rank)]
             for i in range(rank)
         ]
         return CartanDatum(tuple(map(tuple, c)), (1,) * rank)
     if family == "B":
-        dynkin_graph(family, rank)  # range check
         c = _chain_matrix(rank)
         c[rank - 1][rank - 2] = -2
         return CartanDatum(tuple(map(tuple, c)), (2,) * (rank - 1) + (1,))
     if family == "C":
-        dynkin_graph(family, rank)
         c = _chain_matrix(rank)
         c[rank - 2][rank - 1] = -2
         return CartanDatum(tuple(map(tuple, c)), (1,) * (rank - 1) + (2,))
     if family == "F":
-        dynkin_graph(family, rank)
         c = _chain_matrix(4)
         c[2][1] = -2
         return CartanDatum(tuple(map(tuple, c)), (2, 2, 1, 1))
-    if family == "G":
-        dynkin_graph(family, rank)
-        return CartanDatum(((2, -3), (-1, 2)), (1, 3))
-    raise ValueError(f"unknown family {family!r}")
+    return CartanDatum(((2, -3), (-1, 2)), (1, 3))  # G
 
 
 def roots(c: CartanDatum) -> list[tuple[int, ...]]:
@@ -205,7 +199,7 @@ def _materialize(symbolic: Sequence[frozenset], n: int, k: int) -> BitMat:
 
 def ade_srs(family: str, rank: int) -> SRS:
     """The minimal SRS of a simply laced diagram with its classical
-    decorations, laid out in a standard space.
+    decorations, laid out in a standard space of type (n, k).
 
     Isomorphic to minimal_srs(dynkin_graph(family, rank)) via the change
     of basis sending node decorations to the standard basis; building it
@@ -215,47 +209,27 @@ def ade_srs(family: str, rank: int) -> SRS:
         raise ValueError(f"classical decorations exist for A/D/E only, not {family!r}")
     g = dynkin_graph(family, rank)
     if family == "A":
-        m = rank // 2
-        if rank % 2 == 0:
-            deco = _materialize(_core(m), m, 0)
-        elif rank == 1:
-            deco = _materialize([frozenset({("z", 1)})], 0, 1)
-        else:
-            first = frozenset({("z", 1), ("y", m)})
-            deco = _materialize([first, *_core(m)], m, 1)
-        space = standard_space(m, rank % 2)
+        n, k = rank // 2, rank % 2
+        first = [("z", 1), ("y", n)] if n else [("z", 1)]  # z_1 alone for A1
+        symbolic = [frozenset(first)] * k + _core(n)
     elif family == "D":
-        m = (rank - 1) // 2 if rank % 2 else (rank - 2) // 2
-        core = _core(m)
-        if rank % 2:
-            extra = [frozenset({("z", 1), ("x", m), ("x", m - 1)})]
-            space = standard_space(m, 1)
+        n, k = (rank - 1) // 2, 2 - rank % 2
+        if k == 1:
+            extra = [frozenset({("z", 1), ("x", n), ("x", n - 1)})]
         else:
-            extra = [frozenset({("z", 1), ("y", m)}), frozenset({("z", 2), ("y", m)})]
-            space = standard_space(m, 2)
-        deco = _materialize([*core, *extra], m, space.dim - 2 * m)
+            extra = [frozenset({("z", 1), ("y", n)}), frozenset({("z", 2), ("y", n)})]
+        symbolic = _core(n) + extra
     else:  # E
-        if rank == 6:
-            symbolic = [
-                *_core(2),
-                frozenset({("y", 3), ("y", 2)}),
-                frozenset({("x", 3), ("x", 2), ("x", 1)}),
-            ]
-            space = standard_space(3, 0)
-            deco = _materialize(symbolic, 3, 0)
-        elif rank == 7:
+        n, k = rank // 2, rank % 2
+        if k:  # E7
             symbolic = [*_core(3), frozenset({("z", 1), ("y", 3), ("y", 2), ("y", 1)})]
-            space = standard_space(3, 1)
-            deco = _materialize(symbolic, 3, 1)
-        else:
+        else:  # E6, E8
             symbolic = [
-                *_core(3),
-                frozenset({("y", 4), ("y", 3)}),
-                frozenset({("x", 4), ("x", 3), ("x", 2)}),
+                *_core(n - 1),
+                frozenset({("y", n), ("y", n - 1)}),
+                frozenset({("x", n), ("x", n - 1), ("x", n - 2)}),
             ]
-            space = standard_space(4, 0)
-            deco = _materialize(symbolic, 4, 0)
-    return SRS(g, space, deco)
+    return SRS(g, standard_space(n, k), _materialize(symbolic, n, k))
 
 
 def ade_table(family: str, rank: int) -> dict[tuple[int, int], int]:
@@ -492,20 +466,16 @@ def automorphism_action_on_quotients(g: Graph) -> list[tuple[int, ...]]:
     aligned with automorphisms(g).
     """
     s = _minimal_for_quotients(g)
-    subs = radical_subspaces(s)
-    canon = [tuple(echelon_basis(list(sub), g.n)) for sub in subs]
-    index = {c: i for i, c in enumerate(canon)}
+    subs = [[u.bits for u in sub] for sub in radical_subspaces(s)]
+    index = {tuple(_echelon_rows(sub, g.n)): i for i, sub in enumerate(subs)}
     actions = []
     for perm in automorphisms(g):
-        inv = [0] * g.n
-        for j, image in enumerate(perm):
-            inv[image] = j
-        # Row i of the action has its bit at the preimage of i, so that
-        # basis vector p maps to basis vector perm[p]. Permuting nodes
-        # preserves adjacency, hence is symplectic and fixes the radical
-        # setwise.
-        act = BitMat(g.n, tuple(1 << inv[i] for i in range(g.n)))
+        # Bit i of the image of u is bit inv[i] of u, inv[i] the preimage
+        # of i, so that basis vector p maps to basis vector perm[p].
+        # Permuting nodes preserves adjacency, hence is symplectic and fixes
+        # the radical setwise.
+        inv = sorted(range(g.n), key=perm.__getitem__)
         actions.append(
-            tuple(index[tuple(echelon_basis([act @ u for u in sub], g.n))] for sub in subs)
+            tuple(index[tuple(_echelon_rows([_gather(u, inv) for u in sub], g.n))] for sub in subs)
         )
     return actions

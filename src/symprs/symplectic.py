@@ -49,12 +49,10 @@ from typing import Callable, NamedTuple, Sequence
 from .gf2 import (
     BitMat,
     BitVec,
-    _eliminate,
     _transpose,
     bilinear,
     byte_table,
     echelon_basis,
-    inverse,
     rank,
     row_combination,
     table_combination,
@@ -370,11 +368,11 @@ class MixedForm:
     @cached_property
     def matrix(self) -> BitMat:
         s = self.space
-        # radical basis vector i has its highest set bit at free column f_i,
-        # and no other basis vector sets bit f_i (see SympSpace._radical):
-        # so bit f_i of a radical vector is its i-th coordinate, and coords
-        # maps into them
-        coords = BitMat(s.dim, (1 << (v.bit_length() - 1) for v in s._radical)) @ self.proj
+        # radical basis vector j has its highest set bit at free column t_j,
+        # and no other basis vector sets bit t_j (see SympSpace._radical):
+        # so bit t_j of a radical vector is its j-th coordinate, and row t_j
+        # of proj maps a vector to the j-th coordinate of its projection
+        coords = BitMat(s.dim, [self.proj.rows[z.bit_length() - 1] for z in s._radical])
         completed = s.gram ^ (coords.transpose() @ self.radform @ coords)
         assert rank(completed) == s.dim, "mixed completion came out degenerate"
         return completed
@@ -424,23 +422,26 @@ def default_completion_choices(s: SympSpace) -> tuple[BitMat, BitMat]:
 
 def random_completion_choices(rng, s: SympSpace) -> tuple[BitMat, BitMat]:
     """A random valid (proj, radform) pair drawn from ``rng`` (a
-    ``random.Random``): first a projection onto the radical along a random
-    complement, then a random symmetric nondegenerate radical form with an
-    unrestricted diagonal."""
+    ``random.Random``), each uniform: a projection onto the radical, then a
+    symmetric nondegenerate radical form with an unrestricted diagonal,
+    drawn as a uniform symmetric matrix until one is nondegenerate.
+
+    A projection onto the radical is v -> sum_j f_j(v) z_j with f_j(z_i) =
+    [i == j], one for each choice of the functionals f_j. Bit t_j, where
+    radical row z_j has its highest bit and no other radical row has one
+    (see ``SympSpace._radical``), is one such f_j. Any other differs from
+    it by a functional that vanishes on the radical, the kernel of the
+    symmetric Gram matrix G, so by a combination a^T G of Gram rows. For a
+    uniform a that combination is uniform over the dim - k dimensional row
+    space of G, so the draw is uniform over all 2^(k (dim - k))
+    projections. Row i of the projection combines the f_j of the radical
+    rows with bit i set.
+    """
     dim = s.dim
     k = len(s._radical)
-    if dim == 0:
-        return BitMat.zeros(0, 0), BitMat.zeros(0, 0)
-    # extend the radical basis by random vectors to a full basis, then
-    # project onto the radical along the random complement
-    cols = list(s._radical)
-    while len(cols) < dim:
-        cand = rng.getrandbits(dim)
-        if len(_eliminate(cols + [cand], dim)) == len(cols) + 1:
-            cols.append(cand)
-    basis = BitMat(dim, cols[k:] + cols[:k]).transpose()
-    kill = BitMat(dim, [0] * (dim - k) + [1 << (dim - k + j) for j in range(k)])
-    proj = basis @ kill @ inverse(basis)
+    gram = s.gram.rows
+    funcs = [1 << (z.bit_length() - 1) ^ row_combination(gram, rng.getrandbits(dim)) for z in s._radical]
+    proj = BitMat(dim, [row_combination(funcs, col) for col in _transpose(s._radical, dim)])
     while True:
         rows = [0] * k
         for i in range(k):

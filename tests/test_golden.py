@@ -55,10 +55,14 @@ CASES = {
     "iso_d6_minimal_vs_quotient": ["iso", "@d6_minimal.json", "@d6_quotient.json"],
     "iso_d6_quotients_text": ["iso", "@d6_quotient.json", "@d6_quotient.json", "--format", "text"],
     "iso_random40_minimal_self": ["iso", "@random40_minimal.json", "@random40_minimal.json"],
+    "ade_a1": ["ade", "--family", "A", "--rank", "1"],
+    "ade_a4": ["ade", "--family", "A", "--rank", "4"],
     "ade_a5": ["ade", "--family", "A", "--rank", "5"],
     "ade_d6": ["ade", "--family", "D", "--rank", "6"],
+    "ade_d7": ["ade", "--family", "D", "--rank", "7"],
     "ade_e8": ["ade", "--family", "E", "--rank", "8"],
     "ade_e6_text": ["ade", "--family", "E", "--rank", "6", "--format", "text"],
+    "ade_e7_text": ["ade", "--family", "E", "--rank", "7", "--format", "text"],
     "weyl_a3": ["weyl", "--family", "A", "--rank", "3"],
     "weyl_b3": ["weyl", "--family", "B", "--rank", "3"],
     "weyl_g2": ["weyl", "--family", "G", "--rank", "2"],

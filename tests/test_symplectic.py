@@ -60,12 +60,13 @@ def test_standard_space_radical_is_the_kernel_basis():
 
 
 def test_space_decomposition_runs_no_elimination(monkeypatch):
-    # type and radical are read off the greedy symplectic basis alone
+    # type and radical are read off the greedy symplectic basis alone;
+    # symplectic reaches an elimination only through gf2 routines
     def eliminate(rows, ncols):
         raise AssertionError("the space decomposition ran a GF(2) elimination")
 
-    for module in (gf2, symplectic):
-        monkeypatch.setattr(module, "_eliminate", eliminate)
+    assert not hasattr(symplectic, "_eliminate")
+    monkeypatch.setattr(gf2, "_eliminate", eliminate)
     rng = random.Random(20)
     spaces = [random_space(rng, dim) for dim in (0, 1, 2, 5, 9, 17, 40)]
     spaces += [SympSpace(BitMat.zeros(6, 6)), standard_space(3, 2), standard_space(0, 4)]
@@ -212,6 +213,26 @@ def test_mixed_completion_nondegenerate_random_sweep():
                 v ^= proj @ v
                 w ^= proj @ w
                 assert done.value(v, w) == s.form(v, w)
+
+
+def test_random_projections_reach_every_projection_onto_the_radical():
+    # P3 plus an isolated node: dim 4, radical dimension 2, so 2^(2 * 2) = 16
+    # projections onto the radical; brute force over all 4 x 4 matrices
+    s = SympSpace(BitMat.from_rows(["0100", "1010", "0100", "0000"]))
+    assert s.type == (1, 2)
+    valid = set()
+    for bits in range(1 << 16):
+        proj = BitMat(4, [bits >> 4 * i & 15 for i in range(4)])
+        if proj @ proj == proj and (s.gram @ proj).is_zero() and rank(proj) == 2:
+            valid.add(proj)
+    assert len(valid) == 16
+    rng = random.Random(4)
+    seen = set()
+    for _ in range(200):
+        proj, radform = random_completion_choices(rng, s)
+        mixed_completion(s, proj, radform)
+        seen.add(proj)
+    assert seen == valid
 
 
 def test_completed_form_definition():
