@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .gf2 import BitMat, BitVec, _echelon_rows, _gather, byte_table, inverse
 from .graph import Graph, automorphisms, dynkin_graph
-from .srs import SRS, _minimal_for_quotients, _quotient_type_counts, minimal_srs, radical_subspaces
+from .srs import SRS, _minimal_for_quotients, _quotient_type_counts, _radical_subspace_rows, minimal_srs
 from .symplectic import SympSpace, _row_reader, standard_space
 
 __all__ = [
@@ -466,7 +466,7 @@ def automorphism_action_on_quotients(g: Graph) -> list[tuple[int, ...]]:
     aligned with automorphisms(g).
     """
     s = _minimal_for_quotients(g)
-    subs = [[u.bits for u in sub] for sub in radical_subspaces(s)]
+    subs = _radical_subspace_rows(s)
     index = {tuple(_echelon_rows(sub, g.n)): i for i, sub in enumerate(subs)}
     actions = []
     for perm in automorphisms(g):

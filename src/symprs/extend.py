@@ -50,10 +50,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .gf2 import BitMat, BitVec, _gather, _solve_bits, row_combination
+from .gf2 import BitMat, BitVec, _gather, row_combination
 from .graph import Graph
 from .srs import SRS, SRSError, minimal_srs
-from .symplectic import mixed_completion
 
 __all__ = [
     "ExtensionWitness",
@@ -127,6 +126,11 @@ def extend_minimal(
     the new radical is one row shorter. So the h = ``_hyperbolic``(pairings)
     of ``_adjoined`` is 0 in the null case.
 
+    Explicit choices are checked as ``mixed_completion`` checks them, and R
+    inverted, once per space and pair of matrices
+    (``SympSpace._completion``): a sweep over all indicators with the same
+    choices pays for both once.
+
     The default choices (``default_completion_choices``) are never built:
     R is the identity, and with H the symmetric map ``_hyperbolic`` and G
     the Gram matrix, P = I + H G. Two identities leave one ``_hyperbolic``
@@ -148,12 +152,12 @@ def extend_minimal(
         w0, z0, pairings = space._hyperbolic(c), row_combination(radical, gamma), pivots
     else:
         proj, radform = choices
-        mixed_completion(space, proj, radform)  # raises on invalid choices
-        w = space._hyperbolic(c ^ row_combination(proj.rows, c))
-        w0 = w ^ sum(((r & w).bit_count() & 1) << i for i, r in enumerate(proj.rows))
-        alpha = _solve_bits(radform, gamma)
-        assert alpha is not None, "radical form is nondegenerate"
-        z0, pairings = row_combination(radical, alpha), row_combination(proj.rows, pivots)
+        rows, radform_inverse = space._completion(proj, radform)  # raises on invalid choices
+        w = space._hyperbolic(c ^ row_combination(rows, c))
+        w0 = w ^ sum(((r & w).bit_count() & 1) << i for i, r in enumerate(rows))
+        # R is symmetric, so R^-1 is too: R^-1 gamma combines its rows
+        alpha = row_combination(radform_inverse, gamma)
+        z0, pairings = row_combination(radical, alpha), row_combination(rows, pivots)
     d = space.dim
     out = s._appended(s.graph._with_node(lam.bits), space._adjoined(pairings), w0)
     assert (len(out.space._radical) < len(radical)) == bool(pairings), "case and type disagree"

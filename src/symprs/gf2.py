@@ -317,6 +317,12 @@ def _gather(bits: int, positions: Sequence[int]) -> int:
     return out
 
 
+def _drop_bit(bits: int, i: int) -> int:
+    """``bits`` without bit i: the bits above it move down by one."""
+    low = (1 << i) - 1
+    return (bits & low) | (bits >> 1 & ~low)
+
+
 def row_combination(rows: Sequence[int], bits: int) -> int:
     """XOR of ``rows[i]`` over the set bits i of ``bits``: the row vector
     bits^T M of the matrix with these rows."""
@@ -458,14 +464,8 @@ def solve(m: BitMat, b: BitVec) -> BitVec | None:
     None if inconsistent. Dimension mismatches are contract violations and raise."""
     if b.dim != m.nrows:
         raise ValueError(f"rhs dimension {b.dim} != row count {m.nrows}")
-    x = _solve_bits(m, b.bits)
-    return None if x is None else BitVec(m.ncols, x)
-
-
-def _solve_bits(m: BitMat, b: int) -> int | None:
-    """``solve`` on a right-hand side given as an int, answering an int."""
-    x = _solve_rows(m, [(b >> i) & 1 for i in range(m.nrows)])
-    return None if x is None else sum(bit << j for j, bit in enumerate(x))
+    x = _solve_rows(m, [(b.bits >> i) & 1 for i in range(m.nrows)])
+    return None if x is None else BitVec(m.ncols, sum(bit << j for j, bit in enumerate(x)))
 
 
 def solve_mat(m: BitMat, b: BitMat) -> BitMat | None:
@@ -510,6 +510,11 @@ def subspaces(dim: int) -> Iterator[tuple[BitVec, ...]]:
     tuple. Subspace counts grow as Galois numbers (dim 6 already gives
     2825), so callers should keep dim small.
     """
+    return (tuple(BitVec(dim, bits) for bits in rows) for rows in _subspace_rows(dim))
+
+
+def _subspace_rows(dim: int) -> Iterator[tuple[int, ...]]:
+    """``subspaces`` with the basis rows as ints."""
     for r in range(dim + 1):
         for pivots in itertools.combinations(range(dim), r):
             pivot_set = set(pivots)
@@ -523,5 +528,5 @@ def subspaces(dim: int) -> Iterator[tuple[BitVec, ...]]:
                     for j in free[i]:
                         bits |= ((mask >> k) & 1) << j
                         k += 1
-                    rows.append(BitVec(dim, bits))
+                    rows.append(bits)
                 yield tuple(rows)

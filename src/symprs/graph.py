@@ -14,7 +14,7 @@ import json
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from .gf2 import BitMat, _gather
+from .gf2 import BitMat, _drop_bit, _gather
 
 __all__ = [
     "Graph",
@@ -113,6 +113,11 @@ class Graph:
     def _with_node(self, nbrs: int) -> "Graph":
         """This graph plus a node n adjacent to the nodes whose bits ``nbrs`` sets."""
         return Graph._from_adj([r | (nbrs >> v & 1) << self.n for v, r in enumerate(self.adj)] + [nbrs])
+
+    def _without_node(self, v: int) -> "Graph":
+        """This graph minus node v, the later nodes renumbered down by one:
+        ``induced_subgraph`` on every node but v."""
+        return Graph._from_adj(_drop_bit(r, v) for u, r in enumerate(self.adj) if u != v)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")

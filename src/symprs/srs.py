@@ -15,13 +15,25 @@ A system stores its decorations as one matrix D, ``SRS.deco``: a
 ``BitMat`` whose row p decorates node p, so the axioms read D G D^T = A
 and rank D = dim. The library builds the rows of D as ints, never a
 vector per node: ``minimal_srs`` takes D = I, ``restrict`` gathers the
-kept rows onto pivot coordinates, ``quotient`` projects every row,
+kept rows onto pivot coordinates (or, deleting one node, keeps them or
+drops one coordinate), ``quotient`` projects every row,
 ``SRS._appended`` adds one row for an extension step (a row of the old
 space is already a row of the larger one) and ``build_by_extension``
 reorders the rows. A minimal system caches the columns of D^-1
 (``SRS._deco_inverse``): ``minimal_srs`` presets them to the unit
 vectors, ``_appended`` carries them to the larger system, and a system
 from elsewhere inverts D on first read.
+
+Deleting one node is the inverse of adding one: it moves the type by at
+most one step, and it needs no elimination of the kept rows. Each system
+eliminates [D | I_n] once, on the first deletion (``SRS._deletions``),
+and every deletion of a node v reads it. Either D_v lies in a dependency
+of the rows of D, and the kept rows still span: the result keeps the
+space object, with its cached split and type, and D loses row v. Or the
+kept rows span the kernel of the functional f_v with f_v(D_u) = [u == v],
+a hyperplane: its echelon basis is known from f_v alone, so the new Gram
+rows are O(1) word operations each and D loses row v and one column. Both
+cases compute exactly what the echelon route computes (see ``restrict``).
 
 Systems are validated once, at the boundary. ``SRS(...)``, ``SympMap(...)``
 and ``srs_from_json`` check every axiom of what they are given. The systems
@@ -32,7 +44,7 @@ re-check through the private ``_trusted`` constructors:
   basis, which spans;
 * ``restrict``: decorations pair as before, so the kept ones pair as their
   nodes are adjacent, and they span the subspace W re-coordinatized on its
-  echelon basis;
+  echelon basis, also when one node is deleted through ``_deletions``;
 * ``quotient``: a radical vector pairs to 0 with everything, so dividing by
   a subspace of the radical (checked on the way in) keeps every pairing and
   the projection preserves the form, and images of a spanning set span.
@@ -50,10 +62,12 @@ from typing import Sequence
 from .gf2 import (
     BitMat,
     BitVec,
+    _drop_bit,
     _echelon_rows,
     _eliminate,
     _gather,
     _string_bits,
+    _subspace_rows,
     _transpose,
     inverse,
     kernel_basis,
@@ -61,7 +75,6 @@ from .gf2 import (
     row_combination,
     row_reduce,  # unused here; perfbench/selftest.py checks that tracing rebinds srs.row_reduce
     solve_mat,
-    subspaces,
 )
 from .graph import Graph, _graph_from_json, graph_to_json, induced_subgraph, max_coclique
 from .symplectic import SpaceType, SympSpace
@@ -151,6 +164,28 @@ class SRS:
         inv = inverse(self.deco)
         assert inv is not None, "minimal decorations always invert"
         return list(inv.transpose().rows)
+
+    @cached_property
+    def _deletions(self) -> tuple[list[int], int]:
+        """What deleting one node reads, from one elimination of [D | I_n]:
+        for each node v the functional f_v with f_v(D_u) = [u == v], as an
+        int over the space's coordinates, and the mask of the nodes that lie
+        in a linear dependency of the rows of D.
+
+        D spans, so the first dim eliminated rows have the unit vectors
+        e_0, .., e_{dim-1} as their D part, and row i's I_n part writes e_i
+        as a sum of rows of D: f_v(e_i) is its bit v, and f_v is column v
+        of those parts. The other rows have D part 0, and their I_n parts
+        span the dependencies among the rows of D, so a node lies in one
+        exactly when its bit is set in one of them. No such f_v exists for
+        that node, and ``restrict`` never reads the column there."""
+        dim = self.space.dim
+        rows = [row | 1 << (dim + p) for p, row in enumerate(self.deco.rows)]
+        _eliminate(rows, dim)
+        dependent = 0
+        for row in rows[dim:]:
+            dependent |= row
+        return _transpose([row >> dim for row in rows[:dim]], self.graph.n), dependent >> dim
 
     def _appended(self, graph: Graph, space: SympSpace, w0: int) -> "SRS":
         """This minimal system plus one node, on ``graph`` (this graph plus
@@ -263,7 +298,22 @@ def restrict(s: SRS, nodes: Sequence[int]) -> SRS:
     reproduces it on the nose, not just up to isomorphism. A vector of W
     has its echelon coordinates at the pivots, the lowest set bit of each
     echelon row.
+
+    Deleting one node v (``nodes`` every other node, ascending) reads
+    ``SRS._deletions`` instead of eliminating the kept rows, in one of two
+    cases. If D_v lies in a dependency of the rows of D, the kept rows
+    still span, W is the whole space, its echelon basis the unit vectors,
+    and the result keeps this space object and the other rows of D as
+    they are. Otherwise W is the kernel of f_v, the functional with
+    f_v(D_u) = [u == v]. With c its top bit, the echelon basis of ker f_v
+    is e_p + f_v(e_p) e_c for p != c (for p > c, f_v(e_p) = 0), pivoting
+    at p, so the coordinates drop column c. Expanding the form on two such
+    rows gives Gram row p as G_p + f_v(e_p) G_c + G_pc f_v without bit c,
+    and the rows of D lose bit c. Both are what the echelon route computes.
     """
+    deleted = _deleted_node(nodes, s.graph.n)
+    if deleted is not None:
+        return _without_node(s, deleted)
     sub_graph = induced_subgraph(s.graph, nodes)
     rows = [s.deco.rows[v] for v in nodes]
     basis = _echelon_rows(rows, s.space.dim)
@@ -271,6 +321,35 @@ def restrict(s: SRS, nodes: Sequence[int]) -> SRS:
     sub_space = SympSpace._trusted(BitMat._trusted(len(basis), s.space.pairing_rows(basis)))
     deco = BitMat._trusted(len(basis), (_gather(v, pivots) for v in rows))
     return SRS._trusted(sub_graph, sub_space, deco)
+
+
+def _deleted_node(nodes: Sequence[int], n: int) -> int | None:
+    """v when ``nodes`` lists every node of n but v, in ascending order."""
+    if len(nodes) != n - 1:
+        return None
+    nodes = list(nodes)
+    v = next((i for i, u in enumerate(nodes) if u != i), n - 1)
+    return v if nodes[v:] == list(range(v + 1, n)) else None
+
+
+def _without_node(s: SRS, v: int) -> SRS:
+    """``restrict`` to every node but v, by the two cases in its docstring."""
+    graph = s.graph._without_node(v)
+    funcs, dependent = s._deletions
+    rows = s.deco.rows[:v] + s.deco.rows[v + 1:]
+    if dependent >> v & 1:
+        return SRS._trusted(graph, s.space, BitMat._trusted(s.space.dim, rows))
+    f = funcs[v]
+    c = f.bit_length() - 1
+    gram = s.space.gram.rows
+    g_c = gram[c]
+    sub_gram = [
+        _drop_bit(row ^ (g_c if f >> p & 1 else 0) ^ (f if row >> c & 1 else 0), c)
+        for p, row in enumerate(gram) if p != c
+    ]
+    dim = s.space.dim - 1
+    sub_space = SympSpace._trusted(BitMat._trusted(dim, sub_gram))
+    return SRS._trusted(graph, sub_space, BitMat._trusted(dim, (_drop_bit(row, c) for row in rows)))
 
 
 def quotient(s: SRS, u_basis: Sequence[BitVec]) -> tuple[SRS, SympMap]:
@@ -292,17 +371,26 @@ def quotient(s: SRS, u_basis: Sequence[BitVec]) -> tuple[SRS, SympMap]:
             raise SRSError(f"subspace vector dimension {u.dim} != {dim}")
         if row_combination(gram, u.bits):
             raise SRSError(f"subspace vector {u} not in the radical")
-    basis = _echelon_rows([u.bits for u in u_basis], dim)
+    quot, cols = _quotient_rows(s, [u.bits for u in u_basis])
+    proj = SympMap._trusted(s.space, quot.space, BitMat._trusted(dim, _transpose(cols, quot.space.dim)))
+    return quot, proj
+
+
+def _quotient_rows(s: SRS, u_rows: Sequence[int]) -> tuple[SRS, list[int]]:
+    """``quotient`` by the span of radical vectors given as ints, past its
+    checks, with the projection as its columns: the image of each unit
+    vector, as an int."""
+    dim = s.space.dim
+    gram = s.space.gram.rows
+    basis = _echelon_rows(u_rows, dim)
     reducer = {(b & -b).bit_length() - 1: b for b in basis}
     keep = [j for j in range(dim) if j not in reducer]
     position = {j: i for i, j in enumerate(keep)}
     cols = [1 << position[j] if j in position else _gather(reducer[j], keep) for j in range(dim)]
     kept_cols = _transpose([gram[j] for j in keep], dim)
     quot_space = SympSpace._trusted(BitMat._trusted(len(keep), [kept_cols[j] for j in keep]))
-    proj = SympMap._trusted(s.space, quot_space, BitMat._trusted(dim, _transpose(cols, len(keep))))
     deco = BitMat._trusted(len(keep), (row_combination(cols, v) for v in s.deco.rows))
-    quot = SRS._trusted(s.graph, quot_space, deco)
-    return quot, proj
+    return SRS._trusted(s.graph, quot_space, deco), cols
 
 
 def radical_subspaces(s: SRS) -> list[tuple[BitVec, ...]]:
@@ -311,10 +399,15 @@ def radical_subspaces(s: SRS) -> list[tuple[BitVec, ...]]:
     Deterministic: subspace dimension ascending (so quotient types come
     out grouped), then the fixed order of echelon-basis enumeration.
     """
+    dim = s.space.dim
+    return [tuple(BitVec(dim, bits) for bits in sub) for sub in _radical_subspace_rows(s)]
+
+
+def _radical_subspace_rows(s: SRS) -> list[tuple[int, ...]]:
+    """``radical_subspaces`` with the basis vectors as ints."""
     _check_radical_cap(s.space)
     rad = s.space._radical
-    dim = s.space.dim
-    return [tuple(BitVec(dim, row_combination(rad, c.bits)) for c in sub) for sub in subspaces(len(rad))]
+    return [tuple(row_combination(rad, c) for c in sub) for sub in _subspace_rows(len(rad))]
 
 
 def enumerate_quotients(g: Graph) -> list[SRS]:
@@ -329,7 +422,7 @@ def enumerate_quotients(g: Graph) -> list[SRS]:
     ``_quotient_type_counts`` counts the classes without building them.
     """
     minimal = _minimal_for_quotients(g)
-    return [quotient(minimal, u)[0] for u in radical_subspaces(minimal)]
+    return [_quotient_rows(minimal, u)[0] for u in _radical_subspace_rows(minimal)]
 
 
 def _quotient_type_counts(n: int, k: int) -> dict[tuple[int, int], int]:

@@ -53,6 +53,7 @@ from .gf2 import (
     bilinear,
     byte_table,
     echelon_basis,
+    inverse,
     rank,
     row_combination,
     table_combination,
@@ -273,7 +274,10 @@ class SympSpace:
         hyperbolic pairs and radical rows, in O(dim) int work and with no
         greedy basis.
 
-        Let h = ``_hyperbolic``(pairings), 0 for zero pairings. An old
+        Let h = ``_hyperbolic``(pairings). It is 0, and not computed, when
+        ``pairings`` has bits only at radical pivots, where no pair vector
+        has one: zero pairings, and every step of the default extension
+        route (see ``extend.extend_minimal``). An old
         vector pairs with e_d by its dot product with ``pairings``, and h
         pairs with every pair vector as ``pairings`` does, so e_d + h pairs
         with none, with a radical row z as z . pairings, and with e_d as
@@ -303,7 +307,10 @@ class SympSpace:
         rows.append(pairings)
         out = SympSpace._trusted(BitMat._trusted(d + 1, rows))
         radical = self._radical
-        partner = 1 << d ^ self._hyperbolic(pairings) if pairings else 1 << d
+        pivots = 0
+        for z in radical:
+            pivots |= 1 << (z.bit_length() - 1)
+        partner = 1 << d ^ self._hyperbolic(pairings) if pairings & ~pivots else 1 << d
         m = next((j for j, z in enumerate(radical) if (z & pairings).bit_count() & 1), None)
         if m is None:
             out._pairs, out._radical = self._pairs, radical + [partner]
@@ -315,6 +322,23 @@ class SympSpace:
             z ^ z_m if (z & pairings).bit_count() & 1 else z for z in radical[m + 1:]
         ]
         return out
+
+    @cached_property
+    def _completions(self) -> dict[tuple[BitMat, BitMat], tuple[tuple[int, ...], list[int]]]:
+        """Explicit completion choices that ``_completion`` has validated on
+        this space, by (proj, radform)."""
+        return {}
+
+    def _completion(self, proj: BitMat, radform: BitMat) -> tuple[tuple[int, ...], list[int]]:
+        """The rows of P and of R^-1 for completion choices (P, R), checked
+        as ``mixed_completion`` checks them on their first use with this
+        space and kept with it, since the matrices are immutable. Invalid
+        choices are never kept, so they raise on every call."""
+        key = (proj, radform)
+        known = self._completions.get(key)
+        if known is None:
+            known = self._completions[key] = proj.rows, _checked_choices(self, proj, radform)
+        return known
 
     @cached_property
     def type(self) -> SpaceType:
@@ -391,6 +415,13 @@ def mixed_completion(s: SympSpace, proj: BitMat, radform: BitMat) -> MixedForm:
     form need not be alternating, and for odd k it cannot be). The
     completed form is always nondegenerate.
     """
+    _checked_choices(s, proj, radform)
+    return MixedForm(s, proj, radform)
+
+
+def _checked_choices(s: SympSpace, proj: BitMat, radform: BitMat) -> list[int]:
+    """The checks of ``mixed_completion``, raising its messages; answers the
+    rows of R^-1 for R = radform, which the inversion checks for rank."""
     k = len(s._radical)
     if proj.shape != (s.dim, s.dim):
         raise ValueError(f"projection shape {proj.shape} != {(s.dim, s.dim)}")
@@ -405,9 +436,10 @@ def mixed_completion(s: SympSpace, proj: BitMat, radform: BitMat) -> MixedForm:
         raise ValueError(f"radical form shape {radform.shape} != {(k, k)}")
     if not radform.is_symmetric():
         raise ValueError("radical form not symmetric")
-    if rank(radform) != k:
+    inv = inverse(radform)
+    if inv is None:
         raise ValueError("radical form degenerate")
-    return MixedForm(s, proj, radform)
+    return list(inv.rows)
 
 
 def default_completion_choices(s: SympSpace) -> tuple[BitMat, BitMat]:

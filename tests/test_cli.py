@@ -85,8 +85,8 @@ def _forbid_building(monkeypatch):
     def built(*args):
         raise AssertionError("a subspace or quotient was built")
 
-    monkeypatch.setattr("symprs.srs.subspaces", built)
-    monkeypatch.setattr("symprs.srs.quotient", built)
+    monkeypatch.setattr("symprs.srs._subspace_rows", built)
+    monkeypatch.setattr("symprs.srs._quotient_rows", built)
 
 
 def test_quotients_summary_counts_without_building(tmp_path, capsys, monkeypatch):

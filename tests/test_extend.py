@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import oracles
 from oracles import extend_extraspecial, extend_nullspace
 from symprs.extend import (
     NEW_HYPERBOLIC,
@@ -156,6 +157,45 @@ def test_bad_choices_raise_the_mixed_completion_messages(proj, radform, message)
     with pytest.raises(ValueError) as through_extension:
         extend_minimal(s, BitVec.from_string("101"), (proj, radform))
     assert str(through_extension.value) == message
+
+
+def test_choices_checked_once_per_space_match_the_oracle_on_every_indicator():
+    """One pair of explicit choices for all 2^n indicators, as the census
+    sweep passes them: every step equals ``oracles.extend_minimal``, which
+    completes the form afresh each time, and the space keeps that one pair."""
+    rng = random.Random(22)
+    for g in (dynkin_graph("D", 6), Graph(5, [(0, 1), (2, 3)]), Graph(4)):
+        s = minimal_srs(g)
+        choices = random_completion_choices(rng, s.space)
+        for lam in indicators(g.n):
+            assert extend_minimal(s, lam, choices) == oracles.extend_minimal(s, lam, choices)
+        assert list(vars(s.space)["_completions"]) == [choices]
+
+
+@pytest.mark.parametrize("proj, radform, message", [
+    (["010", "000", "000"], None, "projection is not idempotent"),
+    (None, ["0"], "radical form degenerate"),
+])
+def test_bad_choices_raise_on_every_call_and_are_never_kept(proj, radform, message):
+    s = minimal_srs(dynkin_graph("A", 3))
+    default_proj, default_radform = default_completion_choices(s.space)
+    proj = default_proj if proj is None else BitMat.from_rows(proj)
+    radform = default_radform if radform is None else BitMat.from_rows(radform)
+    for _ in range(2):
+        with pytest.raises(ValueError) as raised:
+            extend_minimal(s, BitVec.from_string("101"), (proj, radform))
+        assert str(raised.value) == message
+    assert s.space._completions == {}
+
+
+def test_equal_spaces_built_apart_keep_their_own_choices():
+    g = dynkin_graph("A", 5)
+    a, b = minimal_srs(g), minimal_srs(g)
+    assert a.space == b.space and a.space is not b.space
+    choices = random_completion_choices(random.Random(23), a.space)
+    extend_minimal(a, BitVec.from_string("10100"), choices)
+    assert list(a.space._completions) == [choices]
+    assert b.space._completions == {}
 
 
 def test_explicit_choices_change_data_not_class():

@@ -19,7 +19,10 @@ equal the two-list elimination it replaced. The default completion choices, the 
 orthogonal projection and every extension witness, read off the
 symplectic basis, must equal the routes through basis-matrix inverses
 and the completed Gram matrix. Restriction, quotients and radical
-subspaces on int rows must equal the BitVec routes, and the double
+subspaces on int rows must equal the BitVec routes, and so must every
+single-node deletion, read off one elimination of [D | I_n], on minimal
+systems, quotients, extended systems and JSON systems with a random
+invertible D, drawn from random and low-rank forms. The double
 extension as two single steps must equal its direct construction. The
 default extension step must equal the explicit one with
 ``default_completion_choices``, and the decoration inverse that
@@ -79,6 +82,8 @@ from symprs.srs import (
     quotient,
     radical_subspaces,
     restrict,
+    srs_from_json,
+    srs_to_json,
 )
 from symprs.symplectic import (
     SympSpace,
@@ -560,13 +565,17 @@ def test_default_choices_and_cocycle_match_inverse_oracles(space):
     assert make_group(space).beta == oracles.group_cocycle(space)
 
 
+def _graph_of(space: SympSpace) -> Graph:
+    """The graph whose adjacency matrix is the Gram matrix of ``space``."""
+    rows, n = space.gram.rows, space.dim
+    return Graph(n, [(p, q) for p in range(n) for q in range(p + 1, n) if rows[p] >> q & 1])
+
+
 @st.composite
 def minimal_systems(draw, max_nodes: int = 10):
     """The minimal system of a graph on up to ``max_nodes`` nodes, from
     ``minimal_srs`` or from ``build_by_extension``."""
-    rows = draw(spaces(max_dim=max_nodes)).gram.rows
-    n = len(rows)
-    graph = Graph(n, [(p, q) for p in range(n) for q in range(p + 1, n) if rows[p] >> q & 1])
+    graph = _graph_of(draw(spaces(max_dim=max_nodes)))
     return draw(st.sampled_from([minimal_srs, build_by_extension]))(graph)
 
 
@@ -640,6 +649,67 @@ def test_srs_int_routes_match_bitvec_oracles(s, data):
         stray = _vec(data.draw, s.space.dim + data.draw(st.integers(0, 1)))
         u_basis.insert(data.draw(st.integers(0, len(u_basis))), stray)
     assert _projection(quotient, s, u_basis) == _projection(oracles.quotient, s, u_basis)
+
+
+@st.composite
+def deletion_systems(draw, max_dim: int = 12) -> SRS:
+    """A system on the graph of a drawn form: its minimal system, a quotient
+    of it by a random radical subspace (rows of D that depend on others),
+    its build by extension in a random order (D != I), or the form itself
+    decorated by a random invertible D, read back through ``srs_from_json``."""
+    space = draw(st.one_of(spaces(max_dim=max_dim), low_rank_spaces(max_dim=max_dim)))
+    graph, n = _graph_of(space), space.dim
+    kind = draw(st.sampled_from(["minimal", "quotient", "extension", "json"]))
+    if kind == "minimal":
+        return minimal_srs(graph)
+    if kind == "quotient":
+        s = minimal_srs(graph)
+        rad = s.space._radical
+        coeffs = draw(st.lists(st.integers(0, (1 << len(rad)) - 1), max_size=3))
+        return quotient(s, [BitVec(n, row_combination(rad, c)) for c in coeffs])[0]
+    if kind == "extension":
+        return build_by_extension(graph, draw(st.permutations(range(n))))
+    # row operations on a permuted identity keep D invertible
+    deco = list(draw(st.permutations([1 << p for p in range(n)])))
+    coord = st.integers(0, max(n - 1, 0))
+    for i, j in draw(st.lists(st.tuples(coord, coord), max_size=3 * n)):
+        if i != j:
+            deco[i] ^= deco[j]
+    adjacency = space.pairing_rows(deco)
+    edges = [(p, q) for p in range(n) for q in range(p + 1, n) if adjacency[p] >> q & 1]
+    return srs_from_json(srs_to_json(SRS(Graph(n, edges), space, BitMat(n, deco))))
+
+
+def _twin_quotient() -> SRS:
+    """Nodes 0 and 1 are twins, and the quotient by e_0 + e_1 decorates them
+    alike: deleting either keeps the span."""
+    s = minimal_srs(Graph(3, [(0, 2), (1, 2)]))
+    return quotient(s, [BitVec.from_string("110")])[0]
+
+
+@settings(deadline=None, max_examples=150)
+@given(deletion_systems())
+@example(_twin_quotient())
+@example(minimal_srs(dynkin_graph("A", 4)))
+def test_single_node_deletions_match_the_echelon_oracle(s):
+    """``restrict`` to every node but v, through ``SRS._deletions``, against
+    the echelon route of ``oracles.restrict``, for every v: the result keeps
+    the parent's space object exactly when the kept rows of D still span,
+    and otherwise lives on the kernel of a functional, one dimension down.
+    A twin pair reaches the first case, a path the second."""
+    n, dim = s.graph.n, s.space.dim
+    for v in range(n):
+        nodes = [u for u in range(n) if u != v]
+        got = restrict(s, nodes)
+        assert got == oracles.restrict(s, nodes)
+        kept = [row for u, row in enumerate(s.deco.rows) if u != v]
+        spans = rank(BitMat(dim, kept)) == dim
+        event("span kept" if spans else "hyperplane")
+        assert (got.space is s.space) == spans
+        assert got.space.dim == dim - (not spans)
+    assert "_deletions" in vars(s) or n == 0
+    if n:
+        assert restrict(s, range(n - 1)) == oracles.restrict(s, range(n - 1))
 
 
 def _assert_carried_inverse(s: SRS) -> None:

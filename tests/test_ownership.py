@@ -1,6 +1,8 @@
 """Each cache is written only by the module that owns it: the split of a
-space (``_pairs``, ``_radical``, ``_basis``) by ``symplectic``, and the
-columns of D^-1 (``_deco_inverse``) by ``srs``. An extension step asks
+space (``_pairs``, ``_radical``, ``_basis``) and its checked completion
+choices (``_completions``) by ``symplectic``, and the columns of D^-1
+(``_deco_inverse``) and what a single-node deletion reads (``_deletions``)
+by ``srs``. An extension step asks
 ``SympSpace._adjoined`` and ``SRS._appended`` for the larger space and
 system instead of presetting their caches itself."""
 
@@ -11,7 +13,10 @@ import pytest
 
 import symprs
 
-OWNERS = {"_pairs": "symplectic", "_radical": "symplectic", "_basis": "symplectic", "_deco_inverse": "srs"}
+OWNERS = {
+    "_pairs": "symplectic", "_radical": "symplectic", "_basis": "symplectic", "_completions": "symplectic",
+    "_deco_inverse": "srs", "_deletions": "srs",
+}
 SOURCES = sorted(pathlib.Path(symprs.__file__).parent.glob("*.py"))
 
 
