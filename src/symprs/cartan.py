@@ -468,8 +468,9 @@ def automorphism_action_on_quotients(g: Graph) -> list[tuple[int, ...]]:
     s = _minimal_for_quotients(g)
     subs = _radical_subspace_rows(s)
     index = {tuple(_echelon_rows(sub, g.n)): i for i, sub in enumerate(subs)}
-    actions = []
-    for perm in automorphisms(g):
+    # automorphisms(g) is sorted, so it starts with the identity, which fixes every class
+    actions = [tuple(range(len(subs)))]
+    for perm in automorphisms(g)[1:]:
         # Bit i of the image of u is bit inv[i] of u, inv[i] the preimage
         # of i, so that basis vector p maps to basis vector perm[p].
         # Permuting nodes preserves adjacency, hence is symplectic and fixes

@@ -21,17 +21,21 @@ keeps one zero vector, and the identity and every commutator are its two
 shared elements (0, 0) and (0, 1), so a commutator allocates nothing. The
 commutator is evaluated through the group law, never read off the form,
 so checking "commutator = form" tests the law. ``srs verify`` checks it
-on every pair of elements with ``_commutator_mismatches``, on ints: one
-call of ``CocycleGroup._commutator_signs`` gives the commutator signs of
-one g with every h (the law makes their vectors zero), with the row of g
-and each q(v) computed once, and the form side comes from the Gram rows,
-not from beta.
+on every pair of elements with ``_commutator_mismatches``, on truth
+tables: ints whose bit w is a value at the vector w. One call of
+``CocycleGroup._commutator_signs`` gives the commutator signs of one g
+with every h as two tables, one per sign of h (the law makes their
+vectors zero). It evaluates every term of the law: beta(v, .) as the
+parity table of v's beta row, q(w) as one table per group, and q(v + w)
+as that table translated by v. The form side is the parity table of the
+Gram row of v, not derived from beta, and ``bit_count`` of the XOR
+counts the mismatches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .gf2 import BitMat, BitVec, _eliminate, _transpose, row_combination
 from .srs import SRS
@@ -128,22 +132,22 @@ class CocycleGroup:
         u = v ^ w
         return self._sign_line[gh ^ inv ^ ((row(u) & u).bit_count() & 1)]
 
-    def _commutator_signs(self, v: int, a: int, q: Sequence[int]) -> list[int]:
-        """The sign of [g, h] = gh . g^-1 h^-1 through the group law, for
-        g = (v, a) and every h = (w, b) in ``elements`` order; q[u] is
-        beta(u, u) for every vector u, computed once per group by the caller.
-        gh and g^-1 h^-1 both have the vector v + w, so the law makes the
-        vector of [g, h] zero by construction and only its sign is kept."""
-        row_v, inv_a = self._row(v), a ^ q[v]  # g^-1 = (v, a + q(v))
-        out = []
-        for w, q_w in enumerate(q):
-            beta_vw = (row_v & w).bit_count() & 1
-            q_u = q[v ^ w]  # the vector of gh and of g^-1 h^-1 is v + w
-            for b in (0, 1):
-                gh = a ^ b ^ beta_vw
-                inv = inv_a ^ b ^ q_w ^ beta_vw
-                out.append(gh ^ inv ^ q_u)
-        return out
+    def _commutator_signs(self, v: int, a: int, q: int) -> tuple[int, int]:
+        """The signs of [g, h] = gh . g^-1 h^-1 through the group law, for
+        g = (v, a) and every h = (w, b), as one truth table over w per b:
+        bit w of entry b is the sign of [g, (w, b)]. Bit u of q is
+        q(u) = beta(u, u), tabled once per group by the caller. gh and
+        g^-1 h^-1 both have the vector v + w, so the law makes the vector
+        of [g, h] zero by construction and only its sign is kept."""
+        d = self.dim
+        ones = (1 << (1 << d)) - 1
+        beta_v = _parity_table(self._row(v), d)  # w -> beta(v, w)
+        q_u = _translated(q, v, d)  # w -> q(v + w), for the vector of gh and g^-1 h^-1
+        inv_a = a ^ (q >> v & 1)  # g^-1 = (v, a + q(v))
+        # h = (w, 0); h = (w, 1) flips every sign of gh and of g^-1 h^-1
+        gh = beta_v ^ (ones if a else 0)
+        inv = q ^ beta_v ^ (ones if inv_a else 0)
+        return gh ^ inv ^ q_u, (gh ^ ones) ^ (inv ^ ones) ^ q_u
 
     def element_order(self, g: Element) -> int:
         v, a = g
@@ -193,20 +197,46 @@ class CocycleGroup:
         return f"CocycleGroup(order={self.order()}, type=({n},{k}))"
 
 
+def _parity_table(row: int, dim: int) -> int:
+    """The truth table of w -> <row, w> over the 2^dim vectors w, bit w
+    its value, built by doubling: adding bit i to w flips the value
+    exactly when row has bit i."""
+    table, width = 0, 1
+    while width >> dim == 0:
+        table |= (table ^ (1 << width) - 1 if row & 1 else table) << width
+        row >>= 1
+        width <<= 1
+    return table
+
+
+def _translated(table: int, v: int, dim: int) -> int:
+    """The truth table w -> table(v + w) over dim variables: for each bit
+    i of v, swap every two neighbouring blocks of 2^i bits."""
+    ones = (1 << (1 << dim)) - 1
+    width = 1
+    while v:
+        if v & 1:
+            keep = ones // ((1 << width) + 1)  # the bits w with w & width == 0
+            table = (table & keep) << width | (table >> width) & keep
+        v >>= 1
+        width <<= 1
+    return table
+
+
 def _commutator_mismatches(grp: CocycleGroup) -> int:
     """How many ordered pairs of elements g = (v, a), h = (w, b) have a
     commutator sign, by the group law, other than <v, w>, with the form
     read off the Gram rows: neither side is derived from the other."""
-    size = 1 << grp.dim
-    q = [grp._q(u) for u in range(size)]
+    d, gram = grp.dim, grp.space.gram.rows
+    q = 0
+    for u in range(1 << d):
+        q |= grp._q(u) << u
     bad = 0
-    for v in range(size):
-        image = row_combination(grp.space.gram.rows, v)
-        want = [(image & w).bit_count() & 1 for w in range(size) for _ in (0, 1)]
+    for v in range(1 << d):
+        want = _parity_table(row_combination(gram, v), d)  # w -> <v, w>
         for a in (0, 1):
-            got = grp._commutator_signs(v, a, q)
-            if got != want:
-                bad += sum(c != f for c, f in zip(got, want))
+            for got in grp._commutator_signs(v, a, q):
+                bad += (got ^ want).bit_count()
     return bad
 
 

@@ -4,8 +4,10 @@ Each sweep re-runs one structural result over every small case: the
 restriction trichotomy, rebuilding by extension, Weyl intertwining mod 2,
 the 2-group realization and the coclique bound. A sweep is a generator
 that yields one item per check: ``None`` if the check passed, its failure
-message if it failed (a tuple of messages if it failed in two ways).
-``run`` does all the counting and reporting.
+message if it failed (a tuple of messages if it failed in two ways). It
+may also yield an int, that many passed checks at once, as the group
+sweep does for the commutators of all pairs of elements it counted in
+one pass. ``run`` does all the counting and reporting.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ def _group(max_nodes: int):
             grp = make_group(s.space)
             # one check per ordered pair of elements: about 150k at the default size
             bad = _commutator_mismatches(grp)
-            yield from itertools.repeat(None, grp.order() ** 2 - bad)
+            yield grp.order() ** 2 - bad
             yield from itertools.repeat(f"graph {g.edge_list()}: commutator is not the form", bad)
             k = s.type.k
             ok = len(grp.center()) == 1 << (k + 1)
@@ -169,7 +171,9 @@ def run(names, max_nodes: int, max_rank: int, trials: int, seed: int) -> dict:
     Graphs go up to ``max_nodes`` nodes, Cartan types up to ``max_rank``,
     and ``trials`` random completions probe choice independence. Each
     suite reports ``ok``, its ``checks`` and its first five ``failures``;
-    restriction also counts its ``cases``. A suite with no checks fails.
+    restriction also counts its ``cases``. Each item a sweep yields is one
+    check, except an int, which is that many passed checks. A suite with
+    no checks fails, also one whose counts add up to 0.
     ``max_nodes`` past ``MAX_CLASS_NODES``, or ``max_rank`` past the rank
     whose root systems fit in ``MAX_ROOTS``, raises before any sweep runs.
     """
@@ -190,9 +194,13 @@ def run(names, max_nodes: int, max_rank: int, trials: int, seed: int) -> dict:
     for name in names:
         checks = 0
         failures = []
-        for checks, failure in enumerate(sweeps[name](), 1):
-            if failure is not None:
-                failures.extend((failure,) if isinstance(failure, str) else failure)
+        for item in sweeps[name]():
+            if isinstance(item, int):
+                checks += item
+                continue
+            checks += 1
+            if item is not None:
+                failures.extend((item,) if isinstance(item, str) else item)
         if checks == 0:
             # a sweep that checked nothing proves nothing
             failures.append("no checks ran")

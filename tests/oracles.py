@@ -9,9 +9,28 @@ from typing import Iterable, Sequence
 
 from symprs.cartan import MAX_ROOTS, CartanDatum, WeylRep
 from symprs.extend import NEW_HYPERBOLIC, NEW_NULLVECTOR, ExtensionWitness, _require_minimal
-from symprs.gf2 import BitMat, BitVec, RowEchelon, echelon_basis, inverse, rank, subspaces
+from symprs.gf2 import (
+    BitMat,
+    BitVec,
+    RowEchelon,
+    _echelon_rows,
+    _gather,
+    echelon_basis,
+    inverse,
+    rank,
+    row_combination,
+    subspaces,
+)
 from symprs.graph import MAX_NODES, Graph, _isomorphisms, _node_invariants, induced_subgraph
-from symprs.srs import MAX_QUOTIENT_RADICAL_DIM, SRS, SRSError, SympMap
+from symprs.grp2 import CocycleGroup
+from symprs.srs import (
+    MAX_QUOTIENT_RADICAL_DIM,
+    SRS,
+    SRSError,
+    SympMap,
+    _minimal_for_quotients,
+    _radical_subspace_rows,
+)
 from symprs.symplectic import SymplecticBasis, SympSpace, mixed_completion, standard_space
 
 
@@ -178,6 +197,27 @@ class CocycleLaw:
                         nxt.append(h)
             frontier = nxt
         return seen
+
+
+def commutator_mismatches(grp: CocycleGroup) -> int:
+    """``grp2._commutator_mismatches`` one ordered pair of elements at a
+    time: the sign of gh . g^-1 h^-1 by the group law on ints, for every
+    g = (v, a) and h = (w, b), against <v, w> read off the Gram rows."""
+    size = 1 << grp.dim
+    q = [grp._q(u) for u in range(size)]
+    bad = 0
+    for v in range(size):
+        image, row_v = row_combination(grp.space.gram.rows, v), grp._row(v)
+        for a in (0, 1):
+            inv_a = a ^ q[v]  # g^-1 = (v, a + q(v))
+            for w in range(size):
+                beta_vw = (row_v & w).bit_count() & 1
+                want = (image & w).bit_count() & 1
+                for b in (0, 1):
+                    gh = a ^ b ^ beta_vw
+                    inv = inv_a ^ b ^ q[w] ^ beta_vw
+                    bad += gh ^ inv ^ q[v ^ w] != want
+    return bad
 
 
 def extraspecial_sign(beta: BitMat) -> str:
@@ -422,6 +462,19 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
 def is_isomorphic(g: Graph, h: Graph) -> bool:
     """Whether some relabeling of g is h, trying all n! of them."""
     return g.n == h.n and any(g.relabel(p) == h for p in itertools.permutations(range(g.n)))
+
+
+def automorphism_action_on_quotients(g: Graph) -> list[tuple[int, ...]]:
+    """``cartan.automorphism_action_on_quotients`` with one elimination per
+    (automorphism, radical subspace) pair, the identity's included, over
+    the brute-force ``automorphisms`` below."""
+    subs = _radical_subspace_rows(_minimal_for_quotients(g))
+    index = {tuple(_echelon_rows(sub, g.n)): i for i, sub in enumerate(subs)}
+    actions = []
+    for perm in automorphisms(g):
+        inv = sorted(range(g.n), key=perm.__getitem__)
+        actions.append(tuple(index[tuple(_echelon_rows([_gather(u, inv) for u in sub], g.n))] for sub in subs))
+    return actions
 
 
 @lru_cache(maxsize=None)

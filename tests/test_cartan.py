@@ -22,7 +22,7 @@ from symprs.cartan import (
     weyl_rep,
 )
 from symprs.gf2 import BitMat, BitVec, echelon_basis
-from symprs.graph import Graph, automorphisms, dynkin_graph
+from symprs.graph import Graph, automorphisms, dynkin_graph, graph_classes
 from symprs.srs import minimal_srs, srs_isomorphic
 
 
@@ -422,6 +422,15 @@ def test_automorphism_action_on_path_quotients():
     assert reversal in auts
     for action in automorphism_action_on_quotients(g):
         assert action == (0, 1)
+
+
+def test_automorphism_action_matches_the_per_pair_oracle():
+    """Every row, the identity's read without elimination included, equals
+    one elimination per (automorphism, subspace) pair on every class with
+    at most 5 nodes."""
+    for size in range(6):
+        for g in graph_classes(size):
+            assert automorphism_action_on_quotients(g) == oracles.automorphism_action_on_quotients(g)
 
 
 def test_action_rows_are_permutations_and_compose():

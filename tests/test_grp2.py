@@ -272,10 +272,10 @@ def test_group_sweep_reports_one_flipped_commutator(monkeypatch):
     first3 = graph_classes(3)[0]  # the sweep meets it as its first group of dimension 3
 
     def flip_one(grp, v, a, q):
-        out = law(grp, v, a, q)
+        signs = law(grp, v, a, q)
         if grp.dim == 3 and grp.space == minimal_srs(first3).space and (v, a) == (5, 1):
-            out[6] ^= 1
-        return out
+            signs = (signs[0] ^ 1 << 3, signs[1])  # the sign of [g, h] for h = (3, 0)
+        return signs
 
     monkeypatch.setattr(CocycleGroup, "_commutator_signs", flip_one)
     result = verify.run(["group"], 5, 6, 6, 0)
@@ -283,3 +283,12 @@ def test_group_sweep_reports_one_flipped_commutator(monkeypatch):
     assert not result["ok"] and not group["ok"]
     assert group["checks"] == 151_811
     assert group["failures"] == [f"graph {first3.edge_list()}: commutator is not the form"]
+
+
+def test_a_sweep_that_counts_zero_checks_fails(monkeypatch):
+    """A sweep may report its passed checks as one count; a count of 0 is
+    no check, so the suite fails as if the sweep yielded nothing."""
+    monkeypatch.setattr(verify, "_group", lambda max_nodes: iter([0]))
+    result = verify.run(["group"], 5, 6, 6, 0)
+    assert not result["ok"]
+    assert result["suites"]["group"] == {"ok": False, "checks": 0, "failures": ["no checks ran"]}

@@ -11,10 +11,12 @@ vector of the wrong dimension must raise the same ``ValueError``.
 The radical and symplectic basis kept as int rows must equal the kernel
 and greedy-basis oracles, also on forms of rank at most 6 with twin rows,
 whose radicals are large. The 2-group law on (bits, sign) ints and the
-commutator rows of the ``srs verify`` sweep must agree with the BitVec
-law, the byte table with ``row_combination``, and the stabilizer chain
-with the oracle chain and with enumeration, both on their own column
-arithmetic. Every rank, kernel, echelon basis, solve and inverse must
+commutator truth tables of the ``srs verify`` sweep must agree with the
+BitVec law, and the sweep's mismatch count with the per-pair count, also
+on groups whose space was swapped for another. The byte table must
+agree with ``row_combination``, and the stabilizer chain with the oracle
+chain and with enumeration, both on their own column arithmetic. Every
+rank, kernel, echelon basis, solve and inverse must
 equal the two-list elimination it replaced. The default completion choices, the group's cocycle, the
 orthogonal projection and every extension witness, read off the
 symplectic basis, must equal the routes through basis-matrix inverses
@@ -532,20 +534,41 @@ def test_group_law_matches_oracle(case):
 @given(st.data())
 def test_sweep_law_matches_oracle(data):
     """``CocycleGroup._commutator_signs``, which the ``srs verify`` group
-    sweep runs on every pair, against the BitVec law with q from the oracle,
-    whose commutators must have the zero vector."""
+    sweep runs for every g, against the BitVec law with q from the oracle,
+    whose commutators must have the zero vector: bit w of table b is the
+    sign of [g, (w, b)]."""
     space = data.draw(spaces(max_dim=6))
     d = space.dim
     diagonal = data.draw(st.none() | st.builds(BitVec, st.just(d), st.integers(0, (1 << d) - 1)))
     grp = make_group(space, diagonal)
     law = oracles.CocycleLaw(grp.beta)
-    q = [law.quadratic(BitVec(d, u)) for u in range(1 << d)]
+    q = sum(law.quadratic(BitVec(d, u)) << u for u in range(1 << d))
     elements = list(grp.elements())
     for _ in range(4):
         v, a = data.draw(st.integers(0, (1 << d) - 1)), data.draw(st.integers(0, 1))
-        got = [(BitVec.zero(d), sign) for sign in grp._commutator_signs(v, a, q)]
+        tables = grp._commutator_signs(v, a, q)
+        got = [(BitVec.zero(d), tables[b] >> w & 1) for w in range(1 << d) for b in (0, 1)]
         assert got == [law.commutator((BitVec(d, v), a), h) for h in elements]
     assert _commutator_mismatches(grp) == 0
+
+
+@FAST
+@given(st.data())
+def test_commutator_mismatches_match_the_pairwise_oracle(data):
+    """The truth-table count of ``_commutator_mismatches`` equals the
+    per-pair count, also for a group whose space was swapped for another
+    of the same dimension: its law still gives the old form, so every
+    pair where the two forms differ counts, once per pair of signs."""
+    space = data.draw(spaces(max_dim=6))
+    d = space.dim
+    diagonal = data.draw(st.none() | st.builds(BitVec, st.just(d), st.integers(0, (1 << d) - 1)))
+    grp = make_group(space, diagonal)
+    if data.draw(st.booleans()):
+        grp.space = data.draw(spaces(min_dim=d, max_dim=d))
+    differ = sum(space.form(BitVec(d, v), BitVec(d, w)) != grp.space.form(BitVec(d, v), BitVec(d, w))
+                 for v in range(1 << d) for w in range(1 << d))
+    event("forms differ" if differ else "forms agree")
+    assert _commutator_mismatches(grp) == oracles.commutator_mismatches(grp) == 4 * differ
 
 
 @FAST
