@@ -21,7 +21,7 @@ from symprs.gf2 import (
     row_combination,
     subspaces,
 )
-from symprs.graph import MAX_NODES, Graph, _isomorphisms, _node_invariants, induced_subgraph
+from symprs.graph import MAX_NODES, Graph, _node_invariants, induced_subgraph
 from symprs.grp2 import CocycleGroup
 from symprs.srs import (
     MAX_QUOTIENT_RADICAL_DIM,
@@ -453,6 +453,82 @@ def isomorphisms(g: Graph, h: Graph, gp: list, hp: list, first_only: bool) -> li
     return found
 
 
+def enumerate_isomorphisms(
+    g: Sequence[int], h: Sequence[int], gp: list, hp: list, first_only: bool
+) -> list[tuple[int, ...]]:
+    """The search ``graph._isomorphisms`` ran before it became first-only,
+    kept as it was: backtracking for the maps from the graph with rows
+    ``g`` onto the one with rows ``h``, all of them unless ``first_only``;
+    gp and hp are their ``_node_invariants``, which the caller has already
+    found equal when sorted.
+
+    Nodes of g are placed in a fixed order, and the consistency check is
+    one int compare: ``want[pos]`` marks the earlier positions adjacent to
+    ``order[pos]`` in g, ``seen[w]`` the placed positions whose images are
+    adjacent to w in h, so w fits at pos iff the two masks are equal."""
+    n = len(g)
+    by_inv: dict[tuple, list[int]] = {}
+    for w, inv in enumerate(hp):
+        by_inv.setdefault(inv, []).append(w)
+    cands = [by_inv.get(inv, []) for inv in gp]
+    # most constrained nodes first, ties by index for determinism
+    order = sorted(range(n), key=lambda v: (len(cands[v]), v))
+    pos_of = [0] * n
+    for pos, v in enumerate(order):
+        pos_of[v] = pos
+    want = []
+    for pos, v in enumerate(order):
+        mask = 0
+        rem = g[v]
+        while rem:
+            low = rem & -rem
+            p = pos_of[low.bit_length() - 1]
+            rem ^= low
+            if p < pos:
+                mask |= 1 << p
+        want.append(mask)
+    seen = [0] * n
+    mapping = [-1] * n
+    used = [False] * n
+    found: list[tuple[int, ...]] = []
+
+    def place(pos: int) -> bool:
+        if pos == n:
+            found.append(tuple(mapping))
+            return first_only
+        v = order[pos]
+        need = want[pos]
+        bit = 1 << pos
+        for w in cands[v]:
+            if used[w] or seen[w] != need:
+                continue
+            mapping[v] = w
+            used[w] = True
+            rem = h[w]
+            while rem:
+                low = rem & -rem
+                seen[low.bit_length() - 1] |= bit
+                rem ^= low
+            if place(pos + 1):
+                return True
+            rem = h[w]
+            while rem:
+                low = rem & -rem
+                seen[low.bit_length() - 1] ^= bit
+                rem ^= low
+            used[w] = False
+        return False
+
+    place(0)
+    return found
+
+
+def enumerated_automorphisms(g: Graph) -> list[tuple[int, ...]]:
+    """Every automorphism of g, sorted, from one search that lists every map."""
+    inv = _node_invariants(g.adj)
+    return sorted(enumerate_isomorphisms(g.adj, g.adj, inv, inv, first_only=False))
+
+
 def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """Every relabeling that maps g onto itself, trying all n! of them in
     lexicographic order."""
@@ -481,7 +557,8 @@ def automorphism_action_on_quotients(g: Graph) -> list[tuple[int, ...]]:
 def graph_classes(n: int) -> tuple[tuple[int, ...], ...]:
     """The rows of one representative per isomorphism class of graphs on
     n nodes, from augmenting each (n-1)-node class by every neighbourhood
-    mask for a new node, with no automorphism pruning."""
+    mask for a new node, with no automorphism pruning and no
+    invariant-order forms: every candidate that meets a bucket is searched."""
     if n == 0:
         return ((),)
     out: list[tuple[int, ...]] = []
@@ -492,7 +569,7 @@ def graph_classes(n: int) -> tuple[tuple[int, ...], ...]:
             rows = (*(r | top if mask >> v & 1 else r for v, r in enumerate(base)), mask)
             inv = _node_invariants(rows)
             bucket = buckets.setdefault(tuple(sorted(inv)), [])
-            if not any(_isomorphisms(rows, rep, inv, rep_inv, first_only=True) for rep, rep_inv in bucket):
+            if not any(enumerate_isomorphisms(rows, rep, inv, rep_inv, first_only=True) for rep, rep_inv in bucket):
                 bucket.append((rows, inv))
                 out.append(rows)
     return tuple(out)

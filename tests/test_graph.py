@@ -18,10 +18,12 @@ from symprs.cartan import ade_srs, cartan_datum
 from symprs.extend import double_extend_extraspecial, extend_minimal
 from symprs.gf2 import BitVec
 from symprs.graph import (
+    MAX_AUTOMORPHISMS,
     MAX_CLASS_NODES,
     MAX_NODES,
     Graph,
     _node_invariants,
+    _search_plan,
     all_graphs,
     automorphisms,
     dynkin_graph,
@@ -305,19 +307,23 @@ def test_is_isomorphic_matches_oracle_on_equal_degree_sequences(data):
 
 
 def assert_search_matches_oracle(g: Graph, h: Graph, full: bool = True) -> None:
+    """The first map found equals the pairwise oracle's; with ``full``, so
+    do the automorphism lists of g and h, the oracle listing every map."""
     gp, hp = _node_invariants(g.adj), _node_invariants(h.adj)
-    for first_only in (True, False)[: 1 + full]:
-        expected = oracles.isomorphisms(g, h, gp, hp, first_only)
-        assert graph_module._isomorphisms(g.adj, h.adj, gp, hp, first_only) == expected
+    found = graph_module._isomorphisms(h.adj, _search_plan(g.adj, gp, hp))
+    assert ([] if found is None else [found]) == oracles.isomorphisms(g, h, gp, hp, first_only=True)
+    if full:
+        for x, xp in ((g, gp), (h, hp)):
+            assert automorphisms(x) == sorted(oracles.isomorphisms(x, x, xp, xp, first_only=False))
 
 
 @GRAPH_SEARCH
 @given(st.data())
 def test_bitset_search_matches_pairwise_oracle(data):
     """The position-mask search against the pairwise one it replaced, with
-    the same results in the same order, on up to 10 nodes. The full
-    mapping list is compared where it stays small: regular graphs of
-    degree at most n - 2, and any graph on up to 7 nodes."""
+    the same first map, on up to 10 nodes. The automorphism lists are
+    compared where they stay small: regular graphs of degree at most
+    n - 2, and any graph on up to 7 nodes."""
     regular = data.draw(st.booleans())
     g = data.draw(regular_graphs(max_n=10) if regular else graphs(max_n=10))
     h = degree_preserving_copy(data.draw, g)
@@ -342,6 +348,110 @@ def test_bitset_search_matches_pairwise_oracle_on_cube_and_wagner():
     for g, h in itertools.product([CUBE, WAGNER, shuffled], repeat=2):
         assert_search_matches_oracle(g, h)
     assert len(automorphisms(CUBE)) == 48 and len(automorphisms(WAGNER)) == 16
+
+
+def disjoint_union(parts: list[Graph]) -> Graph:
+    edges, shift = [], 0
+    for part in parts:
+        edges += [(a + shift, b + shift) for a, b in part.edge_list()]
+        shift += part.n
+    return Graph(shift, edges)
+
+
+def complement(g: Graph) -> Graph:
+    return Graph(g.n, set(itertools.combinations(range(g.n), 2)) - g.edges)
+
+
+@st.composite
+def symmetric_graphs(draw) -> Graph:
+    """Graphs on up to 10 nodes drawn toward large automorphism groups: two
+    to five copies of one connected component, a circulant after
+    degree-preserving swaps, or any graph on up to 7 nodes; maybe
+    complemented, then shuffled. The largest group, that of K5 + K5 and
+    its complement, has order 2 * 120^2 = 28,800, below the list cap."""
+    kind = draw(st.sampled_from(["copies", "regular", "any"]))
+    if kind == "copies":
+        m = draw(st.integers(1, 5))
+        part = draw(graphs(max_n=m, min_n=m))
+        if not part.is_connected():
+            part = complement(part)  # connected, so the copies are the components
+        g = disjoint_union([part] * draw(st.integers(2, min(5, 10 // m))))
+    elif kind == "regular":
+        g = draw(regular_graphs(max_n=10))
+    else:
+        g = draw(graphs(max_n=7))
+    if draw(st.booleans()):
+        g = complement(g)
+    return g.relabel(draw(st.permutations(range(g.n))))
+
+
+@GRAPH_SEARCH
+@given(symmetric_graphs())
+@example(disjoint_union([complete(5)] * 2))
+@example(disjoint_union([complete(2)] * 5))
+def test_automorphisms_match_the_enumerate_all_oracle(g):
+    assert automorphisms(g) == oracles.enumerated_automorphisms(g)
+
+
+def test_automorphisms_match_the_enumerate_all_oracle_on_every_class():
+    for n in range(8):
+        for g in graph_classes(n):
+            assert automorphisms(g) == oracles.enumerated_automorphisms(g)
+
+
+def test_automorphism_list_is_capped_before_it_is_built(monkeypatch):
+    # every base of graph_classes(9), a graph on 8 nodes, keeps its list
+    assert MAX_AUTOMORPHISMS >= math.factorial(8)
+    # 16! lists would need about 2.1e13 tuples: the order is read off the transversals first
+    with pytest.raises(ValueError, match=f"order {math.factorial(16)} exceeds the list cap of {MAX_AUTOMORPHISMS}$"):
+        automorphisms(Graph(16))
+    monkeypatch.setattr(graph_module, "MAX_AUTOMORPHISMS", 24)
+    assert len(automorphisms(Graph(4))) == 24
+    with pytest.raises(ValueError, match="order 120 exceeds the list cap of 24$"):
+        automorphisms(Graph(5))
+
+
+@pytest.fixture
+def cold_classes():
+    """``graph_classes`` cleared before and after the test, so that no
+    other test reads a class list built under a patch."""
+    graph_classes.cache_clear()
+    yield
+    graph_classes.cache_clear()
+
+
+def test_forms_settle_most_duplicates_and_the_search_the_rest(monkeypatch, cold_classes):
+    """Each of the 5,096 - 1,044 duplicate candidates on 7 nodes is dropped
+    either for an invariant-order form met before, with no search, or by
+    one search that finds a map onto a representative."""
+    graph_classes(6)
+    found = collections.Counter()
+    real = graph_module._isomorphisms
+
+    def counted(h, plan, prefix=()):
+        out = real(h, plan, prefix)
+        if len(h) == 7:  # not an automorphism search of a 6-node base
+            found[out is not None] += 1
+        return out
+
+    monkeypatch.setattr(graph_module, "_isomorphisms", counted)
+    classes = graph_classes(7)
+    assert class_digest(classes) == CLASS_DIGESTS[7]
+    by_search = found[True]
+    by_form = 5096 - 1044 - by_search
+    assert by_search > 0 and by_form > by_search
+
+
+def test_the_search_is_still_needed_from_five_nodes(monkeypatch, cold_classes):
+    """With forms alone every class on at most 4 nodes comes out once, but
+    on 5 nodes one class comes out twice."""
+    real = graph_module._isomorphisms
+
+    def automorphism_searches_only(h, plan, prefix=()):
+        return real(h, plan, prefix) if prefix else None
+
+    monkeypatch.setattr(graph_module, "_isomorphisms", automorphism_searches_only)
+    assert [len(graph_classes(n)) for n in range(1, 6)] == [1, 2, 4, 11, 35]
 
 
 def test_orbits_of_the_classes_add_up_to_every_labeled_graph():
