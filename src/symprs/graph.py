@@ -15,7 +15,8 @@ import itertools
 import json
 import math
 from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .gf2 import BitMat, _drop_bit, _gather
 
@@ -36,6 +37,8 @@ __all__ = [
 MAX_NODES = 1 << 14  # far above any graph meant for this package; checked before allocating
 MAX_COCLIQUE_NODES = 32
 MAX_AUTOMORPHISM_NODES = 16
+# is_isomorphic recurses once per node, so this stays well below Python's default recursion limit
+MAX_ISOMORPHISM_NODES = 512
 # 9!, the most any graph on 9 nodes has: every graph on at most 9 nodes keeps its list, so
 # graph_classes(9) reads those of its 8-node bases; the group order is checked before any
 # element of the list is built
@@ -299,25 +302,73 @@ def max_coclique(g: Graph) -> tuple[int, ...]:
     return tuple(best)
 
 
-def _node_invariants(adj: Sequence[int]) -> list[tuple]:
-    """Per node of the graph with adjacency rows ``adj``: degree, triangles
-    through it, sorted neighbour degrees. Isomorphisms preserve it, so it
-    narrows the search and buckets graphs."""
-    degs = [r.bit_count() for r in adj]
+def _node_invariants(adj: Sequence[int], n: int) -> list[int]:
+    """Per node of the graph with adjacency rows ``adj``, one packed int:
+    twice the triangles through it, shifted above the multiset of its
+    neighbours' degrees, where a neighbour of degree d adds 1 at bit w*d
+    and w = n.bit_length(). A count is at most n - 1 < 2^w, so no field
+    carries into the next, and equal ints mean equal degree (the sum of
+    the counts), triangles and sorted neighbour degrees. Isomorphisms
+    preserve it, so it narrows the search and buckets graphs. ``n`` is at
+    least len(adj); ``_candidate_invariants`` passes a base's rows with
+    the node count of its candidates, so both pack alike."""
+    w = n.bit_length()
+    units = [1 << w * r.bit_count() for r in adj]
+    top = w * n
     out = []
     for r in adj:
         tri = 0
-        nbr_degs = []
+        nbrs = 0
         rem = r
         while rem:
             low = rem & -rem
             u = low.bit_length() - 1
             rem ^= low
             tri += (r & adj[u]).bit_count()
-            nbr_degs.append(degs[u])
-        nbr_degs.sort()
-        out.append((len(nbr_degs), tri >> 1, tuple(nbr_degs)))
+            nbrs += units[u]
+        out.append(tri << top | nbrs)
     return out
+
+
+def _candidate_invariants(adj: Sequence[int]) -> Callable[[int], list[int]]:
+    """For the graph with rows ``adj`` on n - 1 nodes, the map from a mask M
+    to ``_node_invariants(rows, n)`` of the candidate whose node n - 1 is
+    adjacent to the nodes of M, read off two tables over the 2^(n-1) masks
+    instead of a walk over every neighbour: P[M], the sum of the units of
+    the degrees of the nodes of M, and E2[M], twice the edges inside M.
+
+    Each neighbour of a base node v that lies in M moves one degree up,
+    its unit multiplied by 2^w, which adds P[N(v) & M] * (2^w - 1) in all.
+    If v is in M it also gains a neighbour of degree |M| and the
+    |N(v) & M| triangles through the new node. The new node's neighbours are M, each
+    one degree up, so its multiset is P[M] << w, and its triangles are the
+    edges inside M."""
+    n = len(adj) + 1
+    w = n.bit_length()
+    top = w * n
+    base = _node_invariants(adj, n)
+    step = (1 << w) - 1
+    units = [1 << w * d for d in range(n)]
+    p_table = [0]
+    e2_table = [0]
+    for r in adj:
+        unit = units[r.bit_count()]
+        p_table += [p + unit for p in p_table]
+        e2_table += [e + 2 * (r & m).bit_count() for m, e in enumerate(e2_table)]
+
+    def invariants(mask: int) -> list[int]:
+        out = [b + p_table[r & mask] * step for b, r in zip(base, adj)]
+        gain = units[mask.bit_count()]
+        rem = mask
+        while rem:
+            low = rem & -rem
+            v = low.bit_length() - 1
+            rem ^= low
+            out[v] += gain + ((adj[v] & mask).bit_count() << top + 1)
+        out.append(e2_table[mask] << top | p_table[mask] << w)
+        return out
+
+    return invariants
 
 
 def _relabeled(rows: Sequence[int], order: Sequence[int]) -> int:
@@ -425,7 +476,13 @@ def _isomorphisms(h: Sequence[int], plan: tuple, prefix: Sequence[int] = ()) -> 
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
-    gp, hp = _node_invariants(g.adj), _node_invariants(h.adj)
+    """Whether some relabeling of g is h. The search recurses once per
+    node, so both graphs are capped at ``MAX_ISOMORPHISM_NODES``, checked
+    before any work."""
+    for x in (g, h):
+        if x.n > MAX_ISOMORPHISM_NODES:
+            raise ValueError(f"{x.n} nodes exceeds the isomorphism cap of {MAX_ISOMORPHISM_NODES}")
+    gp, hp = _node_invariants(g.adj, g.n), _node_invariants(h.adj, h.n)
     if sorted(gp) != sorted(hp):
         return False
     return _isomorphisms(h.adj, _search_plan(g.adj, gp, hp)) is not None
@@ -445,14 +502,16 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     orbit point a product of generators that sends v_i there. The group
     order, the product of the orbit sizes, is checked against
     ``MAX_AUTOMORPHISMS`` before the list, every product of one
-    transversal element per level, is built.
+    transversal element per level, is built: one ``itemgetter`` per
+    element so far, mapped over the level's transversal, in whatever order
+    that gives, since the list is sorted at the end.
     """
     n = g.n
     if n > MAX_AUTOMORPHISM_NODES:
         raise ValueError(f"{n} nodes exceeds the automorphism cap of {MAX_AUTOMORPHISM_NODES}")
     identity = tuple(range(n))
     adj = g.adj
-    inv = _node_invariants(adj)
+    inv = _node_invariants(adj, n)
     plan = _search_plan(adj, inv, inv)
     cands, order, _ = plan
     gens: list[tuple[int, ...]] = []
@@ -490,7 +549,8 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
         )
     elements = [identity]
     for reach in transversals:
-        elements = [tuple(map(t.__getitem__, e)) for t in reach for e in elements]
+        # t after e, as itemgetter(*e)(t); e has n >= 2 entries, so it gives a tuple
+        elements = [t for e in elements for t in map(itemgetter(*e), reach)]
     return sorted(elements)
 
 
@@ -580,9 +640,15 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
     4,212 of the 4,507 duplicates. Any other candidate is searched against
     the representatives in its bucket, keyed by its invariants in that
     order, which are its sorted invariants. The forms live only for the
-    call. Candidates are rows tuples; only a new representative becomes
-    a ``Graph``. Counts follow the classical sequence 1, 2, 4, 11, 34,
-    156, 1044, 12346; n = 8 takes about 3 s cold (Python 3.11, 2-vCPU
+    call.
+
+    A candidate's invariants are not computed from its rows: per base,
+    ``_candidate_invariants`` reads them off tables over the masks, with
+    no walk over neighbours. Per call, each mask's list of bits (for the
+    orbit marks) and the column it adds to the base rows are tabled once.
+    Candidates are rows tuples; only a new representative becomes a
+    ``Graph``. Counts follow the classical sequence 1, 2, 4, 11, 34,
+    156, 1044, 12346; n = 8 takes about 2 s cold (Python 3.11, 2-vCPU
     x86-64 host), and n is capped at ``MAX_CLASS_NODES``.
     """
     if n < 0:
@@ -593,28 +659,36 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
         return (Graph(0),)
     out: list[Graph] = []
     top = 1 << (n - 1)
+    # per mask, its set bits and the column it adds to the base rows, one int per row
+    bits_of: list[list[int]] = [[]]
+    spread: list[tuple[int, ...]] = [()]
+    for v in range(n - 1):
+        bits_of += [bits + [v] for bits in bits_of]
+        spread = [s + (0,) for s in spread] + [s + (top,) for s in spread]
     # sorted invariants (they fix the edge count) -> [(representative rows, invariants)]
-    buckets: dict[tuple, list[tuple[tuple[int, ...], list[tuple]]]] = {}
+    buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], list[int]]]] = {}
     forms: set[int] = set()  # every invariant-order form met in this call
     for base in graph_classes(n - 1):
+        adj = base.adj
         # per automorphism but the first (the identity), the image of each node's bit
         ups = [[1 << w for w in perm] for perm in automorphisms(base)[1:]]
+        invariants = _candidate_invariants(adj)
         seen = bytearray(top)
         for mask in range(top):
             if seen[mask]:
                 continue
             # mask is the least of its orbit under Aut(base): mark the rest of the orbit
-            bits = list(_bits(mask))
+            bits = bits_of[mask]
             for up in ups:
-                seen[sum([up[v] for v in bits])] = 1
-            rows = (*(r | top if mask >> v & 1 else r for v, r in enumerate(base.adj)), mask)
-            inv = _node_invariants(rows)
+                seen[sum(map(up.__getitem__, bits))] = 1
+            rows = (*map(int.__or__, adj, spread[mask]), mask)
+            inv = invariants(mask)
             ranked = sorted(range(n), key=inv.__getitem__)
             form = _relabeled(rows, ranked)
             if form in forms:
                 continue  # the rows relabeled by rank equal an earlier candidate's
             forms.add(form)
-            bucket = buckets.setdefault(tuple([inv[v] for v in ranked]), [])
+            bucket = buckets.setdefault(tuple(map(inv.__getitem__, ranked)), [])
             if not any(
                 _isomorphisms(rep, _search_plan(rows, inv, rep_inv)) is not None for rep, rep_inv in bucket
             ):

@@ -21,7 +21,7 @@ from symprs.gf2 import (
     row_combination,
     subspaces,
 )
-from symprs.graph import MAX_NODES, Graph, _node_invariants, induced_subgraph
+from symprs.graph import MAX_NODES, Graph, induced_subgraph
 from symprs.grp2 import CocycleGroup
 from symprs.srs import (
     MAX_QUOTIENT_RADICAL_DIM,
@@ -415,6 +415,34 @@ def stabilizer_chain_order(gen_list: list[BitMat]) -> int:
     return order
 
 
+def node_invariants(adj: Sequence[int]) -> list[tuple]:
+    """Per node of the graph with adjacency rows ``adj``: degree, triangles
+    through it, sorted neighbour degrees, as tuples. The packed ints of
+    ``graph._node_invariants`` must split the nodes exactly as these do."""
+    degs = [r.bit_count() for r in adj]
+    out = []
+    for r in adj:
+        tri = 0
+        nbr_degs = []
+        rem = r
+        while rem:
+            low = rem & -rem
+            u = low.bit_length() - 1
+            rem ^= low
+            tri += (r & adj[u]).bit_count()
+            nbr_degs.append(degs[u])
+        nbr_degs.sort()
+        out.append((len(nbr_degs), tri >> 1, tuple(nbr_degs)))
+    return out
+
+
+def same_partition(packed: Iterable, tuples: Iterable) -> bool:
+    """Whether two invariant lists, zipped node by node, split the nodes
+    alike: each value of one meets exactly one value of the other."""
+    pairs = set(zip(packed, tuples))
+    return len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+
+
 def isomorphisms(g: Graph, h: Graph, gp: list, hp: list, first_only: bool) -> list[tuple[int, ...]]:
     """The backtracking search ``graph._isomorphisms`` replaced: the same
     candidates and node order, but each placement compares edges pair by
@@ -459,7 +487,7 @@ def enumerate_isomorphisms(
     """The search ``graph._isomorphisms`` ran before it became first-only,
     kept as it was: backtracking for the maps from the graph with rows
     ``g`` onto the one with rows ``h``, all of them unless ``first_only``;
-    gp and hp are their ``_node_invariants``, which the caller has already
+    gp and hp are their ``node_invariants``, which the caller has already
     found equal when sorted.
 
     Nodes of g are placed in a fixed order, and the consistency check is
@@ -525,7 +553,7 @@ def enumerate_isomorphisms(
 
 def enumerated_automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """Every automorphism of g, sorted, from one search that lists every map."""
-    inv = _node_invariants(g.adj)
+    inv = node_invariants(g.adj)
     return sorted(enumerate_isomorphisms(g.adj, g.adj, inv, inv, first_only=False))
 
 
@@ -567,7 +595,7 @@ def graph_classes(n: int) -> tuple[tuple[int, ...], ...]:
     for base in graph_classes(n - 1):
         for mask in range(top):
             rows = (*(r | top if mask >> v & 1 else r for v, r in enumerate(base)), mask)
-            inv = _node_invariants(rows)
+            inv = node_invariants(rows)
             bucket = buckets.setdefault(tuple(sorted(inv)), [])
             if not any(enumerate_isomorphisms(rows, rep, inv, rep_inv, first_only=True) for rep, rep_inv in bucket):
                 bucket.append((rows, inv))

@@ -20,8 +20,10 @@ from symprs.gf2 import BitVec
 from symprs.graph import (
     MAX_AUTOMORPHISMS,
     MAX_CLASS_NODES,
+    MAX_ISOMORPHISM_NODES,
     MAX_NODES,
     Graph,
+    _candidate_invariants,
     _node_invariants,
     _search_plan,
     all_graphs,
@@ -309,12 +311,13 @@ def test_is_isomorphic_matches_oracle_on_equal_degree_sequences(data):
 def assert_search_matches_oracle(g: Graph, h: Graph, full: bool = True) -> None:
     """The first map found equals the pairwise oracle's; with ``full``, so
     do the automorphism lists of g and h, the oracle listing every map."""
-    gp, hp = _node_invariants(g.adj), _node_invariants(h.adj)
+    gp, hp = _node_invariants(g.adj, g.n), _node_invariants(h.adj, h.n)
     found = graph_module._isomorphisms(h.adj, _search_plan(g.adj, gp, hp))
-    assert ([] if found is None else [found]) == oracles.isomorphisms(g, h, gp, hp, first_only=True)
+    gt, ht = oracles.node_invariants(g.adj), oracles.node_invariants(h.adj)
+    assert ([] if found is None else [found]) == oracles.isomorphisms(g, h, gt, ht, first_only=True)
     if full:
-        for x, xp in ((g, gp), (h, hp)):
-            assert automorphisms(x) == sorted(oracles.isomorphisms(x, x, xp, xp, first_only=False))
+        for x, xt in ((g, gt), (h, ht)):
+            assert automorphisms(x) == sorted(oracles.isomorphisms(x, x, xt, xt, first_only=False))
 
 
 @GRAPH_SEARCH
@@ -337,10 +340,60 @@ WAGNER = Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in ra
 
 
 def test_is_isomorphic_separates_invariant_tied_graphs():
-    assert sorted(_node_invariants(CUBE.adj)) == sorted(_node_invariants(WAGNER.adj))
+    assert sorted(_node_invariants(CUBE.adj, 8)) == sorted(_node_invariants(WAGNER.adj, 8))
+    assert sorted(oracles.node_invariants(CUBE.adj)) == sorted(oracles.node_invariants(WAGNER.adj))
     assert not is_isomorphic(CUBE, WAGNER)
     assert not oracles.is_isomorphic(CUBE, WAGNER)
     assert is_isomorphic(CUBE, CUBE.relabel([3, 6, 0, 5, 2, 7, 1, 4]))
+
+
+@GRAPH_SEARCH
+@given(graphs(max_n=7))
+@example(Graph(0))
+@example(complete(7))
+def test_candidate_invariants_match_a_fresh_computation(base):
+    """On every mask of a base, the invariants read off the base's tables
+    equal ``_node_invariants`` of the candidate rows, and over all of the
+    base's candidates the packed ints split nodes as the oracle's tuples."""
+    n = base.n + 1
+    invariants = _candidate_invariants(base.adj)
+    packed, tuples = [], []
+    for mask in range(1 << base.n):
+        rows = [r | (mask >> v & 1) << base.n for v, r in enumerate(base.adj)] + [mask]
+        inv = invariants(mask)
+        assert inv == _node_invariants(rows, n)
+        packed += inv
+        tuples += oracles.node_invariants(rows)
+    assert oracles.same_partition(packed, tuples)
+
+
+@GRAPH_SEARCH
+@given(graphs(max_n=40))
+@example(complete(40))
+def test_packed_invariants_give_the_oracle_partition(g):
+    assert oracles.same_partition(_node_invariants(g.adj, g.n), oracles.node_invariants(g.adj))
+
+
+PATH_AT_CAP = dynkin_graph("A", MAX_ISOMORPHISM_NODES)
+
+
+def test_is_isomorphic_is_capped_before_any_search(monkeypatch):
+    """A path at the cap and a relabeled copy are found isomorphic; one node
+    more raises before any invariant is computed, on either side."""
+    n = MAX_ISOMORPHISM_NODES
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    assert is_isomorphic(PATH_AT_CAP, PATH_AT_CAP.relabel(perm))
+    assert not is_isomorphic(PATH_AT_CAP, Graph(n, [(i, i + 1) for i in range(n - 2)] + [(0, n - 2)]))
+
+    def searched(*args):
+        raise AssertionError("is_isomorphic worked past the cap")
+
+    monkeypatch.setattr(graph_module, "_node_invariants", searched)
+    longer = dynkin_graph("A", n + 1)
+    for g, h in ((longer, longer), (PATH_AT_CAP, longer), (longer, PATH_AT_CAP)):
+        with pytest.raises(ValueError, match=f"{n + 1} nodes exceeds the isomorphism cap of {n}"):
+            is_isomorphic(g, h)
 
 
 def test_bitset_search_matches_pairwise_oracle_on_cube_and_wagner():
@@ -488,8 +541,8 @@ def test_one_candidate_per_automorphism_orbit(monkeypatch):
     """Each (n-1)-node base gives one candidate per orbit of its automorphism
     group on the 2^(n-1) neighbourhood masks. By Burnside's lemma that is
     (1/|Aut|) * sum over automorphisms of 2^(cycles), as a mask is fixed
-    exactly when it is a union of cycles. The candidates are the
-    ``_node_invariants`` calls on n rows."""
+    exactly when it is a union of cycles. Each candidate is relabeled into
+    its invariant-order form once: the ``_relabeled`` calls on n rows."""
     burnside = []
     for n in range(1, 8):
         orbits = 0
@@ -500,13 +553,13 @@ def test_one_candidate_per_automorphism_orbit(monkeypatch):
     assert burnside == [1, 2, 6, 20, 90, 544, 5096]
 
     calls = collections.Counter()
-    real = graph_module._node_invariants
+    real = graph_module._relabeled
 
-    def counted(adj):
-        calls[len(adj)] += 1
-        return real(adj)
+    def counted(rows, order):
+        calls[len(rows)] += 1
+        return real(rows, order)
 
-    monkeypatch.setattr(graph_module, "_node_invariants", counted)
+    monkeypatch.setattr(graph_module, "_relabeled", counted)
     candidates = []
     for n in range(1, 8):
         graph_classes.cache_clear()
