@@ -6,7 +6,13 @@ dot product, so every row operation touches whole machine words at once.
 Every rank, kernel, solve and inverse is one call of ``_eliminate``. It
 pivots on the lowest-index row and column first, so every derived object is
 deterministic, and it carries right-hand sides or the identity along as
-augmented columns above the pivoted ones.
+augmented columns above the pivoted ones. It has two routes to the same
+rows and pivots, chosen by size and density as ``_transpose`` chooses
+its own: a row loop, which scans the rows for each pivot column and suits
+random matrices, and from 1024 entries on, when the pivoted columns hold
+fewer than 4 set bits per row, a column route, which finds each pivot and
+the rows it clears from one int per column and suits near-identity
+matrices such as an SRS's decorations.
 
 Bilinear forms are evaluated on the rows of their matrix, never through a
 matrix-vector product: ``row_combination(rows, v)`` is the row vector
@@ -396,11 +402,68 @@ def _eliminate(rows: list[int], ncols: int) -> list[int]:
     above are never pivoted on; they ride along as augmented columns.
     A column set in no row is skipped without a search (row XORs never
     set it), so zero rows cost nothing.
+
+    Two routes give the same rows, row order and pivots. The row loop
+    scans the rows for each pivot column. From 1024 entries on, when the
+    pivoted columns hold fewer than 4 set bits per row, the column route
+    runs instead. It keeps one int per pivoted column that marks the rows
+    setting it, read off one ``_transpose``. Each pivot is the lowest
+    marked row at or below r. A swap moves the marks of the columns where
+    the two rows differ; the pivot row is XORed only into the other marked
+    rows, and the marks of its columns take one XOR each. No step scans
+    all rows, so the cost follows the set bits of the pivot rows: the
+    route pays on matrices that fill in little, such as near-identity
+    decoration matrices, and loses on random ones, which fill in.
+
+    On one 2.1 GHz x86 core with Python 3.11, the 161 x 161 decoration
+    matrix of an extended system (239 set bits) takes about 0.15 ms on the
+    column route against 1.5 ms in the loop, a random 160 x 160 matrix at
+    density 1/2 about 4.4 ms against 2.2 ms, and one with 5 set bits per
+    row (density 1/32) 2.7 ms against 2.2 ms. Below 1024 entries the loop
+    runs, so a tiny elimination pays one multiply and one compare for the
+    choice.
     """
+    if len(rows) * ncols >= 1024:
+        mask = (1 << ncols) - 1
+        pivoted = list(map(mask.__and__, rows))
+        if sum(map(int.bit_count, pivoted)) < 4 * len(rows):
+            marks = _transpose(pivoted, ncols)
+            pivots: list[int] = []
+            for c in range(ncols):
+                r = len(pivots)
+                below = marks[c] >> r << r
+                if not below:
+                    continue
+                low = below & -below
+                pivot = low.bit_length() - 1
+                top = rows[pivot]
+                if pivot != r:
+                    # the rows trade places, and so do their marks wherever they differ
+                    rows[pivot], rows[r] = rows[r], top
+                    moved = low | 1 << r
+                    diff = (top ^ rows[pivot]) & mask
+                    while diff:
+                        bit = diff & -diff
+                        marks[bit.bit_length() - 1] ^= moved
+                        diff ^= bit
+                others = marks[c] ^ 1 << r
+                if others:
+                    targets = others
+                    while targets:
+                        bit = targets & -targets
+                        rows[bit.bit_length() - 1] ^= top
+                        targets ^= bit
+                    bits = top & mask
+                    while bits:
+                        bit = bits & -bits
+                        marks[bit.bit_length() - 1] ^= others
+                        bits ^= bit
+                pivots.append(c)
+            return pivots
     live = 0
     for row in rows:
         live |= row
-    pivots: list[int] = []
+    pivots = []
     for c in range(ncols):
         r = len(pivots)
         bit = 1 << c

@@ -56,7 +56,6 @@ checking one, so the test suite still validates each result in full.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .gf2 import (
@@ -77,7 +76,7 @@ from .gf2 import (
     solve_mat,
 )
 from .graph import Graph, _graph_from_json, graph_to_json, induced_subgraph, max_coclique
-from .symplectic import SpaceType, SympSpace
+from .symplectic import SpaceType, SympSpace, _cached_property
 
 __all__ = [
     "SRSError",
@@ -155,7 +154,7 @@ class SRS:
         object.__setattr__(s, "deco", deco)
         return s
 
-    @cached_property
+    @_cached_property
     def _deco_inverse(self) -> list[int]:
         """The columns of D^-1 as ints, for a minimal system: the lifted
         form of an indicator lam is ``row_combination`` of them at lam. One
@@ -165,7 +164,7 @@ class SRS:
         assert inv is not None, "minimal decorations always invert"
         return list(inv.transpose().rows)
 
-    @cached_property
+    @_cached_property
     def _deletions(self) -> tuple[list[int], int]:
         """What deleting one node reads, from one elimination of [D | I_n]:
         for each node v the functional f_v with f_v(D_u) = [u == v], as an

@@ -43,7 +43,7 @@ read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 from .gf2 import (
@@ -70,6 +70,31 @@ __all__ = [
     "default_completion_choices",
     "random_completion_choices",
 ]
+
+
+class _cached_property:
+    """``functools.cached_property`` without its lock: the first read calls
+    ``func`` and stores the value in the instance ``__dict__``, where later
+    reads find it first, also on a frozen dataclass. On Python 3.11 the
+    stdlib version takes a class-wide ``RLock`` on each first read: 1.1 us
+    against 0.25 us for this one on a 2.1 GHz x86 core. Without the lock,
+    as in 3.12, two threads reading first at once may both compute the
+    value and the last write stays, which is harmless for the values here,
+    all determined by the instance. ``func`` is read on every first read,
+    so it can be rebound, as a tracer does."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 def _row_reader(rows: Sequence[int]) -> Callable[[int], int]:
@@ -141,7 +166,7 @@ class SympSpace:
             raise ValueError(f"vector dimension mismatch in space of dim {self.dim}")
         return (self._image(v.bits) & w.bits).bit_count() & 1
 
-    @cached_property
+    @_cached_property
     def _image(self) -> Callable[[int], int]:
         """v -> v^T G on ints, read off a byte table of the Gram rows that
         the first ``form`` call builds."""
@@ -163,7 +188,7 @@ class SympSpace:
         cols = _transpose(images, self.dim)
         return [row_combination(cols, v) for v in vectors]
 
-    @cached_property
+    @_cached_property
     def _radical(self) -> list[int]:
         """Deterministic basis of V^perp, the kernel of the Gram matrix: the
         z part of ``_basis``, unless ``_adjoined`` presets it.
@@ -188,7 +213,7 @@ class SympSpace:
         """
         return self._basis[2]
 
-    @cached_property
+    @_cached_property
     def _pairs(self) -> tuple[list[int], list[int]]:
         """Hyperbolic pairs as int rows x.., y.., with <x_i, y_j> = [i == j],
         <x_i, x_j> = <y_i, y_j> = 0, that span W, the coordinate subspace on
@@ -196,11 +221,11 @@ class SympSpace:
         lists, not copies), unless ``_adjoined`` presets them."""
         return self._basis[:2]
 
-    @cached_property
+    @_cached_property
     def radical(self) -> tuple[BitVec, ...]:
         return tuple(BitVec(self.dim, bits) for bits in self._radical)
 
-    @cached_property
+    @_cached_property
     def _basis(self) -> tuple[list[int], list[int], list[int]]:
         """The symplectic basis as int rows x.., y.., z..: greedy hyperbolic
         pairing with lowest-index choices.
@@ -244,7 +269,7 @@ class SympSpace:
         assert not any(g for _, g in cands), "leftover basis vector outside the radical"
         return xs, ys, [c for c, _ in cands]
 
-    @cached_property
+    @_cached_property
     def basis(self) -> SymplecticBasis:
         """The greedy symplectic basis (see ``_basis``)."""
         return SymplecticBasis(*(tuple(BitVec(self.dim, b) for b in part) for part in self._basis))
@@ -323,7 +348,7 @@ class SympSpace:
         ]
         return out
 
-    @cached_property
+    @_cached_property
     def _completions(self) -> dict[tuple[BitMat, BitMat], tuple[tuple[int, ...], list[int]]]:
         """Explicit completion choices that ``_completion`` has validated on
         this space, by (proj, radform)."""
@@ -340,7 +365,7 @@ class SympSpace:
             known = self._completions[key] = proj.rows, _checked_choices(self, proj, radform)
         return known
 
-    @cached_property
+    @_cached_property
     def type(self) -> SpaceType:
         return SpaceType(len(self._pairs[0]), len(self._radical))
 
@@ -389,7 +414,7 @@ class MixedForm:
     proj: BitMat
     radform: BitMat
 
-    @cached_property
+    @_cached_property
     def matrix(self) -> BitMat:
         s = self.space
         # radical basis vector j has its highest set bit at free column t_j,

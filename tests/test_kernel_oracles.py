@@ -17,7 +17,8 @@ on groups whose space was swapped for another. The byte table must
 agree with ``row_combination``, and the stabilizer chain with the oracle
 chain and with enumeration, both on their own column arithmetic. Every
 rank, kernel, echelon basis, solve and inverse must
-equal the two-list elimination it replaced. The default completion choices, the group's cocycle, the
+equal the two-list elimination it replaced, on both routes of
+``_eliminate``, near-identity matrices included. The default completion choices, the group's cocycle, the
 orthogonal projection and every extension witness, read off the
 symplectic basis, must equal the routes through basis-matrix inverses
 and the completed Gram matrix. Restriction, quotients and radical
@@ -949,8 +950,16 @@ def test_double_extension_matches_direct_oracle(s, data):
 @st.composite
 def invertible(draw, dim: int) -> BitMat:
     """P L U for a permutation P and unit lower/upper triangular L, U: every
-    invertible matrix has this form."""
+    invertible matrix has this form. Or, near the identity, up to 3 row
+    operations that each add a random combination of the other rows to one
+    row, with the rows then permuted."""
     perm = draw(st.permutations(range(dim)))
+    if dim and draw(st.booleans()):
+        rows = [1 << i for i in range(dim)]
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, dim - 1))
+            rows[i] ^= row_combination(rows, draw(st.integers(0, (1 << dim) - 1)) & ~(1 << i))
+        return BitMat(dim, (rows[p] for p in perm))
     lower = [(1 << i) | draw(st.integers(0, (1 << i) - 1)) for i in range(dim)]
     upper = [(1 << i) | (draw(st.integers(0, (1 << dim) - 1)) >> (i + 1) << (i + 1))
              for i in range(dim)]
@@ -1039,11 +1048,27 @@ def _rows(draw, nrows: int, ncols: int) -> list[int]:
 
 @st.composite
 def matrices(draw, nrows: int | None = None, ncols: int | None = None, max_dim: int = 40) -> BitMat:
-    """Random, sparse (1/8 of the bits) or low-rank (a product through a
-    random inner dimension) matrices, so rank deficiency is common."""
+    """Random, sparse (1/8 of the bits), low-rank (a product through a
+    random inner dimension) or near-identity matrices, so rank deficiency
+    is common. A near-identity matrix is the identity, padded with zero
+    rows or columns, with up to 2 rows replaced by random ones and up to 8
+    random bits flipped, its rows permuted; unless the shape is given, it
+    has 32 to 64 rows and 1024 entries or more, where ``_eliminate`` can
+    take its column route."""
+    style = draw(st.sampled_from(["random", "sparse", "low rank", "near identity"]))
+    if style == "near identity" and nrows is None and ncols is None:
+        nrows = draw(st.integers(32, 64))
+        ncols = draw(st.integers(-(-1024 // nrows), 64))
     nrows = draw(st.integers(0, max_dim)) if nrows is None else nrows
     ncols = draw(st.integers(0, max_dim)) if ncols is None else ncols
-    style = draw(st.sampled_from(["random", "sparse", "low rank"]))
+    if style == "near identity":
+        rows = [1 << i if i < ncols else 0 for i in range(nrows)]
+        if nrows and ncols:
+            for _ in range(draw(st.integers(0, 2))):
+                rows[draw(st.integers(0, nrows - 1))] = draw(st.integers(0, (1 << ncols) - 1))
+            for _ in range(draw(st.integers(0, 8))):
+                rows[draw(st.integers(0, nrows - 1))] ^= 1 << draw(st.integers(0, ncols - 1))
+        return BitMat(ncols, (rows[p] for p in draw(st.permutations(range(nrows)))))
     if style == "random":
         return BitMat(ncols, _rows(draw, nrows, ncols))
     if style == "sparse":
@@ -1053,10 +1078,16 @@ def matrices(draw, nrows: int | None = None, ncols: int | None = None, max_dim: 
     return BitMat(inner, _rows(draw, nrows, inner)) @ BitMat(ncols, _rows(draw, inner, ncols))
 
 
+def _column_route(m: BitMat) -> bool:
+    """Whether ``_eliminate`` takes its column route on m's columns."""
+    return m.nrows * m.ncols >= 1024 and sum(r.bit_count() for r in m.rows) < 4 * m.nrows
+
+
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_elimination_matches_two_list_oracle(data):
     m = data.draw(matrices())
+    event(f"column route: {_column_route(m)}")
     slow = oracles.row_reduce(m)
     ech = row_reduce(m)
     assert (ech.rref, ech.pivots, ech.transform) == (slow.rref, slow.pivots, slow.transform)
@@ -1081,7 +1112,9 @@ def test_elimination_matches_two_list_oracle(data):
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_inverse_matches_two_list_oracle(data):
-    dim = data.draw(st.integers(0, 40))
+    # from dimension 32 on, a near-identity matrix can take the column route
+    dim = data.draw(st.integers(0, 40) | st.integers(32, 64))
     m = data.draw(invertible(dim) | matrices(dim, dim))
+    event(f"column route: {_column_route(m)}")
     slow = oracles.row_reduce(m)
     assert inverse(m) == (slow.transform if slow.rank == dim else None)
