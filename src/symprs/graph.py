@@ -4,7 +4,7 @@ Provides the graph inputs everything else decorates: parsing (edge-list
 text or JSON), induced subgraphs, exact maximum cocliques, automorphism
 groups by a backtracking search pruned by orbits, the Dynkin diagram
 families, and enumeration of isomorphism classes up to 9 nodes, most of
-them told apart by comparing relabeled adjacency rows rather than by a
+them kept by a canonical-construction test rather than told apart by a
 search. All algorithms are exact and deterministic; none of them are
 meant for graphs beyond a few dozen nodes.
 """
@@ -371,24 +371,6 @@ def _candidate_invariants(adj: Sequence[int]) -> Callable[[int], list[int]]:
     return invariants
 
 
-def _relabeled(rows: Sequence[int], order: Sequence[int]) -> int:
-    """The rows of the graph with rows ``rows`` once node order[i] is
-    renamed i, packed into one int: n bits per row, row 0 highest. One int
-    takes less memory to keep and less time to hash than a tuple."""
-    up = [0] * len(order)
-    for i, v in enumerate(order):
-        up[v] = 1 << i
-    code = 0
-    for v in order:
-        rem = rows[v]
-        code <<= len(order)
-        while rem:
-            low = rem & -rem
-            code |= up[low.bit_length() - 1]
-            rem ^= low
-    return code
-
-
 def _search_plan(g: Sequence[int], gp: list, hp: list) -> tuple[list[list[int]], list[int], list[int]]:
     """The set-up of a search for maps from the graph with rows ``g`` onto
     a graph with node invariants ``hp``; gp are g's ``_node_invariants``.
@@ -623,33 +605,40 @@ def all_graphs(n: int) -> Iterator[Graph]:
 def graph_classes(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of graphs on n nodes.
 
-    Built by augmenting each (n-1)-node class with one neighborhood for a
+    Built by augmenting each (n-1)-node class with one neighbourhood for a
     new node per orbit of the class's automorphism group, the least mask
-    of each orbit (Read, "Every one a winner", 1978). Every n-node class
-    arises this way because deleting a node of any representative lands
-    in some smaller class. Two masks in one orbit give isomorphic
-    candidates, so in base-then-ascending-mask order the first candidate
-    of every class is an orbit minimum: the representatives, and their
-    order, are those that trying every mask gives.
+    of each orbit, and keeping a candidate only when its new node has the
+    largest key of all its nodes: its degree first, then its packed
+    ``_node_invariants`` int. This is the weak form of Read's orderly
+    generation (Read, "Every one a winner", 1978) and of McKay's
+    canonical construction path ("Isomorph-free exhaustive generation",
+    J. Algorithms 1998). It is exact:
 
-    Duplicates are dropped in two ways. A candidate's nodes are sorted by
-    their invariants, stably, so ties keep index order, and its rows
-    relabeled into that order give its invariant-order form. A form met
-    before in this call belongs to an isomorphic candidate met before,
-    and the candidate is dropped with no search; over n ≤ 7 that settles
-    4,212 of the 4,507 duplicates. Any other candidate is searched against
-    the representatives in its bucket, keyed by its invariants in that
-    order, which are its sorted invariants. The forms live only for the
-    call.
+    - Every class keeps a candidate. Delete a node of largest key from a
+      graph of the class: the orbit-least mask that adds it back to the
+      base class left gives a candidate whose new node has that key.
+    - The degree test reads only |M| and whether the mask M meets the
+      base's nodes of largest degree. Both are invariant under Aut(base),
+      so a whole orbit passes or fails together, and the test comes
+      before the orbit is marked.
+    - A candidate whose new node has the unique largest key is a new
+      class, with no search. An isomorphism onto another such candidate
+      maps new node to new node, so the bases are equal and the masks lie
+      in one orbit.
+    - A candidate whose new node ties for the largest key can only be
+      isomorphic to another such candidate. It is searched against the
+      tied representatives in its bucket, keyed by its sorted invariants.
 
-    A candidate's invariants are not computed from its rows: per base,
-    ``_candidate_invariants`` reads them off tables over the masks, with
-    no walk over neighbours. Per call, each mask's list of bits (for the
-    orbit marks) and the column it adds to the base rows are tabled once.
-    Candidates are rows tuples; only a new representative becomes a
-    ``Graph``. Counts follow the classical sequence 1, 2, 4, 11, 34,
-    156, 1044, 12346; n = 8 takes about 2 s cold (Python 3.11, 2-vCPU
-    x86-64 host), and n is capped at ``MAX_CLASS_NODES``.
+    So each class keeps the first of its candidates that pass the test,
+    in base-then-ascending-mask order, and trying every mask would keep
+    the same ones. A candidate's invariants are not computed from its
+    rows: per base, ``_candidate_invariants`` reads them off tables over
+    the masks. Per call, each mask's list of bits (for the orbit marks
+    and the nodes that tie in degree) and the column it adds to the base
+    rows are tabled once. Candidates are rows tuples; only a new
+    representative becomes a ``Graph``. Counts follow the classical
+    sequence 1, 2, 4, 11, 34, 156, 1044, 12346, and n is capped at
+    ``MAX_CLASS_NODES``.
     """
     if n < 0:
         raise ValueError("negative node count")
@@ -665,33 +654,40 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
     for v in range(n - 1):
         bits_of += [bits + [v] for bits in bits_of]
         spread = [s + (0,) for s in spread] + [s + (top,) for s in spread]
-    # sorted invariants (they fix the edge count) -> [(representative rows, invariants)]
+    # sorted invariants (they fix the edge count) -> [(representative rows, invariants)],
+    # only of the representatives whose new node ties for the largest key
     buckets: dict[tuple[int, ...], list[tuple[tuple[int, ...], list[int]]]] = {}
-    forms: set[int] = set()  # every invariant-order form met in this call
     for base in graph_classes(n - 1):
         adj = base.adj
+        level = [0] * n  # per degree, the base nodes of that degree
+        for v, r in enumerate(adj):
+            level[r.bit_count()] |= 1 << v
+        most = max(map(int.bit_count, adj), default=0)
         # per automorphism but the first (the identity), the image of each node's bit
         ups = [[1 << w for w in perm] for perm in automorphisms(base)[1:]]
         invariants = _candidate_invariants(adj)
         seen = bytearray(top)
         for mask in range(top):
-            if seen[mask]:
+            d = mask.bit_count()
+            # the degree test: the base nodes of largest degree gain one if mask meets them
+            if d < (most + 1 if mask & level[most] else most) or seen[mask]:
                 continue
             # mask is the least of its orbit under Aut(base): mark the rest of the orbit
             bits = bits_of[mask]
             for up in ups:
                 seen[sum(map(up.__getitem__, bits))] = 1
-            rows = (*map(int.__or__, adj, spread[mask]), mask)
             inv = invariants(mask)
-            ranked = sorted(range(n), key=inv.__getitem__)
-            form = _relabeled(rows, ranked)
-            if form in forms:
-                continue  # the rows relabeled by rank equal an earlier candidate's
-            forms.add(form)
-            bucket = buckets.setdefault(tuple(map(inv.__getitem__, ranked)), [])
-            if not any(
-                _isomorphisms(rep, _search_plan(rows, inv, rep_inv)) is not None for rep, rep_inv in bucket
-            ):
+            # the largest invariant of the base nodes whose degree is d in the candidate
+            rival = max(map(inv.__getitem__, bits_of[level[d] & ~mask | level[d - 1] & mask]), default=-1)
+            if rival > inv[-1]:
+                continue  # the invariant test
+            rows = (*map(int.__or__, adj, spread[mask]), mask)
+            if rival == inv[-1]:
+                bucket = buckets.setdefault(tuple(sorted(inv)), [])
+                if any(
+                    _isomorphisms(rep, _search_plan(rows, inv, rep_inv)) is not None for rep, rep_inv in bucket
+                ):
+                    continue
                 bucket.append((rows, inv))
-                out.append(Graph._from_adj(rows))
+            out.append(Graph._from_adj(rows))
     return tuple(out)

@@ -89,10 +89,10 @@ CLASS_DIGESTS = {
     2: "5966fecad2e05ece63219feec68426a1929fcff75826ae6ba102aa266f514976",
     3: "97898bbf759c44571d144a1ef11128f17e7d9436eec4eda5e3f7ac62f5c8628a",
     4: "4fbf815746528c147b083a8f8b88ca730875c298a9e0b7e3e6e4fd9f9999d473",
-    5: "e743e93bb1ea4e47c44d7bede0f476551aed7a80e36503008c51ba65976c4516",
-    6: "d3fafacad89f9984fe1d29dd2f38a0ea6d0e71c34f5cf9a96d0f2e25e672fd6e",
-    7: "f4903dc3b8471aa938545fa2c9fae58eeadb710bddcf3c5574521486af4da396",
-    8: "af005eff875cc2baf11ca266d0e64224f7a548325bb36b777c141b3f011bdfc0",
+    5: "5528be38dc8bbe2d1949beafce91baffbfd615eb32447db56697134d773b71ad",
+    6: "69ff61eadc53d527fcf77499650305610b8874c2bd7b9369ff706c83ce74dfd7",
+    7: "298dcf9f71cde9049a3bb23398ffaa01ad8753532a3b669f61df8a9c3f8c7527",
+    8: "d98a1114e5462fbc6ba9cdac2feb18975604f57e698333658a9e6fe891b1ec52",
 }
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from symprs.cartan import MAX_ROOTS, CartanDatum, WeylRep
 from symprs.extend import NEW_HYPERBOLIC, NEW_NULLVECTOR, ExtensionWitness, _require_minimal
@@ -581,26 +581,70 @@ def automorphism_action_on_quotients(g: Graph) -> list[tuple[int, ...]]:
     return actions
 
 
-@lru_cache(maxsize=None)
-def graph_classes(n: int) -> tuple[tuple[int, ...], ...]:
-    """The rows of one representative per isomorphism class of graphs on
-    n nodes, from augmenting each (n-1)-node class by every neighbourhood
-    mask for a new node, with no automorphism pruning and no
-    invariant-order forms: every candidate that meets a bucket is searched."""
-    if n == 0:
-        return ((),)
+def construction_keys(rows: Sequence[int]) -> list[tuple]:
+    """Per node of the graph with adjacency rows ``rows``, the key that
+    ``graph.graph_classes`` compares: degree, triangles through it, then
+    its count of neighbours of each degree, the highest degree first. On
+    nodes of one degree this orders as the packed ``graph._node_invariants``
+    ints do: twice the triangles above the per-degree counts, the count of
+    the highest degree in the highest field."""
+    n = len(rows)
+    degs = [r.bit_count() for r in rows]
+    keys = []
+    for r in rows:
+        nbrs = [u for u in range(n) if r >> u & 1]
+        tri = sum(rows[a] >> b & 1 for a, b in itertools.combinations(nbrs, 2))
+        counts = tuple(sum(degs[u] == d for u in nbrs) for d in range(n - 1, -1, -1))
+        keys.append((len(nbrs), tri, counts))
+    return keys
+
+
+def _first_candidates(n: int, bases, keep: Callable[[tuple[int, ...]], bool]) -> tuple[tuple[int, ...], ...]:
+    """The rows of the first candidate of each class among those that
+    ``keep`` accepts, from augmenting each base by every neighbourhood mask
+    for a new node in base-then-ascending-mask order, with no automorphism
+    pruning: every kept candidate that meets a bucket is searched."""
     out: list[tuple[int, ...]] = []
     top = 1 << (n - 1)
     buckets: dict[tuple, list[tuple[tuple[int, ...], list[tuple]]]] = {}
-    for base in graph_classes(n - 1):
+    for base in bases:
         for mask in range(top):
             rows = (*(r | top if mask >> v & 1 else r for v, r in enumerate(base)), mask)
+            if not keep(rows):
+                continue
             inv = node_invariants(rows)
             bucket = buckets.setdefault(tuple(sorted(inv)), [])
             if not any(enumerate_isomorphisms(rows, rep, inv, rep_inv, first_only=True) for rep, rep_inv in bucket):
                 bucket.append((rows, inv))
                 out.append(rows)
     return tuple(out)
+
+
+def _new_node_has_the_largest_key(rows: tuple[int, ...]) -> bool:
+    keys = construction_keys(rows)
+    return keys[-1] == max(keys)
+
+
+@lru_cache(maxsize=None)
+def graph_classes(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of one representative per isomorphism class of graphs on
+    n nodes: of the candidates over every mask whose new node has the
+    largest ``construction_keys`` key, ties included, the first of each
+    class. No automorphism pruning, no degree test ahead of the keys, and
+    no candidate kept without a search."""
+    if n == 0:
+        return ((),)
+    return _first_candidates(n, graph_classes(n - 1), _new_node_has_the_largest_key)
+
+
+@lru_cache(maxsize=None)
+def first_candidate_classes(n: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of one representative per isomorphism class of graphs on
+    n nodes: the first candidate of each class over every mask, with no
+    filter at all."""
+    if n == 0:
+        return ((),)
+    return _first_candidates(n, first_candidate_classes(n - 1), lambda rows: True)
 
 
 def validate_pairwise(g: Graph, space: SympSpace, deco: BitMat) -> None:

@@ -473,38 +473,155 @@ def cold_classes():
     graph_classes.cache_clear()
 
 
-def test_forms_settle_most_duplicates_and_the_search_the_rest(monkeypatch, cold_classes):
-    """Each of the 5,096 - 1,044 duplicate candidates on 7 nodes is dropped
-    either for an invariant-order form met before, with no search, or by
-    one search that finds a map onto a representative."""
-    graph_classes(6)
-    found = collections.Counter()
-    real = graph_module._isomorphisms
+def filter_fates(monkeypatch, n: int) -> tuple[tuple[Graph, ...], collections.Counter]:
+    """``graph_classes(n)`` built over the cached (n-1)-node classes, and
+    the fates of its candidates at the filter. Each candidate whose
+    invariants are computed has passed the degree test (checked here); by
+    the key (degree, packed invariant) of its new node it is then "lower"
+    than some other node's, the "unique" largest, or a "tie". Every
+    search that finds a map from a candidate onto a representative
+    counts one "duplicate"."""
+    graph_classes(n - 1)
+    fates: collections.Counter = collections.Counter()
+    real_invariants = graph_module._candidate_invariants
+    real_search = graph_module._isomorphisms
 
-    def counted(h, plan, prefix=()):
-        out = real(h, plan, prefix)
-        if len(h) == 7:  # not an automorphism search of a 6-node base
-            found[out is not None] += 1
+    def recorded(adj):
+        invariants = real_invariants(adj)
+
+        def inner(mask):
+            inv = invariants(mask)
+            degrees = [r.bit_count() + (mask >> v & 1) for v, r in enumerate(adj)] + [mask.bit_count()]
+            assert degrees[-1] == max(degrees)
+            keys = list(zip(degrees, inv))
+            best = max(keys)
+            fates["lower" if keys[-1] < best else "unique" if keys.count(best) == 1 else "tie"] += 1
+            return inv
+
+        return inner
+
+    def searched(h, plan, prefix=()):
+        out = real_search(h, plan, prefix)
+        if not prefix:  # not an automorphism search of a base
+            fates["duplicate"] += out is not None
         return out
 
-    monkeypatch.setattr(graph_module, "_isomorphisms", counted)
-    classes = graph_classes(7)
+    monkeypatch.setattr(graph_module, "_candidate_invariants", recorded)
+    monkeypatch.setattr(graph_module, "_isomorphisms", searched)
+    return graph_classes(n), fates
+
+
+def cycle_masks(perm: tuple[int, ...]) -> list[int]:
+    """The cycles of ``perm``, one node mask each."""
+    seen = 0
+    cycles = []
+    for start in range(len(perm)):
+        mask = 0
+        v = start
+        while not (seen | mask) >> v & 1:
+            mask |= 1 << v
+            v = perm[v]
+        if mask:
+            seen |= mask
+            cycles.append(mask)
+    return cycles
+
+
+def orbit_count(n: int) -> int:
+    """Summed over the (n-1)-node bases, the orbits of Aut(base) on the
+    2^(n-1) neighbourhood masks. By Burnside's lemma that is (1/|Aut|)
+    times the sum over automorphisms of the masks they fix, the unions of
+    their cycles: 2^(cycles) of them."""
+    orbits = 0
+    for base in graph_classes(n - 1):
+        autos = automorphisms(base)
+        orbits += sum(2 ** len(cycle_masks(perm)) for perm in autos) // len(autos)
+    return orbits
+
+
+def degree_test_orbit_count(n: int) -> int:
+    """As ``orbit_count``, over only the masks whose candidates give the
+    new node the largest degree. The test is Aut-invariant, so these masks
+    are a union of orbits, and Burnside's lemma counts the fixed masks
+    that pass it."""
+    orbits = 0
+    for base in graph_classes(n - 1):
+        autos = automorphisms(base)
+        passing = 0
+        for perm in autos:
+            fixed = [0]
+            for c in cycle_masks(perm):
+                fixed += [m | c for m in fixed]
+            for m in fixed:
+                passing += m.bit_count() >= max(
+                    (r.bit_count() + (m >> v & 1) for v, r in enumerate(base.adj)), default=0
+                )
+        orbits += passing // len(autos)
+    return orbits
+
+
+def test_one_candidate_per_automorphism_orbit(monkeypatch, cold_classes):
+    """Each (n-1)-node base gives one candidate per orbit of its
+    automorphism group on the masks that pass the degree test, and the
+    filter computes its invariants once: the ``_candidate_invariants``
+    reads on n-node candidates."""
+    assert [orbit_count(n) for n in range(1, 8)] == [1, 2, 6, 20, 90, 544, 5096]
+    passing = [degree_test_orbit_count(n) for n in range(1, 8)]
+
+    reads = collections.Counter()
+    real = graph_module._candidate_invariants
+
+    def counted(adj):
+        invariants = real(adj)
+
+        def inner(mask):
+            reads[len(adj) + 1] += 1
+            return invariants(mask)
+
+        return inner
+
+    monkeypatch.setattr(graph_module, "_candidate_invariants", counted)
+    graph_classes.cache_clear()
+    graph_classes(7)
+    assert [reads[n] for n in range(1, 8)] == passing
+    assert passing[-1] == 1401
+
+
+def test_filter_fates_on_seven_nodes(monkeypatch, cold_classes):
+    """Of the 5,096 candidates on 7 nodes, 3,695 fail the degree test with
+    no invariant computed and 341 the invariant test. 683 are new classes
+    with no search; of the 377 that tie, 16 are duplicates."""
+    classes, fates = filter_fates(monkeypatch, 7)
     assert class_digest(classes) == CLASS_DIGESTS[7]
-    by_search = found[True]
-    by_form = 5096 - 1044 - by_search
-    assert by_search > 0 and by_form > by_search
+    assert orbit_count(7) - sum(fates[f] for f in ("lower", "unique", "tie")) == 3695
+    assert fates == {"lower": 341, "unique": 683, "tie": 377, "duplicate": 16}
+    assert len(classes) == 683 + 377 - 16
 
 
-def test_the_search_is_still_needed_from_five_nodes(monkeypatch, cold_classes):
-    """With forms alone every class on at most 4 nodes comes out once, but
-    on 5 nodes one class comes out twice."""
+def test_filter_fates_on_eight_nodes(monkeypatch, cold_classes):
+    """Of the 79,264 candidates on 8 nodes, 60,992 fail the degree test
+    and 5,606 the invariant test; 9,438 are new classes with no search,
+    and 3,228 tie."""
+    classes, fates = filter_fates(monkeypatch, 8)
+    assert class_digest(classes) == CLASS_DIGESTS[8]
+    assert orbit_count(8) - sum(fates[f] for f in ("lower", "unique", "tie")) == 60992
+    assert fates == {"lower": 5606, "unique": 9438, "tie": 3228, "duplicate": 320}
+    assert len(classes) == 12346
+
+
+def test_the_tie_search_is_needed_from_seven_nodes(monkeypatch, cold_classes):
+    """With the search for tied candidates off, the filter alone still
+    gives every class on at most 6 nodes once, but on 7 nodes each of the
+    377 tied candidates comes out: 683 + 377 classes."""
     real = graph_module._isomorphisms
 
     def automorphism_searches_only(h, plan, prefix=()):
         return real(h, plan, prefix) if prefix else None
 
     monkeypatch.setattr(graph_module, "_isomorphisms", automorphism_searches_only)
-    assert [len(graph_classes(n)) for n in range(1, 6)] == [1, 2, 4, 11, 35]
+    for n in range(1, 7):
+        assert class_digest(graph_classes(n)) == CLASS_DIGESTS[n]
+    assert len(graph_classes(7)) == 1060
 
 
 def test_orbits_of_the_classes_add_up_to_every_labeled_graph():
@@ -520,53 +637,30 @@ def test_orbits_of_the_classes_add_up_to_every_labeled_graph():
 
 
 def test_orbit_pruning_keeps_every_representative_in_order():
+    """The filtered oracle tries every mask, keeps the candidates whose new
+    node has the largest key, and searches each of them."""
     for n in range(8):
         assert tuple(g.adj for g in graph_classes(n)) == oracles.graph_classes(n)
 
 
-def cycle_count(perm: tuple[int, ...]) -> int:
-    seen = [False] * len(perm)
-    cycles = 0
-    for start in range(len(perm)):
-        if not seen[start]:
-            cycles += 1
-            v = start
-            while not seen[v]:
-                seen[v] = True
-                v = perm[v]
-    return cycles
-
-
-def test_one_candidate_per_automorphism_orbit(monkeypatch):
-    """Each (n-1)-node base gives one candidate per orbit of its automorphism
-    group on the 2^(n-1) neighbourhood masks. By Burnside's lemma that is
-    (1/|Aut|) * sum over automorphisms of 2^(cycles), as a mask is fixed
-    exactly when it is a union of cycles. Each candidate is relabeled into
-    its invariant-order form once: the ``_relabeled`` calls on n rows."""
-    burnside = []
-    for n in range(1, 8):
-        orbits = 0
-        for base in graph_classes(n - 1):
-            autos = automorphisms(base)
-            orbits += sum(2 ** cycle_count(p) for p in autos) // len(autos)
-        burnside.append(orbits)
-    assert burnside == [1, 2, 6, 20, 90, 544, 5096]
-
-    calls = collections.Counter()
-    real = graph_module._relabeled
-
-    def counted(rows, order):
-        calls[len(rows)] += 1
-        return real(rows, order)
-
-    monkeypatch.setattr(graph_module, "_relabeled", counted)
-    candidates = []
-    for n in range(1, 8):
-        graph_classes.cache_clear()
-        calls.clear()
-        graph_classes(n)
-        candidates.append(calls[n])
-    assert candidates == burnside
+def test_each_class_matches_one_unfiltered_class():
+    """Each representative is isomorphic to exactly one class of the
+    unfiltered first-candidate oracle, by the oracle's search within its
+    bucket of sorted invariants."""
+    for n in range(8):
+        buckets = collections.defaultdict(list)
+        for rows in oracles.first_candidate_classes(n):
+            inv = oracles.node_invariants(rows)
+            buckets[tuple(sorted(inv))].append((rows, inv))
+        for g in graph_classes(n):
+            inv = oracles.node_invariants(g.adj)
+            matches = [
+                rows
+                for rows, rows_inv in buckets[tuple(sorted(inv))]
+                if oracles.enumerate_isomorphisms(g.adj, rows, inv, rows_inv, first_only=True)
+            ]
+            assert len(matches) == 1
+        assert len(graph_classes(n)) == len(oracles.first_candidate_classes(n))
 
 
 def test_class_enumeration_is_capped_before_any_recursion(monkeypatch):
