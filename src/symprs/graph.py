@@ -5,8 +5,9 @@ text or JSON), induced subgraphs, exact maximum cocliques, automorphism
 groups by a backtracking search pruned by orbits, the Dynkin diagram
 families, and enumeration of isomorphism classes up to 9 nodes, most of
 them kept by a canonical-construction test rather than told apart by a
-search. All algorithms are exact and deterministic; none of them are
-meant for graphs beyond a few dozen nodes.
+search, and given their automorphism groups by the same test. All
+algorithms are exact and deterministic; none of them are meant for
+graphs beyond a few dozen nodes.
 """
 
 from __future__ import annotations
@@ -82,7 +83,10 @@ def _checked_adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
 class Graph:
     """An undirected simple graph on nodes 0..n-1: bit b of ``adj[a]`` is set iff a-b is an edge."""
 
-    __slots__ = ("n", "adj")
+    # _group: the sorted automorphism list that graph_classes stores on a
+    # representative it built from its base's group, until automorphisms
+    # hands it over; None or unset on every other graph
+    __slots__ = ("n", "adj", "_group")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -454,7 +458,9 @@ def _isomorphisms(h: Sequence[int], plan: tuple, prefix: Sequence[int] = ()) -> 
             used[w] = False
         return False
 
-    return tuple(mapping) if place(len(prefix)) else None
+    found = place(len(prefix))
+    place = None  # it refers to itself: break the cycle, so the frames are freed now
+    return tuple(mapping) if found else None
 
 
 def is_isomorphic(g: Graph, h: Graph) -> bool:
@@ -487,7 +493,18 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     transversal element per level, is built: one ``itemgetter`` per
     element so far, mapped over the level's transversal, in whatever order
     that gives, since the list is sorted at the end.
+
+    A representative that ``graph_classes`` built from its base's group
+    holds its list already (see there). The first call on that object is
+    handed the stored list itself, with no search and no copy, and the
+    object lets go of it, so nothing is kept for longer than that. Every
+    later call, and every other graph, goes through the search, which
+    gives an equal list.
     """
+    group = getattr(g, "_group", None)
+    if group is not None:
+        object.__setattr__(g, "_group", None)
+        return group
     n = g.n
     if n > MAX_AUTOMORPHISM_NODES:
         raise ValueError(f"{n} nodes exceeds the automorphism cap of {MAX_AUTOMORPHISM_NODES}")
@@ -631,11 +648,24 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
 
     So each class keeps the first of its candidates that pass the test,
     in base-then-ascending-mask order, and trying every mask would keep
-    the same ones. A candidate's invariants are not computed from its
-    rows: per base, ``_candidate_invariants`` reads them off tables over
-    the masks. Per call, each mask's list of bits (for the orbit marks
-    and the nodes that tie in degree) and the column it adds to the base
-    rows are tabled once. Candidates are rows tuples; only a new
+    the same ones.
+
+    A new class of the third kind needs no search for its automorphisms
+    either. Each one fixes the new node v, the only node with its key, so
+    Aut(G') is the stabilizer of M in Aut(base), each element extended by
+    v -> v (McKay 1998 uses the same fact). The base's list, which marks
+    the orbits, is sorted with the identity first, and every element gains
+    the same last entry, so keeping those that map M onto M gives the
+    sorted list that ``automorphisms`` would search for. It is stored on
+    the new representative and handed to the first ``automorphisms`` call
+    on it, such as the next level's ``graph_classes(n + 1)``; about three
+    classes in four on 8 nodes get theirs that way.
+
+    A candidate's invariants are not computed from its rows: per base,
+    ``_candidate_invariants`` reads them off tables over the masks. Per
+    call, each mask's list of bits (for the orbit marks and the nodes
+    that tie in degree) and the column it adds to the base rows are
+    tabled once. Candidates are rows tuples; only a new
     representative becomes a ``Graph``. Counts follow the classical
     sequence 1, 2, 4, 11, 34, 156, 1044, 12346, and n is capped at
     ``MAX_CLASS_NODES``.
@@ -647,6 +677,7 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
     if n == 0:
         return (Graph(0),)
     out: list[Graph] = []
+    identity = tuple(range(n))
     top = 1 << (n - 1)
     # per mask, its set bits and the column it adds to the base rows, one int per row
     bits_of: list[list[int]] = [[]]
@@ -663,8 +694,11 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
         for v, r in enumerate(adj):
             level[r.bit_count()] |= 1 << v
         most = max(map(int.bit_count, adj), default=0)
+        autos = automorphisms(base)
         # per automorphism but the first (the identity), the image of each node's bit
-        ups = [[1 << w for w in perm] for perm in automorphisms(base)[1:]]
+        ups = [[1 << w for w in perm] for perm in autos[1:]]
+        # the same automorphisms, in the same sorted order, with the new node fixed
+        fixing = [perm + (n - 1,) for perm in autos[1:]]
         invariants = _candidate_invariants(adj)
         seen = bytearray(top)
         for mask in range(top):
@@ -674,8 +708,9 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
                 continue
             # mask is the least of its orbit under Aut(base): mark the rest of the orbit
             bits = bits_of[mask]
-            for up in ups:
-                seen[sum(map(up.__getitem__, bits))] = 1
+            images = [sum(map(up.__getitem__, bits)) for up in ups]
+            for x in images:
+                seen[x] = 1
             inv = invariants(mask)
             # the largest invariant of the base nodes whose degree is d in the candidate
             rival = max(map(inv.__getitem__, bits_of[level[d] & ~mask | level[d - 1] & mask]), default=-1)
@@ -689,5 +724,12 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
                 ):
                     continue
                 bucket.append((rows, inv))
-            out.append(Graph._from_adj(rows))
+            rep = Graph._from_adj(rows)
+            if rival < inv[-1]:
+                # the stabilizer of mask, the new node fixed: most are trivial
+                group = [identity]
+                if mask in images:
+                    group += [t for t, x in zip(fixing, images) if x == mask]
+                object.__setattr__(rep, "_group", group)
+            out.append(rep)
     return tuple(out)

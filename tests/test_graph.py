@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import gc
 import itertools
 import math
 import random
@@ -663,6 +664,73 @@ def test_each_class_matches_one_unfiltered_class():
         assert len(graph_classes(n)) == len(oracles.first_candidate_classes(n))
 
 
+def test_stored_groups_match_the_oracle_and_a_search(cold_classes):
+    """A representative whose new node has the unique largest key holds
+    the stabilizer of its mask in Aut(base), the new node fixed. Read
+    level by level, before the next level takes its bases' lists, every
+    one equals the enumerate-all oracle and a search on a fresh object
+    with the same rows. ``automorphisms`` hands the stored list over
+    itself, and the next call searches again."""
+    stored = []
+    for n in range(8):
+        held = 0
+        for g in graph_classes(n):
+            group = getattr(g, "_group", None)
+            autos = automorphisms(g)
+            assert autos == oracles.enumerated_automorphisms(g)
+            assert autos == automorphisms(Graph._from_adj(g.adj))
+            if group is not None:
+                held += 1
+                assert autos is group and g._group is None
+                again = automorphisms(g)
+                assert again == autos and again is not autos
+        stored.append(held)
+    assert stored == [0, 1, 0, 1, 3, 15, 77, 683]
+
+
+def test_reading_the_groups_first_keeps_every_class(cold_classes):
+    """When every level's groups are handed over before the next level is
+    built, that level searches its bases' groups instead of reading them,
+    and its representatives are the same."""
+    for n in range(1, 9):
+        classes = graph_classes(n)
+        assert class_digest(classes) == CLASS_DIGESTS[n]
+        for g in classes:
+            automorphisms(g)
+
+
+def test_unique_largest_classes_are_never_searched(monkeypatch, cold_classes):
+    """Of the 1,044 classes on 7 nodes, built cold, the 683 whose new node
+    has the unique largest key get their lists with no search."""
+    classes = graph_classes(7)
+    held = {g.adj for g in classes if getattr(g, "_group", None) is not None}
+    searched = set()
+    real = graph_module._isomorphisms
+
+    def recorded(h, plan, prefix=()):
+        searched.add(tuple(h))
+        return real(h, plan, prefix)
+
+    monkeypatch.setattr(graph_module, "_isomorphisms", recorded)
+    assert len([automorphisms(g) for g in classes]) == 1044
+    assert len(held) == 683 and searched and not held & searched
+
+
+def test_the_search_leaves_no_reference_cycles(cold_classes):
+    """The recursive search closure is released when the search ends, so
+    with the cyclic collector off nothing is left for it to collect."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(automorphisms(disjoint_union([cycle(4), cycle(4)]))) == 128
+        assert is_isomorphic(cycle(6), cycle(6).relabel([3, 1, 5, 0, 2, 4]))
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_class_enumeration_is_capped_before_any_recursion(monkeypatch):
     def searched(*args):
         raise AssertionError("graph_classes searched past the cap")
@@ -676,11 +744,18 @@ def test_class_enumeration_is_capped_before_any_recursion(monkeypatch):
 @GRAPH_SEARCH
 @given(graphs(max_n=10))
 def test_graph_is_its_adjacency_rows(g):
-    assert Graph.__slots__ == ("n", "adj")
+    assert Graph.__slots__ == ("n", "adj", "_group")
     h = Graph._from_adj(g.adj)
     assert h == g and hash(h) == hash(g)
     assert isinstance(g.edges, frozenset) and g.edges == set(g.edge_list())
     assert g.edge_list() == sorted(g.edge_list())
+
+
+def test_a_representative_holding_its_group_is_its_adjacency_rows(cold_classes):
+    for rep in graph_classes(6):
+        if getattr(rep, "_group", None) is not None:
+            h = Graph._from_adj(rep.adj)
+            assert h == rep and rep == h and hash(h) == hash(rep)
 
 
 @GRAPH_SEARCH
