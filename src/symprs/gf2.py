@@ -69,6 +69,14 @@ class BitVec:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BitVec is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("BitVec is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through the constructor, since
+        # the default slot restore would go through __setattr__
+        return BitVec, (self.dim, self.bits)
+
     @classmethod
     def zero(cls, dim: int) -> "BitVec":
         return cls(dim, 0)
@@ -167,6 +175,13 @@ class BitMat:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("BitMat is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("BitMat is immutable")
+
+    def __reduce__(self):
+        # rebuilt through the constructor, as for BitVec
+        return BitMat, (self.ncols, self.rows)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int] | str | BitVec], ncols: int | None = None) -> "BitMat":

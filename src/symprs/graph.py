@@ -136,6 +136,15 @@ class Graph:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through Graph(n, edges), since
+        # the default slot restore would go through __setattr__; a stored
+        # _group is not carried
+        return Graph, (self.n, self.edge_list())
+
     def has_edge(self, a: int, b: int) -> bool:
         return (self.adj[a] >> b) & 1 == 1
 

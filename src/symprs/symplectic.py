@@ -21,9 +21,9 @@ builds it. ``MixedForm.value``, which no library route calls, pairs on
 the completed matrix's rows with ``gf2.bilinear`` and builds no table.
 Routines that pair one vector with many compute its image once.
 ``pairing_rows`` gives the whole Gram matrix of a vector family of ints
-in O(count x dim) word operations, and the symplectic basis carries each
-candidate's image along with it, so a pair test or a projection step
-costs O(1) word operations instead of a matrix-vector product.
+in O(count x dim) word operations, and the symplectic basis eliminates
+on the candidates' pairing matrix, read off the Gram rows, so a
+projection step costs one XOR for each candidate that it changes.
 
 Each space is decomposed once, into int rows: hyperbolic pairs
 (``_pairs``) and the radical rows (``_radical``), the canonical kernel
@@ -199,7 +199,7 @@ class SympSpace:
         order, and only ever absorbs picked vectors of lower origin: a pair
         (v, w) picked from origins i < j is added only to candidates of
         origin above i (v) or above j (w), since the candidates before i
-        have zero image and j is the first candidate that pairs with v.
+        pair with nothing and j is the first candidate that pairs with v.
         So a leftover z_t has its highest bit at t, and no bit at any other
         leftover origin, because no picked vector ever has one. Distinct
         highest bits make the leftover origins the set of highest bits of
@@ -236,38 +236,54 @@ class SympSpace:
         candidates onto the orthogonal complement of the plane they span.
         Candidates left over at the end form the radical part z_1..z_k.
 
-        Candidates are int pairs (c, G c) that carry their Gram image. A
-        candidate orthogonal to every recorded plane pairs with some other
-        candidate exactly when its image is nonzero, so the search takes
-        the first candidate with a nonzero image.
+        The greedy choices are read off the candidates' pairing matrix P,
+        P_st = <c_s, c_t>, by symmetric elimination. Candidate t starts as
+        e_t, its origin, so P starts as the Gram matrix. A step picks
+        (c_i, c_j) and projects every other candidate: c_k += P_kj c_i +
+        P_ki c_j, which turns P into P + p_i p_j^T + p_j p_i^T for its
+        columns p_i = P e_i and p_j = P e_j (<c_i, c_j> = 1 and the form is
+        alternating). That is the Schur complement: symmetric and
+        alternating again, and zero in the rows and columns i and j. So
+        row k of P is zero exactly when c_k pairs with no candidate nor,
+        being projected, with any picked vector, which makes i the first
+        nonzero row, j the lowest set bit of row i (the first candidate
+        that pairs with c_i), and the rows that the step changes the set
+        bits of row j (which add row i) and of row i (which add row j).
+
+        Each origin keeps one int: row t of P in its low ``dim`` bits and
+        c_t above them, so one XOR updates both, and a step costs one XOR
+        per set bit of rows i and j. Picked rows are cleared, and a row
+        that was zero stays zero, so the rows before i are zero or picked,
+        j > i, and one pass over the origins in order meets every pick.
         """
-        rows = self.gram.rows
-        cands = [(1 << i, rows[i]) for i in range(self.dim)]
+        dim = self.dim
+        low = (1 << dim) - 1
+        rows = [g | 1 << (dim + t) for t, g in enumerate(self.gram.rows)]
         xs: list[int] = []
         ys: list[int] = []
-        while True:
-            i = next((t for t, (_, g) in enumerate(cands) if g), None)
-            if i is None:
-                break
-            v, gv = cands[i]
-            j = next(t for t, (c, _) in enumerate(cands) if (gv & c).bit_count() & 1)
-            w, gw = cands[j]
-            xs.append(v)
-            ys.append(w)
-            projected = []
-            for t, (c, g) in enumerate(cands):
-                if t == i or t == j:
-                    continue
-                if (g & w).bit_count() & 1:
-                    c ^= v
-                    g ^= gv
-                if (g & v).bit_count() & 1:
-                    c ^= w
-                    g ^= gw
-                projected.append((c, g))
-            cands = projected
-        assert not any(g for _, g in cands), "leftover basis vector outside the radical"
-        return xs, ys, [c for c, _ in cands]
+        for i in range(dim):
+            a = rows[i]
+            row_i = a & low
+            if not row_i:
+                continue
+            j = (row_i & -row_i).bit_length() - 1
+            b = rows[j]
+            xs.append(a >> dim)
+            ys.append(b >> dim)
+            rows[i] = rows[j] = 0
+            bits = row_i ^ 1 << j
+            while bits:
+                s = bits.bit_length() - 1
+                rows[s] ^= b
+                bits ^= 1 << s
+            bits = b & low ^ 1 << i
+            while bits:
+                s = bits.bit_length() - 1
+                rows[s] ^= a
+                bits ^= 1 << s
+        leftover = [r for r in rows if r]
+        assert not any(r & low for r in leftover), "leftover basis vector outside the radical"
+        return xs, ys, [r >> dim for r in leftover]
 
     @_cached_property
     def basis(self) -> SymplecticBasis:

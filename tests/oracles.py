@@ -706,6 +706,44 @@ def greedy_basis(space: SympSpace) -> SymplecticBasis:
     return SymplecticBasis(tuple(xs), tuple(ys), tuple(cands))
 
 
+def greedy_basis_rows(rows: Sequence[int]) -> tuple[list[int], list[int], list[int]]:
+    """``greedy_basis`` on int rows, fast enough for thousands of
+    coordinates: the candidate-list form, which carries each candidate's
+    Gram image, for the alternating form with these Gram rows. Returns
+    the x, y and z parts as lists of ints.
+
+    A candidate orthogonal to every recorded plane pairs with some other
+    candidate exactly when its image is nonzero, so the search takes the
+    first candidate with a nonzero image, and its partner is the first
+    candidate with an odd pairing."""
+    cands = [(1 << i, row) for i, row in enumerate(rows)]
+    xs: list[int] = []
+    ys: list[int] = []
+    while True:
+        i = next((t for t, (_, g) in enumerate(cands) if g), None)
+        if i is None:
+            break
+        v, gv = cands[i]
+        j = next(t for t, (c, _) in enumerate(cands) if (gv & c).bit_count() & 1)
+        w, gw = cands[j]
+        xs.append(v)
+        ys.append(w)
+        projected = []
+        for t, (c, g) in enumerate(cands):
+            if t == i or t == j:
+                continue
+            if (g & w).bit_count() & 1:
+                c ^= v
+                g ^= gv
+            if (g & v).bit_count() & 1:
+                c ^= w
+                g ^= gw
+            projected.append((c, g))
+        cands = projected
+    assert not any(g for _, g in cands), "leftover basis vector outside the radical"
+    return xs, ys, [c for c, _ in cands]
+
+
 def all_srs_on_space(g: Graph, space: SympSpace) -> list[SRS]:
     """Every decoration family on g into the given space, by backtracking.
 

@@ -10,9 +10,12 @@ boundaries of their tables (dimensions 0, 1, 7, 8, 9, 16 and 17), and a
 vector of the wrong dimension must raise the same ``ValueError``.
 The radical and symplectic basis kept as int rows must equal the kernel
 and greedy-basis oracles, also on forms of rank at most 6 with twin rows,
-whose radicals are large. The 2-group law on (bits, sign) ints and the
-commutator truth tables of the ``srs verify`` sweep must agree with the
-BitVec law, and the sweep's mismatch count with the per-pair count, also
+whose radicals are large, and on very sparse forms (forests, paths, and
+degree at most 2 with zero rows between the pivots), where the
+candidate-list oracle on int rows must agree as well. The 2-group law
+on (bits, sign) ints and the commutator truth tables of the ``srs
+verify`` sweep must agree with the BitVec law, and the sweep's mismatch
+count with the per-pair count, also
 on groups whose space was swapped for another. The byte table must
 agree with ``row_combination``, and the stabilizer chain with the oracle
 chain and with enumeration, both on their own column arithmetic. Every
@@ -291,6 +294,7 @@ def test_basis_matches_oracle(space):
 def test_int_radical_and_basis_rows_match_oracles(space):
     assert space._radical == [v.bits for v in oracles.kernel_basis(space.gram)]
     assert space._basis == tuple([v.bits for v in part] for part in oracles.greedy_basis(space))
+    assert space._basis == oracles.greedy_basis_rows(space.gram.rows)
     assert space.type == (len(space._basis[0]), len(space._radical))
 
 
@@ -306,6 +310,56 @@ def test_low_rank_radical_and_basis_rows_match_oracles(space):
     assert space._basis == tuple([v.bits for v in part] for part in oracles.greedy_basis(space))
     assert space.type == (len(space._basis[0]), len(space._radical))
     assert space.radical == space.basis.z
+
+
+def _sparse(dim: int, edges: list[tuple[int, int]]) -> SympSpace:
+    """The form whose Gram matrix is the adjacency matrix of these edges."""
+    rows = [0] * dim
+    for a, b in edges:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return SympSpace(BitMat(dim, rows))
+
+
+@st.composite
+def sparse_spaces(draw, max_dim: int = 60) -> SympSpace:
+    """A forest, a path, or paths and cycles (degree at most 2), on a random
+    subset of the coordinates taken in random order, so that zero rows
+    fall between the pivots and a partner may sit far past its pivot."""
+    dim = draw(st.integers(0, max_dim))
+    nodes = draw(st.lists(st.integers(0, dim - 1), unique=True)) if dim else []
+    kind = draw(st.sampled_from(["forest", "path", "degree 2"]))
+    edges = []
+    if kind == "forest":
+        for t in range(1, len(nodes)):
+            parent = draw(st.none() | st.integers(0, t - 1))
+            if parent is not None:
+                edges.append((nodes[parent], nodes[t]))
+    elif kind == "path":
+        edges = list(zip(nodes, nodes[1:]))
+    else:
+        start = 0
+        while start < len(nodes):
+            run = nodes[start:start + draw(st.integers(1, len(nodes) - start))]
+            edges += zip(run, run[1:])
+            if len(run) > 2 and draw(st.booleans()):
+                edges.append((run[-1], run[0]))
+            start += len(run)
+    event(kind)
+    return _sparse(dim, edges)
+
+
+@FAST
+@given(sparse_spaces())
+@example(_sparse(0, []))
+@example(_sparse(9, [(1, 7)]))
+@example(_sparse(200, [(t, t + 1) for t in range(199)]))
+def test_sparse_radical_and_basis_rows_match_both_oracles(space):
+    want = tuple([v.bits for v in part] for part in oracles.greedy_basis(space))
+    assert oracles.greedy_basis_rows(space.gram.rows) == want
+    assert space._basis == want
+    assert space._radical == want[2] == [v.bits for v in oracles.kernel_basis(space.gram)]
+    assert space.type == (len(want[0]), len(want[2]))
 
 
 @st.composite
