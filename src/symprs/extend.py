@@ -50,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .gf2 import BitMat, BitVec, _gather, row_combination
+from .gf2 import BitMat, BitVec, _gather, _new, row_combination
 from .graph import Graph
 from .srs import SRS, SRSError, minimal_srs
 
@@ -84,6 +84,21 @@ class ExtensionWitness:
     z0: BitVec
     new_deco: BitVec
     x_choice: BitVec | None = None
+
+    @classmethod
+    def _trusted(
+        cls, case: str, w0: BitVec, z0: BitVec, new_deco: BitVec, x_choice: BitVec | None
+    ) -> "ExtensionWitness":
+        """``ExtensionWitness(...)`` for the witness of a step just taken, its
+        fields filled as ``SRS._trusted`` fills them."""
+        w = _new(cls)
+        fields = w.__dict__
+        fields["case"] = case
+        fields["w0"] = w0
+        fields["z0"] = z0
+        fields["new_deco"] = new_deco
+        fields["x_choice"] = x_choice
+        return w
 
 
 def _require_minimal(s: SRS, lam: BitVec):
@@ -163,7 +178,7 @@ def extend_minimal(
     assert (len(out.space._radical) < len(radical)) == bool(pairings), "case and type disagree"
     case = NEW_HYPERBOLIC if pairings else NEW_NULLVECTOR
     x_choice = BitVec(d + 1, pairings & -pairings) if pairings else None
-    return out, ExtensionWitness(case, BitVec(d, w0), BitVec(d, z0), out.deco.row(d), x_choice)
+    return out, ExtensionWitness._trusted(case, BitVec(d, w0), BitVec(d, z0), out.deco.row(d), x_choice)
 
 
 def double_extend_extraspecial(

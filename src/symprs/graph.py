@@ -19,7 +19,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .gf2 import BitMat, _drop_bit, _gather
+from .gf2 import BitMat, _drop_bit, _gather, _new
 
 __all__ = [
     "Graph",
@@ -62,6 +62,8 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
+# the one type a selected node may have: a bool is no int here
+_INT = frozenset((int,))
 
 
 def _checked_adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
@@ -81,7 +83,13 @@ def _checked_adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
 
 
 class Graph:
-    """An undirected simple graph on nodes 0..n-1: bit b of ``adj[a]`` is set iff a-b is an edge."""
+    """An undirected simple graph on nodes 0..n-1: bit b of ``adj[a]`` is set iff a-b is an edge.
+
+    Its slots are written only through their member descriptors' setters,
+    bound once below the class (``_set_n``, ``_set_adj``, ``_set_group``),
+    since ``__setattr__`` refuses every write; ``_from_adj`` makes the
+    instance with ``gf2._new``, that is ``object.__new__``.
+    """
 
     # _group: the sorted automorphism list that graph_classes stores on a
     # representative it built from its base's group, until automorphisms
@@ -89,6 +97,8 @@ class Graph:
     __slots__ = ("n", "adj", "_group")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        if type(n) is not int:
+            raise ValueError(f"node count {n!r} is not an int")
         if n < 0:
             raise ValueError(f"negative node count {n}")
         if n > MAX_NODES:
@@ -110,8 +120,8 @@ class Graph:
             valid = False
         if not valid:
             adj = _checked_adjacency(n, pairs)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", tuple(adj))
+        _set_n(self, n)
+        _set_adj(self, tuple(adj))
 
     @classmethod
     def _from_adj(cls, rows: Iterable[int]) -> "Graph":
@@ -119,9 +129,9 @@ class Graph:
         adj = tuple(rows)
         if len(adj) > MAX_NODES:
             raise ValueError(f"{len(adj)} nodes exceeds the node cap of {MAX_NODES}")
-        g = object.__new__(cls)
-        object.__setattr__(g, "n", len(adj))
-        object.__setattr__(g, "adj", adj)
+        g = _new(cls)
+        _set_n(g, len(adj))
+        _set_adj(g, adj)
         return g
 
     def _with_node(self, nbrs: int) -> "Graph":
@@ -208,6 +218,11 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edge_list()})"
 
 
+_set_n = Graph.n.__set__
+_set_adj = Graph.adj.__set__
+_set_group = Graph._group.__set__
+
+
 def parse_graph(text: str) -> Graph:
     """Parse either the edge-list format or the JSON form.
 
@@ -270,8 +285,18 @@ def graph_to_json(g: Graph) -> dict:
     return {"nodes": g.n, "edges": list(map(list, g.edge_list()))}
 
 
+def _check_node_types(nodes: Sequence[int]) -> None:
+    """Raise unless every entry of a node selection is an int, a bool not
+    being one: one C-level pass, and the loop that names the first culprit
+    only on failure."""
+    if {*map(type, nodes)} - _INT:
+        v = next(v for v in nodes if type(v) is not int)
+        raise ValueError(f"node {v!r} in selection is not an int")
+
+
 def induced_subgraph(g: Graph, nodes: Sequence[int]) -> Graph:
     """Subgraph on the given nodes, reindexed as 0..len(nodes)-1 in order."""
+    _check_node_types(nodes)
     if len(set(nodes)) != len(nodes):
         raise ValueError("repeated node in selection")
     if any(not 0 <= v < g.n for v in nodes):
@@ -512,7 +537,7 @@ def automorphisms(g: Graph) -> list[tuple[int, ...]]:
     """
     group = getattr(g, "_group", None)
     if group is not None:
-        object.__setattr__(g, "_group", None)
+        _set_group(g, None)
         return group
     n = g.n
     if n > MAX_AUTOMORPHISM_NODES:
@@ -739,6 +764,6 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
                 group = [identity]
                 if mask in images:
                     group += [t for t, x in zip(fixing, images) if x == mask]
-                object.__setattr__(rep, "_group", group)
+                _set_group(rep, group)
             out.append(rep)
     return tuple(out)

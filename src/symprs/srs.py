@@ -65,6 +65,7 @@ from .gf2 import (
     _echelon_rows,
     _eliminate,
     _gather,
+    _new,
     _string_bits,
     _subspace_rows,
     _transpose,
@@ -75,7 +76,7 @@ from .gf2 import (
     row_reduce,  # unused here; perfbench/selftest.py checks that tracing rebinds srs.row_reduce
     solve_mat,
 )
-from .graph import Graph, _graph_from_json, graph_to_json, induced_subgraph, max_coclique
+from .graph import Graph, _check_node_types, _graph_from_json, graph_to_json, induced_subgraph, max_coclique
 from .symplectic import SpaceType, SympSpace, _cached_property
 
 __all__ = [
@@ -147,11 +148,14 @@ class SRS:
     @classmethod
     def _trusted(cls, graph: Graph, space: SympSpace, deco: BitMat) -> "SRS":
         """``SRS(graph, space, deco)`` without re-checking the axioms, for
-        systems that hold them by construction."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "graph", graph)
-        object.__setattr__(s, "space", space)
-        object.__setattr__(s, "deco", deco)
+        systems that hold them by construction. The fields go straight into
+        the instance ``__dict__``: the generated ``__init__`` of a frozen
+        dataclass makes one generic ``__setattr__`` call per field."""
+        s = _new(cls)
+        fields = s.__dict__
+        fields["graph"] = graph
+        fields["space"] = space
+        fields["deco"] = deco
         return s
 
     @_cached_property
@@ -202,7 +206,7 @@ class SRS:
         out = SRS._trusted(graph, space, BitMat._trusted(d + 1, self.deco.rows + (w0 | 1 << d,)))
         cols = [col | ((w0 & col).bit_count() & 1) << d for col in self._deco_inverse]
         cols.append(1 << d)
-        object.__setattr__(out, "_deco_inverse", cols)
+        vars(out)["_deco_inverse"] = cols
         return out
 
     @property
@@ -244,11 +248,12 @@ class SympMap:
     @classmethod
     def _trusted(cls, src: SympSpace, dst: SympSpace, matrix: BitMat) -> "SympMap":
         """``SympMap(src, dst, matrix)`` without the checks, for a map that
-        preserves the forms by construction."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "src", src)
-        object.__setattr__(m, "dst", dst)
-        object.__setattr__(m, "matrix", matrix)
+        preserves the forms by construction, filled as ``SRS._trusted`` is."""
+        m = _new(cls)
+        fields = m.__dict__
+        fields["src"] = src
+        fields["dst"] = dst
+        fields["matrix"] = matrix
         return m
 
     def __call__(self, v: BitVec) -> BitVec:
@@ -268,7 +273,7 @@ def _minimal_on(g: Graph, space: SympSpace) -> SRS:
     """The minimal SRS of g on ``space``, the space of g's adjacency matrix.
     D = I, so the columns of D^-1 are preset to the unit vectors."""
     s = SRS._trusted(g, space, BitMat.identity(g.n))
-    object.__setattr__(s, "_deco_inverse", [1 << p for p in range(g.n)])
+    vars(s)["_deco_inverse"] = [1 << p for p in range(g.n)]
     return s
 
 
@@ -310,6 +315,7 @@ def restrict(s: SRS, nodes: Sequence[int]) -> SRS:
     rows gives Gram row p as G_p + f_v(e_p) G_c + G_pc f_v without bit c,
     and the rows of D lose bit c. Both are what the echelon route computes.
     """
+    _check_node_types(nodes)
     deleted = _deleted_node(nodes, s.graph.n)
     if deleted is not None:
         return _without_node(s, deleted)
@@ -488,13 +494,25 @@ class CocliqueReport:
     holds: bool
     witness: tuple[int, ...]
 
+    @classmethod
+    def _trusted(cls, n: int, gamma: int, bound: int, holds: bool, witness: tuple[int, ...]) -> "CocliqueReport":
+        """``CocliqueReport(...)``, its fields filled as ``SRS._trusted`` fills them."""
+        r = _new(cls)
+        fields = r.__dict__
+        fields["n"] = n
+        fields["gamma"] = gamma
+        fields["bound"] = bound
+        fields["holds"] = holds
+        fields["witness"] = witness
+        return r
+
 
 def coclique_bound_check(g: Graph) -> CocliqueReport:
     witness = max_coclique(g)  # first: it enforces the node cap
     n = SympSpace._trusted(g.adjacency()).type.n
     gamma = len(witness)
     bound = g.n - gamma
-    return CocliqueReport(n, gamma, bound, n <= bound, witness)
+    return CocliqueReport._trusted(n, gamma, bound, n <= bound, witness)
 
 
 def srs_to_json(s: SRS) -> dict:

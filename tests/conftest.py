@@ -14,17 +14,36 @@ from symprs.graph import Graph
 from symprs.srs import SRS, SympMap
 from symprs.symplectic import SympSpace
 
+_shipped_from_adj = Graph._from_adj
+
+
+def checked_graph_rows(rows) -> Graph:
+    """``Graph._from_adj(rows)``, checked: the rows must be those of
+    ``Graph(len(rows), edges)`` for the edges their upper triangles list, so
+    an asymmetric or looped row, or a bit past the last node, raises
+    ``ValueError``. The shipped route keeps its node cap and builds the graph."""
+    adj = tuple(rows)
+    bad = [row for row in adj if type(row) is not int or row < 0]
+    if bad:
+        raise ValueError(f"adjacency row {bad[0]!r} is not a nonnegative int")
+    g = _shipped_from_adj(adj)
+    if Graph(g.n, g.edge_list()).adj != adj:
+        raise ValueError("adjacency rows not symmetric and loop-free")
+    return g
+
 
 @pytest.fixture(autouse=True)
 def validate_trusted_constructions(request, monkeypatch):
     """Point each ``_trusted`` constructor back at the checking one, which
-    takes the same arguments, so every test validates in full each object
-    the library builds without checks. Tests marked
-    ``trusted_constructors`` run the shipped path instead."""
+    takes the same arguments, and ``Graph._from_adj`` at
+    ``checked_graph_rows``, so every test validates in full each object the
+    library builds without checks. Tests marked ``trusted_constructors``
+    run the shipped path instead."""
     if request.node.get_closest_marker("trusted_constructors"):
         return
     for cls in (BitMat, SympSpace, SRS, SympMap):
         monkeypatch.setattr(cls, "_trusted", classmethod(lambda c, *args: c(*args)))
+    monkeypatch.setattr(Graph, "_from_adj", classmethod(lambda c, rows: checked_graph_rows(rows)))
 
 
 def assert_carried_split(space: SympSpace) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from symprs.gf2 import (
@@ -185,3 +186,19 @@ def test_zero_dimension_edge_cases():
     null = BitMat.zeros(3, 0)
     assert rank(null) == 0
     assert kernel_basis(null) == []
+
+
+@pytest.mark.parametrize("cls, args, message", [
+    (BitVec, (3, True), "bits True are not an int"),
+    (BitVec, (3, 1.0), "bits 1.0 are not an int"),
+    (BitVec, (True, 1), "dimension True is not an int"),
+    (BitVec, (3.0,), "dimension 3.0 is not an int"),
+    (BitMat, (2, [True]), "row True is not an int"),
+    (BitMat, (2, [1, 1.0]), "row 1.0 is not an int"),
+    (BitMat, (2.0, [1]), "column count 2.0 is not an int"),
+    (BitMat, (False, []), "column count False is not an int"),
+], ids=repr)
+def test_constructors_take_only_ints(cls, args, message):
+    # a bool is no int here, and nothing is coerced
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cls(*args)

@@ -102,6 +102,18 @@ def test_parse_rejects(text):
         parse_graph(text)
 
 
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_node_count_must_be_an_int(n):
+    with pytest.raises(ValueError, match=f"^node count {n!r} is not an int$"):
+        Graph(n, [])
+
+
+@pytest.mark.parametrize("nodes", [[True, 2], [0, 2.0], [1, 0.0], (0, "1")], ids=repr)
+def test_induced_subgraph_takes_only_int_nodes(nodes):
+    with pytest.raises(ValueError, match="in selection is not an int$"):
+        induced_subgraph(dynkin_graph("A", 3), nodes)
+
+
 def test_induced_subgraph_keeps_order():
     g = parse_graph("n 4\ne 0 1\ne 1 2\ne 2 3")
     h = induced_subgraph(g, [3, 2, 0])
@@ -806,3 +818,18 @@ def test_trusted_constructor_keeps_the_node_cap():
     assert Graph._from_adj([0] * MAX_NODES).n == MAX_NODES
     with pytest.raises(ValueError, match="node cap"):
         Graph._from_adj([0] * (MAX_NODES + 1))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([0b10, 0], "not symmetric"),  # asymmetric
+    ([0, 0b01], "not symmetric"),  # asymmetric below the diagonal
+    ([0b01, 0], "not symmetric"),  # a loop
+    ([0b100, 0], "out of range"),  # a bit past the last node
+    ([-1, 0], "not a nonnegative int"),
+    ([True], "not a nonnegative int"),
+])
+def test_trusted_graphs_are_checked_in_the_tests(rows, message):
+    # conftest points Graph._from_adj at a checking adapter outside trusted_constructors tests
+    with pytest.raises(ValueError, match=message):
+        Graph._from_adj(rows)
+    assert Graph._from_adj([0b110, 0b101, 0b011]) == Graph(3, [(0, 1), (0, 2), (1, 2)])

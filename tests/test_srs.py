@@ -112,6 +112,15 @@ def test_restrict_minimal_chain_is_exact():
     assert restrict(minimal_srs(A4), [0, 1, 2]) == minimal_srs(A3)
 
 
+@pytest.mark.parametrize("nodes", [[0, 2.0], [True, 2], [0, True], [1, 0.0], [2.0], [True]], ids=repr)
+def test_restrict_takes_only_int_nodes(nodes):
+    # two entries of a 3-node system delete one node, the single-node route;
+    # [1, 0] is not ascending and one entry deletes two, the echelon route
+    with pytest.raises(ValueError, match="in selection is not an int$"):
+        restrict(minimal_srs(A3), nodes)
+    assert restrict(minimal_srs(A3), [0, 2]) == restrict(minimal_srs(A3), range(0, 3, 2))
+
+
 def test_restrict_disconnected_pair():
     s = restrict(minimal_srs(A4), [1, 3])
     assert s.type == (0, 2)
