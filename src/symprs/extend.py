@@ -14,17 +14,17 @@ matrix is built), and the radical part decides between two outcomes:
   node gets w0 + y, type (n, k) -> (n + 1, k - 1).
 
 A default step costs one ``_hyperbolic`` call and O(dim) int work: the
-lifted form is read off the columns of D^-1 that the system caches and
-each step carries to the next, and the default projection P onto the
-radical is never built, since two identities make it drop out of the
-step (``extend_minimal``). The new space carries its hyperbolic pairs
-and radical rows the same way (``SympSpace._adjoined``): the null case
-keeps the pairs and adds e_d to the radical, the hyperbolic case moves
-one radical row into a new pair, on the default route and with explicit
-choices alike. So no step builds a greedy symplectic basis. The pairs differ
-from the greedy ones, but ``_hyperbolic`` does not depend on the pairs
-(see ``SympSpace._hyperbolic``), so every witness and output is the
-same.
+lifted form is read off the columns of D^-1, which the system caches as
+its per-node functionals (``SRS._duals``) and each step carries to the
+next, and the default projection P onto the radical is never built,
+since two identities make it drop out of the step (``extend_minimal``).
+The new space carries its hyperbolic pairs and radical rows the same way
+(``SympSpace._adjoined``): the null case keeps the pairs and adds e_d to
+the radical, the hyperbolic case moves one radical row into a new pair,
+on the default route and with explicit choices alike. So no step builds
+a greedy symplectic basis. The pairs differ from the greedy ones, but
+``_hyperbolic`` does not depend on the pairs (see
+``SympSpace._hyperbolic``), so every witness and output is the same.
 
 Extraspecial (k = 0) and totally-degenerate (n = 0) inputs admit direct
 constructions that the general route reproduces exactly; the tests keep
@@ -111,9 +111,10 @@ def _require_minimal(s: SRS, lam: BitVec):
 def lift_indicator(s: SRS, lam: BitVec) -> BitVec:
     """Coefficients of the unique linear form taking value lam(q) on each
     decoration; exists and is unique because the decorations are a basis.
-    It is c = D^-1 lam, read off the system's cached columns of D^-1."""
+    It is c = D^-1 lam, read off the columns of D^-1 that the system
+    caches as ``SRS._duals``."""
     _require_minimal(s, lam)
-    return BitVec(s.space.dim, row_combination(s._deco_inverse, lam.bits))
+    return BitVec(s.space.dim, row_combination(s._duals[0], lam.bits))
 
 
 def extend_minimal(
@@ -159,7 +160,7 @@ def extend_minimal(
     """
     _require_minimal(s, lam)
     space = s.space
-    c = row_combination(s._deco_inverse, lam.bits)
+    c = row_combination(s._duals[0], lam.bits)
     radical = space._radical
     gamma = sum(((c & r).bit_count() & 1) << j for j, r in enumerate(radical))
     pivots = row_combination([1 << (r.bit_length() - 1) for r in radical], gamma)

@@ -50,6 +50,9 @@ __all__ = [
 
 # an instance without running __init__, for the trusted constructors
 _new = object.__new__
+# the one type a bit or a selected node may have: a bool is no int here
+_INT = frozenset((int,))
+_BITS = frozenset((0, 1))
 
 
 class BitVec:
@@ -95,19 +98,23 @@ class BitVec:
     @classmethod
     def basis(cls, dim: int, i: int) -> "BitVec":
         """The i-th standard basis vector."""
+        if type(i) is not int:
+            raise ValueError(f"basis index {i!r} is not an int")
         if not 0 <= i < dim:
             raise ValueError(f"basis index {i} out of range for dimension {dim}")
         return cls(dim, 1 << i)
 
     @classmethod
     def from_bits(cls, bits: Iterable[int]) -> "BitVec":
+        """The vector with these entries, coordinate 0 first, each the int 0
+        or 1. The checks and the packing are C-level passes; the loop that
+        names the first culprit runs only on failure."""
         entries = list(bits)
-        value = 0
-        for i, b in enumerate(entries):
-            if b not in (0, 1):
-                raise ValueError(f"entry {b!r} is not a bit")
-            value |= b << i
-        return cls(len(entries), value)
+        if not (_INT.issuperset(map(type, entries)) and _BITS.issuperset(entries)):
+            b = next(b for b in entries if type(b) is not int or b not in _BITS)
+            raise ValueError(f"entry {b!r} is not a bit")
+        # each entry is one byte, two hex digits, and the second is the bit
+        return cls(len(entries), int(bytes(entries[::-1]).hex()[1::2] or "0", 2))
 
     @classmethod
     def from_string(cls, text: str) -> "BitVec":

@@ -19,21 +19,25 @@ kept rows onto pivot coordinates (or, deleting one node, keeps them or
 drops one coordinate), ``quotient`` projects every row,
 ``SRS._appended`` adds one row for an extension step (a row of the old
 space is already a row of the larger one) and ``build_by_extension``
-reorders the rows. A minimal system caches the columns of D^-1
-(``SRS._deco_inverse``): ``minimal_srs`` presets them to the unit
-vectors, ``_appended`` carries them to the larger system, and a system
-from elsewhere inverts D on first read.
+reorders the rows.
+
+Each system caches, per node v, the functional f_v with f_v(D_u) =
+[u == v], and the mask of the nodes whose rows lie in a linear
+dependency of the rows of D (``SRS._duals``). On a minimal system no node
+is dependent and f_v is column v of D^-1, so the lifted form of an
+indicator is a combination of them. ``minimal_srs`` presets them to the
+unit vectors, ``_appended`` carries them to the larger system, and any
+other system eliminates [D | I_n] once, on first read.
 
 Deleting one node is the inverse of adding one: it moves the type by at
-most one step, and it needs no elimination of the kept rows. Each system
-eliminates [D | I_n] once, on the first deletion (``SRS._deletions``),
-and every deletion of a node v reads it. Either D_v lies in a dependency
-of the rows of D, and the kept rows still span: the result keeps the
-space object, with its cached split and type, and D loses row v. Or the
-kept rows span the kernel of the functional f_v with f_v(D_u) = [u == v],
-a hyperplane: its echelon basis is known from f_v alone, so the new Gram
-rows are O(1) word operations each and D loses row v and one column. Both
-cases compute exactly what the echelon route computes (see ``restrict``).
+most one step, and it needs no elimination of the kept rows. Every
+deletion of a node v reads ``SRS._duals``. Either D_v lies in a
+dependency of the rows of D, and the kept rows still span: the result
+keeps the space object, with its cached split and type, and D loses row
+v. Or the kept rows span the kernel of f_v, a hyperplane: its echelon
+basis is known from f_v alone, so the new Gram rows are O(1) word
+operations each and D loses row v and one column. Both cases compute
+exactly what the echelon route computes (see ``restrict``).
 
 Systems are validated once, at the boundary. ``SRS(...)``, ``SympMap(...)``
 and ``srs_from_json`` check every axiom of what they are given. The systems
@@ -44,7 +48,7 @@ re-check through the private ``_trusted`` constructors:
   basis, which spans;
 * ``restrict``: decorations pair as before, so the kept ones pair as their
   nodes are adjacent, and they span the subspace W re-coordinatized on its
-  echelon basis, also when one node is deleted through ``_deletions``;
+  echelon basis, also when one node is deleted through ``_duals``;
 * ``quotient``: a radical vector pairs to 0 with everything, so dividing by
   a subspace of the radical (checked on the way in) keeps every pairing and
   the projection preserves the form, and images of a spanning set span.
@@ -69,7 +73,6 @@ from .gf2 import (
     _string_bits,
     _subspace_rows,
     _transpose,
-    inverse,
     kernel_basis,
     rank,
     row_combination,
@@ -159,21 +162,12 @@ class SRS:
         return s
 
     @_cached_property
-    def _deco_inverse(self) -> list[int]:
-        """The columns of D^-1 as ints, for a minimal system: the lifted
-        form of an indicator lam is ``row_combination`` of them at lam. One
-        inversion on first read, unless preset: ``minimal_srs`` sets the
-        unit vectors, and ``_appended`` carries them to the larger system."""
-        inv = inverse(self.deco)
-        assert inv is not None, "minimal decorations always invert"
-        return list(inv.transpose().rows)
-
-    @_cached_property
-    def _deletions(self) -> tuple[list[int], int]:
-        """What deleting one node reads, from one elimination of [D | I_n]:
-        for each node v the functional f_v with f_v(D_u) = [u == v], as an
+    def _duals(self) -> tuple[list[int], int]:
+        """For each node v the functional f_v with f_v(D_u) = [u == v], as an
         int over the space's coordinates, and the mask of the nodes that lie
-        in a linear dependency of the rows of D.
+        in a linear dependency of the rows of D, from one elimination of
+        [D | I_n] on first read, unless preset: ``minimal_srs`` sets the
+        unit vectors, and ``_appended`` carries them to the larger system.
 
         D spans, so the first dim eliminated rows have the unit vectors
         e_0, .., e_{dim-1} as their D part, and row i's I_n part writes e_i
@@ -181,7 +175,8 @@ class SRS:
         of those parts. The other rows have D part 0, and their I_n parts
         span the dependencies among the rows of D, so a node lies in one
         exactly when its bit is set in one of them. No such f_v exists for
-        that node, and ``restrict`` never reads the column there."""
+        that node, and its entry is unused. On a minimal system the mask is
+        0 and the f_v are the columns of D^-1."""
         dim = self.space.dim
         rows = [row | 1 << (dim + p) for p, row in enumerate(self.deco.rows)]
         _eliminate(rows, dim)
@@ -198,15 +193,15 @@ class SRS:
         is a row of the larger one with e_d-coordinate 0; they span the old
         coordinates, and the new row adds e_d.
 
-        The result carries D^-1 with no elimination. The new D is D plus
-        the row w0 + e_d, so its inverse is D^-1 plus the last row
+        The result carries its ``_duals`` with no elimination. The new D is
+        D plus the row w0 + e_d, so its inverse is D^-1 plus the last row
         w0^T D^-1: old column p gains bit d = w0 . column p, and the new
-        column is e_d."""
+        column is e_d. The result is minimal, so no node is dependent."""
         d = self.space.dim
         out = SRS._trusted(graph, space, BitMat._trusted(d + 1, self.deco.rows + (w0 | 1 << d,)))
-        cols = [col | ((w0 & col).bit_count() & 1) << d for col in self._deco_inverse]
+        cols = [col | ((w0 & col).bit_count() & 1) << d for col in self._duals[0]]
         cols.append(1 << d)
-        vars(out)["_deco_inverse"] = cols
+        vars(out)["_duals"] = cols, 0
         return out
 
     @property
@@ -271,9 +266,9 @@ def minimal_srs(g: Graph) -> SRS:
 
 def _minimal_on(g: Graph, space: SympSpace) -> SRS:
     """The minimal SRS of g on ``space``, the space of g's adjacency matrix.
-    D = I, so the columns of D^-1 are preset to the unit vectors."""
+    D = I, so its ``_duals`` are preset to the unit vectors."""
     s = SRS._trusted(g, space, BitMat.identity(g.n))
-    vars(s)["_deco_inverse"] = [1 << p for p in range(g.n)]
+    vars(s)["_duals"] = [1 << p for p in range(g.n)], 0
     return s
 
 
@@ -304,7 +299,7 @@ def restrict(s: SRS, nodes: Sequence[int]) -> SRS:
     echelon row.
 
     Deleting one node v (``nodes`` every other node, ascending) reads
-    ``SRS._deletions`` instead of eliminating the kept rows, in one of two
+    ``SRS._duals`` instead of eliminating the kept rows, in one of two
     cases. If D_v lies in a dependency of the rows of D, the kept rows
     still span, W is the whole space, its echelon basis the unit vectors,
     and the result keeps this space object and the other rows of D as
@@ -340,7 +335,7 @@ def _deleted_node(nodes: Sequence[int], n: int) -> int | None:
 def _without_node(s: SRS, v: int) -> SRS:
     """``restrict`` to every node but v, by the two cases in its docstring."""
     graph = s.graph._without_node(v)
-    funcs, dependent = s._deletions
+    funcs, dependent = s._duals
     rows = s.deco.rows[:v] + s.deco.rows[v + 1:]
     if dependent >> v & 1:
         return SRS._trusted(graph, s.space, BitMat._trusted(s.space.dim, rows))

@@ -401,9 +401,8 @@ class SympSpace:
 def standard_space(n: int, k: int) -> SympSpace:
     """The model space of type (n, k): coordinates x_1..x_n, y_1..y_n, z_1..z_k.
 
-    Its symplectic basis is known in advance: the coordinate vectors in
-    that order, which is also what the greedy pairing of ``_basis`` picks,
-    so the radical is the z coordinates."""
+    The greedy pairing of ``_basis`` picks the coordinate vectors in that
+    order, so the radical is the z coordinates."""
     if n < 0 or k < 0:
         raise ValueError(f"negative space type ({n}, {k})")
     dim = 2 * n + k
@@ -411,10 +410,7 @@ def standard_space(n: int, k: int) -> SympSpace:
     for i in range(n):
         rows[i] |= 1 << (n + i)
         rows[n + i] |= 1 << i
-    s = SympSpace._trusted(BitMat._trusted(dim, rows))
-    units = [1 << i for i in range(dim)]
-    s._basis = units[:n], units[n:2 * n], units[2 * n:]
-    return s
+    return SympSpace._trusted(BitMat._trusted(dim, rows))
 
 
 @dataclass(frozen=True)

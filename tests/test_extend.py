@@ -6,6 +6,8 @@ import random
 import pytest
 
 import oracles
+import symprs.srs as srs_module
+from conftest import random_graph_edges
 from oracles import extend_extraspecial, extend_nullspace
 from symprs.extend import (
     NEW_HYPERBOLIC,
@@ -59,6 +61,34 @@ def test_extend_round_trip_is_exact():
         for q in range(4):
             assert out.graph.has_edge(q, 4) == bool(lam[q])
         assert out.is_minimal
+
+
+@pytest.mark.trusted_constructors
+def test_the_round_trip_runs_no_elimination(monkeypatch):
+    """Deleting the node that ``extend_minimal`` added reads the columns of
+    D^-1 that the step carried (``SRS._duals``), so ``restrict(out,
+    range(n))`` runs no elimination, in the null and the hyperbolic case."""
+    calls = []
+    real = srs_module._eliminate
+
+    def counted(rows, ncols):
+        calls.append(ncols)
+        return real(rows, ncols)
+
+    rng = random.Random(23)
+    systems = [minimal_srs(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])), minimal_srs(dynkin_graph("D", 7))]
+    systems.append(build_by_extension(Graph(20, random_graph_edges(rng, 20))))
+    cases = set()
+    for s in systems:
+        n = s.graph.n
+        steps = [extend_minimal(s, BitVec(n, rng.getrandbits(n))) for _ in range(16)]
+        monkeypatch.setattr(srs_module, "_eliminate", counted)
+        back = [restrict(out, range(n)) for out, _ in steps]
+        monkeypatch.setattr(srs_module, "_eliminate", real)
+        assert calls == []
+        assert back == [s] * len(steps)
+        cases |= {witness.case for _, witness in steps}
+    assert cases == {NEW_NULLVECTOR, NEW_HYPERBOLIC}
 
 
 def test_extension_type_transitions():

@@ -202,3 +202,20 @@ def test_constructors_take_only_ints(cls, args, message):
     # a bool is no int here, and nothing is coerced
     with pytest.raises(ValueError, match=f"^{message}$"):
         cls(*args)
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (BitVec.from_bits, ([True, 0],), "entry True is not a bit"),
+    (BitVec.from_bits, ([1.0],), "entry 1.0 is not a bit"),
+    (BitVec.from_bits, ((b for b in [0, 1, 2]),), "entry 2 is not a bit"),
+    (BitMat.from_rows, ([[0, 1], [False, 1]],), "entry False is not a bit"),
+    (BitVec.basis, (3, True), "basis index True is not an int"),
+    (BitVec.basis, (3, 1.0), "basis index 1.0 is not an int"),
+], ids=["from_bits-bool", "from_bits-float", "from_bits-2", "from_rows-bool", "basis-bool", "basis-float"])
+def test_bit_builders_take_only_ints(build, args, message):
+    # a bool is no bit and no index here, and a float escapes as no TypeError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(*args)
+    assert BitVec.from_bits([1, 0, 1, 1]) == BitVec.from_string("1011")
+    assert BitVec.from_bits([]) == BitVec.zero(0)
+    assert BitVec.basis(3, 1) == BitVec.from_string("010")

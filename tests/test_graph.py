@@ -7,6 +7,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,6 @@ from symprs.graph import (
     MAX_ISOMORPHISM_NODES,
     MAX_NODES,
     Graph,
-    _candidate_invariants,
     _node_invariants,
     _search_plan,
     all_graphs,
@@ -112,6 +112,20 @@ def test_node_count_must_be_an_int(n):
 def test_induced_subgraph_takes_only_int_nodes(nodes):
     with pytest.raises(ValueError, match="in selection is not an int$"):
         induced_subgraph(dynkin_graph("A", 3), nodes)
+
+
+@pytest.mark.parametrize("g, perm", [(Graph(2), [True, 0]), (Graph(2, [(0, 1)]), [0, 1.0])], ids=repr)
+def test_relabel_takes_only_int_nodes(g, perm):
+    with pytest.raises(ValueError, match="in selection is not an int$"):
+        g.relabel(perm)
+
+
+@pytest.mark.parametrize("edges", [[(1.0, 2)], [(0, 1), (2, "0")], [(0, 1), (1, 2.0)]], ids=repr)
+def test_edge_endpoints_must_be_ints(edges):
+    with pytest.raises(ValueError, match="has an endpoint that is not an int$"):
+        Graph(3, edges)
+    # a bool endpoint is taken as 0 or 1, as the lean pass takes it
+    assert Graph(3, [(True, 2)]) == Graph(3, [(1, 2)])
 
 
 def test_induced_subgraph_keeps_order():
@@ -324,7 +338,7 @@ def test_is_isomorphic_matches_oracle_on_equal_degree_sequences(data):
 def assert_search_matches_oracle(g: Graph, h: Graph, full: bool = True) -> None:
     """The first map found equals the pairwise oracle's; with ``full``, so
     do the automorphism lists of g and h, the oracle listing every map."""
-    gp, hp = _node_invariants(g.adj, g.n), _node_invariants(h.adj, h.n)
+    gp, hp = _node_invariants(g.adj), _node_invariants(h.adj)
     found = graph_module._isomorphisms(h.adj, _search_plan(g.adj, gp, hp))
     gt, ht = oracles.node_invariants(g.adj), oracles.node_invariants(h.adj)
     assert ([] if found is None else [found]) == oracles.isomorphisms(g, h, gt, ht, first_only=True)
@@ -353,7 +367,7 @@ WAGNER = Graph(8, [(i, (i + 1) % 8) for i in range(8)] + [(i, i + 4) for i in ra
 
 
 def test_is_isomorphic_separates_invariant_tied_graphs():
-    assert sorted(_node_invariants(CUBE.adj, 8)) == sorted(_node_invariants(WAGNER.adj, 8))
+    assert sorted(_node_invariants(CUBE.adj)) == sorted(_node_invariants(WAGNER.adj))
     assert sorted(oracles.node_invariants(CUBE.adj)) == sorted(oracles.node_invariants(WAGNER.adj))
     assert not is_isomorphic(CUBE, WAGNER)
     assert not oracles.is_isomorphic(CUBE, WAGNER)
@@ -361,30 +375,25 @@ def test_is_isomorphic_separates_invariant_tied_graphs():
 
 
 @GRAPH_SEARCH
-@given(graphs(max_n=7))
-@example(Graph(0))
-@example(complete(7))
-def test_candidate_invariants_match_a_fresh_computation(base):
-    """On every mask of a base, the invariants read off the base's tables
-    equal ``_node_invariants`` of the candidate rows, and over all of the
-    base's candidates the packed ints split nodes as the oracle's tuples."""
-    n = base.n + 1
-    invariants = _candidate_invariants(base.adj)
-    packed, tuples = [], []
-    for mask in range(1 << base.n):
-        rows = [r | (mask >> v & 1) << base.n for v, r in enumerate(base.adj)] + [mask]
-        inv = invariants(mask)
-        assert inv == _node_invariants(rows, n)
-        packed += inv
-        tuples += oracles.node_invariants(rows)
-    assert oracles.same_partition(packed, tuples)
-
-
-@GRAPH_SEARCH
 @given(graphs(max_n=40))
 @example(complete(40))
+@example(Graph(0))
+@example(complete(7))
 def test_packed_invariants_give_the_oracle_partition(g):
-    assert oracles.same_partition(_node_invariants(g.adj, g.n), oracles.node_invariants(g.adj))
+    """The packed ints split the nodes of g as the oracle's tuples do, and
+    so they do pooled over the 2^m candidates that ``graph_classes`` could
+    build on g's first m = min(n, 7) nodes, one per neighbourhood mask of
+    a new node: a class is bucketed by invariants compared across
+    candidates."""
+    assert oracles.same_partition(_node_invariants(g.adj), oracles.node_invariants(g.adj))
+    m = min(g.n, 7)
+    base = [r & (1 << m) - 1 for r in g.adj[:m]]
+    packed, tuples = [], []
+    for mask in range(1 << m):
+        rows = [r | (mask >> v & 1) << m for v, r in enumerate(base)] + [mask]
+        packed += _node_invariants(rows)
+        tuples += oracles.node_invariants(rows)
+    assert oracles.same_partition(packed, tuples)
 
 
 PATH_AT_CAP = dynkin_graph("A", MAX_ISOMORPHISM_NODES)
@@ -486,32 +495,40 @@ def cold_classes():
     graph_classes.cache_clear()
 
 
-def filter_fates(monkeypatch, n: int) -> tuple[tuple[Graph, ...], collections.Counter]:
-    """``graph_classes(n)`` built over the cached (n-1)-node classes, and
-    the fates of its candidates at the filter. Each candidate whose
-    invariants are computed has passed the degree test (checked here); by
-    the key (degree, packed invariant) of its new node it is then "lower"
-    than some other node's, the "unique" largest, or a "tie". Every
-    search that finds a map from a candidate onto a representative
-    counts one "duplicate"."""
-    graph_classes(n - 1)
-    fates: collections.Counter = collections.Counter()
-    real_invariants = graph_module._candidate_invariants
-    real_search = graph_module._isomorphisms
+def candidate_reads(monkeypatch, record) -> None:
+    """Patch ``graph._node_invariants`` so that each read on a candidate of
+    ``graph_classes`` calls ``record(rows, invariants)``; its reads inside
+    ``automorphisms`` or ``is_isomorphic`` are not recorded."""
+    real = graph_module._node_invariants
+    classes_code = graph_classes.__wrapped__.__code__
 
     def recorded(adj):
-        invariants = real_invariants(adj)
+        inv = real(adj)
+        if sys._getframe(1).f_code is classes_code:
+            record(adj, inv)
+        return inv
 
-        def inner(mask):
-            inv = invariants(mask)
-            degrees = [r.bit_count() + (mask >> v & 1) for v, r in enumerate(adj)] + [mask.bit_count()]
-            assert degrees[-1] == max(degrees)
-            keys = list(zip(degrees, inv))
-            best = max(keys)
-            fates["lower" if keys[-1] < best else "unique" if keys.count(best) == 1 else "tie"] += 1
-            return inv
+    monkeypatch.setattr(graph_module, "_node_invariants", recorded)
 
-        return inner
+
+def filter_fates(monkeypatch, n: int) -> tuple[tuple[Graph, ...], collections.Counter]:
+    """``graph_classes(n)`` built over the cached (n-1)-node classes, and
+    the fates of its candidates at the filter, counted while it runs. Each
+    candidate whose invariants are computed has passed the degree test
+    (checked here); by the key (degree, packed invariant) of its new node
+    it is then "lower" than some other node's, the "unique" largest, or a
+    "tie". Every search that finds a map from a candidate onto a
+    representative counts one "duplicate"."""
+    graph_classes(n - 1)
+    fates: collections.Counter = collections.Counter()
+    real_search = graph_module._isomorphisms
+
+    def record(rows, inv):
+        degrees = [r.bit_count() for r in rows]
+        assert degrees[-1] == max(degrees)
+        keys = list(zip(degrees, inv))
+        best = max(keys)
+        fates["lower" if keys[-1] < best else "unique" if keys.count(best) == 1 else "tie"] += 1
 
     def searched(h, plan, prefix=()):
         out = real_search(h, plan, prefix)
@@ -519,9 +536,10 @@ def filter_fates(monkeypatch, n: int) -> tuple[tuple[Graph, ...], collections.Co
             fates["duplicate"] += out is not None
         return out
 
-    monkeypatch.setattr(graph_module, "_candidate_invariants", recorded)
+    candidate_reads(monkeypatch, record)
     monkeypatch.setattr(graph_module, "_isomorphisms", searched)
-    return graph_classes(n), fates
+    classes = graph_classes(n)
+    return classes, collections.Counter(fates)
 
 
 def cycle_masks(perm: tuple[int, ...]) -> list[int]:
@@ -576,28 +594,16 @@ def degree_test_orbit_count(n: int) -> int:
 def test_one_candidate_per_automorphism_orbit(monkeypatch, cold_classes):
     """Each (n-1)-node base gives one candidate per orbit of its
     automorphism group on the masks that pass the degree test, and the
-    filter computes its invariants once: the ``_candidate_invariants``
-    reads on n-node candidates."""
+    filter computes its invariants once: the ``_node_invariants`` reads on
+    n-node candidates."""
+    reads = collections.Counter()
+    candidate_reads(monkeypatch, lambda rows, inv: reads.update([len(rows)]))
+    graph_classes(7)
+    reads = collections.Counter(reads)
     assert [orbit_count(n) for n in range(1, 8)] == [1, 2, 6, 20, 90, 544, 5096]
     passing = [degree_test_orbit_count(n) for n in range(1, 8)]
-
-    reads = collections.Counter()
-    real = graph_module._candidate_invariants
-
-    def counted(adj):
-        invariants = real(adj)
-
-        def inner(mask):
-            reads[len(adj) + 1] += 1
-            return invariants(mask)
-
-        return inner
-
-    monkeypatch.setattr(graph_module, "_candidate_invariants", counted)
-    graph_classes.cache_clear()
-    graph_classes(7)
     assert [reads[n] for n in range(1, 8)] == passing
-    assert passing[-1] == 1401
+    assert passing == [1, 2, 4, 11, 37, 184, 1401]
 
 
 def test_filter_fates_on_seven_nodes(monkeypatch, cold_classes):

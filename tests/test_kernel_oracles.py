@@ -31,12 +31,14 @@ systems, quotients, extended systems and JSON systems with a random
 invertible D, drawn from random and low-rank forms. The double
 extension as two single steps must equal its direct construction. The
 default extension step must equal the explicit one with
-``default_completion_choices``, and the decoration inverse that
-``minimal_srs`` presets and each step carries must equal a fresh
-``inverse``, and so must the hyperbolic pairs and radical rows each step
-carries equal a fresh decomposition. ``SympSpace._adjoined`` must carry
-them for any pairings, also those no extension route makes, and
-``SRS._appended`` must carry ``inverse`` of the larger D. The two identities that leave the default step one
+``default_completion_choices``, and the columns of D^-1 that
+``minimal_srs`` presets and each step carries (``SRS._duals``) must equal
+a fresh ``inverse``, and so must the hyperbolic pairs and radical rows
+each step carries equal a fresh decomposition. ``SympSpace._adjoined``
+must carry them for any pairings, also those no extension route makes,
+the ``_duals`` that a system built by ``SRS(...)`` finds must be the
+columns of ``inverse`` of its D, and ``SRS._appended`` must carry those
+of the larger D. The two identities that leave the default step one
 ``_hyperbolic`` call must hold on random, standard and extended spaces.
 ``_transpose`` must equal the column-by-column oracle on both of its
 routes, and ``pairing_rows`` the pairwise one also on families whose
@@ -770,7 +772,7 @@ def _twin_quotient() -> SRS:
 @example(_twin_quotient())
 @example(minimal_srs(dynkin_graph("A", 4)))
 def test_single_node_deletions_match_the_echelon_oracle(s):
-    """``restrict`` to every node but v, through ``SRS._deletions``, against
+    """``restrict`` to every node but v, through ``SRS._duals``, against
     the echelon route of ``oracles.restrict``, for every v: the result keeps
     the parent's space object exactly when the kept rows of D still span,
     and otherwise lives on the kernel of a functional, one dimension down.
@@ -785,18 +787,26 @@ def test_single_node_deletions_match_the_echelon_oracle(s):
         event("span kept" if spans else "hyperplane")
         assert (got.space is s.space) == spans
         assert got.space.dim == dim - (not spans)
-    assert "_deletions" in vars(s) or n == 0
+    assert "_duals" in vars(s) or n == 0
     if n:
         assert restrict(s, range(n - 1)) == oracles.restrict(s, range(n - 1))
 
 
-def _assert_carried_inverse(s: SRS) -> None:
-    """s holds the columns of D^-1 from the routine that built it, not from
-    a fresh inversion, and they equal ``inverse(D)``, with D D^-1 = I."""
-    assert "_deco_inverse" in vars(s)
-    carried = BitMat(s.graph.n, s._deco_inverse).transpose()
+def _assert_duals_invert(s: SRS) -> None:
+    """The ``_duals`` of a minimal system are the columns of ``inverse(D)``,
+    with D D^-1 = I, and no node is dependent."""
+    funcs, dependent = s._duals
+    assert dependent == 0
+    carried = BitMat(s.graph.n, funcs).transpose()
     assert carried == inverse(s.deco)
     assert s.deco @ carried == BitMat.identity(s.graph.n)
+
+
+def _assert_carried_inverse(s: SRS) -> None:
+    """s holds its ``_duals`` from the routine that built it, not from a
+    fresh elimination, and they invert D (``_assert_duals_invert``)."""
+    assert "_duals" in vars(s)
+    _assert_duals_invert(s)
 
 
 @settings(deadline=None, max_examples=60)
@@ -916,10 +926,11 @@ def test_adjoined_carries_the_split_for_every_pairing(space, regime, bits, rng):
     no extension route makes). The bordered Gram matrix, the radical rows
     against ``kernel_basis``, the pairs as a symplectic basis with no bit
     at a free column, and ``_hyperbolic`` on every unit vector against H
-    of ``oracles.greedy_basis``. Then ``SRS._appended`` on a system over
-    the space with a random invertible D = L U (L, U unit triangular)
-    satisfies the axioms and carries the columns of ``inverse`` of the new
-    D. In the example, A3 with pairings e0 + e2 = G e1 gives C4, whose
+    of ``oracles.greedy_basis``. Then a system built by the public
+    ``SRS(...)`` over the space with a random invertible D = L U (L, U unit
+    triangular) finds its ``_duals`` by elimination, and ``SRS._appended``
+    on it satisfies the axioms and carries its ``_duals``: both are the
+    columns of ``inverse`` of their D, with no dependent node. In the example, A3 with pairings e0 + e2 = G e1 gives C4, whose
     radical e0 + e2, e1 + e3 needs h = e1."""
     d, gram, radical = space.dim, space.gram.rows, space._radical
     mask = (1 << d) - 1
@@ -952,11 +963,13 @@ def test_adjoined_carries_the_split_for_every_pairing(space, regime, bits, rng):
     adj = space.pairing_rows(deco.rows)
     g = Graph(d, [(p, q) for p in range(d) for q in range(p + 1, d) if adj[p] >> q & 1])
     s = SRS(g, space, deco)
+    assert "_duals" not in vars(s)
+    _assert_duals_invert(s)
     w0 = rng.getrandbits(d)
     lam = new.pairing_rows([*deco.rows, w0 | 1 << d])[d]
     out = s._appended(g._with_node(lam), new, w0)
     assert out == SRS(g._with_node(lam), new, BitMat(d + 1, [*deco.rows, w0 | 1 << d]))
-    assert BitMat(d + 1, out._deco_inverse).transpose() == inverse(out.deco)
+    _assert_carried_inverse(out)
 
 
 @st.composite

@@ -1,8 +1,8 @@
 """Each cache is written only by the module that owns it: the split of a
 space (``_pairs``, ``_radical``, ``_basis``) and its checked completion
-choices (``_completions``) by ``symplectic``, the columns of D^-1
-(``_deco_inverse``) and what a single-node deletion reads (``_deletions``)
-by ``srs``, and the automorphism list a graph class holds (``_group``) by
+choices (``_completions``) by ``symplectic``, the per-node functionals
+that give the columns of D^-1 and single-node deletions (``_duals``) by
+``srs``, and the automorphism list a graph class holds (``_group``) by
 ``graph``. An extension step asks
 ``SympSpace._adjoined`` and ``SRS._appended`` for the larger space and
 system instead of presetting their caches itself.
@@ -20,7 +20,7 @@ import symprs
 
 OWNERS = {
     "_pairs": "symplectic", "_radical": "symplectic", "_basis": "symplectic", "_completions": "symplectic",
-    "_deco_inverse": "srs", "_deletions": "srs", "_group": "graph",
+    "_duals": "srs", "_group": "graph",
 }
 SOURCES = sorted(pathlib.Path(symprs.__file__).parent.glob("*.py"))
 
@@ -67,19 +67,19 @@ def test_the_check_sees_every_way_of_writing():
         "s._pairs = 1\n"
         "a._radical, b = [], 2\n"
         "a.b._basis += 1\n"
-        "object.__setattr__(out, '_deco_inverse', [])\n"
+        "object.__setattr__(out, '_duals', [])\n"
         "setattr(x, '_radical', 0)\n"
         "vars(x)['_pairs'] = 0\n"
         "y = s._pairs\n"
-        "s.__dict__.update(_deletions=0, graph=1)\n"
+        "s.__dict__.update(_duals=0, graph=1)\n"
         "vars(x).update(_completions={})\n"
         "_set_group = Graph._group.__set__\n"
-        "SRS._deco_inverse.__set__(s, [])\n"
+        "SRS._duals.__set__(s, [])\n"
         "d.update(_basis=0)\n"
     )
     assert sorted(_writes(ast.parse(code)), key=lambda write: write[1]) == [
-        ("_pairs", 1), ("_radical", 2), ("_basis", 3), ("_deco_inverse", 4), ("_radical", 5), ("_pairs", 6),
-        ("_deletions", 8), ("graph", 8), ("_completions", 9), ("_group", 10), ("_deco_inverse", 11),
+        ("_pairs", 1), ("_radical", 2), ("_basis", 3), ("_duals", 4), ("_radical", 5), ("_pairs", 6),
+        ("_duals", 8), ("graph", 8), ("_completions", 9), ("_group", 10), ("_duals", 11),
     ]
 
 
