@@ -19,11 +19,12 @@ integer option not written in ASCII decimal digits.
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import os
 import sys
 from collections import Counter
+from itertools import chain
 
 from . import verify
 from .cartan import _check_chain_dim, ade_srs, cartan_datum, group_order, weyl_rep
@@ -373,12 +374,32 @@ def _flat_items(items: list, inner: str):
         return map(int.__repr__, items)
     if kinds == {str}:
         return map(_quote, items)
-    if (kinds == {list} and set(map(len, items)) == {2}
-            and set(map(type, itertools.chain.from_iterable(items))) == {int}):
-        deeper = inner + "  "
-        pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
-        return [pair % (a, b) for a, b in items]
+    if kinds == {list} and set(map(len, items)) == {2}:
+        flat = tuple(chain.from_iterable(items))
+        if set(map(type, flat)) == {int}:
+            return _pair_blocks(flat, inner)
     return None
+
+
+# pairs per % template: one template for the whole list would cost a second
+# copy of its output at the peak, about 300 KB for 6,400 edges
+_BLOCK = 64
+
+
+def _pair_blocks(flat: tuple, inner: str) -> list[str]:
+    """The texts of the [int, int] pairs whose ints ``flat`` lists in order,
+    ``_BLOCK`` pairs to a string and one ``%`` per string, the items of
+    each joined as ``_put`` joins a list's."""
+    deeper = inner + "  "
+    sep = "," + inner
+    pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
+    step = 2 * _BLOCK
+    whole = len(flat) - len(flat) % step
+    block = sep.join([pair] * _BLOCK)
+    out = [block % flat[i:i + step] for i in range(0, whole, step)]
+    if whole < len(flat):
+        out.append(sep.join([pair] * ((len(flat) - whole) // 2)) % flat[whole:])
+    return out
 
 
 def _emit(verb: str, payload: dict, fmt: str):
@@ -388,45 +409,48 @@ def _emit(verb: str, payload: dict, fmt: str):
         print("\n".join(_render_text(verb, payload)))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: ``parse_args`` returns a fresh namespace each time, and the
+    handler is looked up by verb in ``main``."""
     parser = argparse.ArgumentParser(
         prog="srs", description="symplectic root systems over F2 on graphs"
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, help_text, handler):
+    def add(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.set_defaults(handler=handler)
         return p
 
-    p = add("type", "type of the minimal system on a graph", _type_payload)
+    p = add("type", "type of the minimal system on a graph")
     p.add_argument("--graph", required=True, help="graph file (edge list or JSON), - for stdin")
-    p = add("minimal", "the minimal system on a graph", _minimal_payload)
+    p = add("minimal", "the minimal system on a graph")
     p.add_argument("--graph", required=True)
-    p = add("quotients", "every system on a graph up to isomorphism", _quotients_payload)
+    p = add("quotients", "every system on a graph up to isomorphism")
     p.add_argument("--graph", required=True)
     p.add_argument("--summary", action="store_true", help="counts only, no decorations")
-    p = add("extend", "attach one node to the minimal system", _extend_payload)
+    p = add("extend", "attach one node to the minimal system")
     p.add_argument("--graph", required=True)
     p.add_argument(
         "--attach", default="", help="comma separated nodes the new node connects to"
     )
-    p = add("iso", "decoration-compatible isomorphism of two systems", _iso_payload)
+    p = add("iso", "decoration-compatible isomorphism of two systems")
     p.add_argument("a", help="SRS JSON file")
     p.add_argument("b", help="SRS JSON file")
-    p = add("ade", "classical decorations and class table of a diagram", _ade_payload)
+    p = add("ade", "classical decorations and class table of a diagram")
     p.add_argument("--family", required=True, choices=("A", "D", "E"))
     p.add_argument("--rank", required=True, type=_decimal)
-    p = add("weyl", "mod-2 Weyl representation of a Cartan datum", _weyl_payload)
+    p = add("weyl", "mod-2 Weyl representation of a Cartan datum")
     p.add_argument("--family", required=True, choices=DYNKIN_FAMILIES)
     p.add_argument("--rank", required=True, type=_decimal)
-    p = add("group", "the 2-group presented by a graph's minimal system", _group_payload)
+    p = add("group", "the 2-group presented by a graph's minimal system")
     p.add_argument("--graph", required=True)
     p.add_argument("--diagonal", help="bit string twisting q on the marked coordinates")
-    p = add("coclique", "independence bound on the hyperbolic rank", _coclique_payload)
+    p = add("coclique", "independence bound on the hyperbolic rank")
     p.add_argument("--graph", required=True)
-    p = add("verify", "run self-verification sweeps", _verify_payload)
+    p = add("verify", "run self-verification sweeps")
     p.add_argument(
         "--suite",
         choices=(*verify.SUITES, "all"),
@@ -442,7 +466,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        payload = args.handler(args)
+        payload = globals()[f"_{args.verb}_payload"](args)
     except (SRSError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .gf2 import BitMat, BitVec, _gather, _new, row_combination
-from .graph import Graph
+from .graph import Graph, _check_node_types
 from .srs import SRS, SRSError, minimal_srs
 
 __all__ = [
@@ -220,6 +220,7 @@ def build_by_extension(g: Graph, order: list[int] | None = None) -> SRS:
     always minimal and isomorphic to minimal_srs(g) whatever the order.
     """
     sequence = list(order) if order is not None else list(range(g.n))
+    _check_node_types(sequence)
     if sorted(sequence) != list(range(g.n)):
         raise ValueError("order must be a permutation of the nodes")
     s = minimal_srs(Graph(0))

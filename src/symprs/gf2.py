@@ -109,7 +109,10 @@ class BitVec:
         """The vector with these entries, coordinate 0 first, each the int 0
         or 1. The checks and the packing are C-level passes; the loop that
         names the first culprit runs only on failure."""
-        entries = list(bits)
+        try:
+            entries = list(bits)
+        except TypeError:
+            raise ValueError(f"bits {bits!r} are not an iterable") from None
         if not (_INT.issuperset(map(type, entries)) and _BITS.issuperset(entries)):
             b = next(b for b in entries if type(b) is not int or b not in _BITS)
             raise ValueError(f"entry {b!r} is not a bit")
@@ -250,6 +253,8 @@ class BitMat:
 
     @classmethod
     def identity(cls, n: int) -> "BitMat":
+        if type(n) is not int:  # before range() reads it
+            raise ValueError(f"size {n!r} is not an int")
         return cls(n, (1 << i for i in range(n)))
 
     @classmethod

@@ -64,13 +64,25 @@ def _bits(mask: int) -> Iterator[int]:
 _BIT_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
+def _row_edges(adj: Sequence[int]) -> Iterator[Iterator[tuple[int, int]]]:
+    """Per row a, the edges (a, b) with b > a, lowest b first: the row's
+    bits above a as one byte string of 0s and 1s that ``compress`` reads."""
+    for a, row in enumerate(adj):
+        flags = bin(row >> (a + 1))[:1:-1].encode().translate(_BIT_FLAGS)
+        yield zip(itertools.repeat(a), itertools.compress(itertools.count(a + 1), flags))
+
+
 def _checked_adjacency(n: int, pairs: Iterable[tuple[int, int]]) -> list[int]:
     """The adjacency rows of ``Graph(n, pairs)``, one edge at a time: raises
-    at the first edge with an endpoint that is not an int, out of range, a
-    self-loop or a duplicate. A bool endpoint passes as the lean pass takes
-    it, as 0 or 1."""
+    at the first edge that is not a pair, has an endpoint that is not an
+    int, out of range, a self-loop or a duplicate. A bool endpoint passes as
+    the lean pass takes it, as 0 or 1."""
     adj = [0] * n
-    for a, b in pairs:
+    for edge in pairs:
+        try:
+            a, b = edge
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {edge!r} is not a pair") from None
         if not (isinstance(a, int) and isinstance(b, int)):
             raise ValueError(f"edge ({a!r}, {b!r}) has an endpoint that is not an int")
         if not (0 <= a < n and 0 <= b < n):
@@ -171,14 +183,8 @@ class Graph:
         return frozenset(self.edge_list())
 
     def edge_list(self) -> list[tuple[int, int]]:
-        """The edges (a, b), a < b, in lexicographic order: each row's bits
-        above a, lowest first, as one byte string of 0s and 1s that
-        ``compress`` reads."""
-        out = []
-        for a, row in enumerate(self.adj):
-            flags = bin(row >> (a + 1))[:1:-1].encode().translate(_BIT_FLAGS)
-            out.extend(zip(itertools.repeat(a), itertools.compress(itertools.count(a + 1), flags)))
-        return out
+        """The edges (a, b), a < b, in lexicographic order."""
+        return list(itertools.chain.from_iterable(_row_edges(self.adj)))
 
     def adjacency(self) -> BitMat:
         return BitMat._trusted(self.n, self.adj)
@@ -285,14 +291,19 @@ def _graph_from_json(payload) -> Graph:
 
 
 def graph_to_json(g: Graph) -> dict:
-    return {"nodes": g.n, "edges": list(map(list, g.edge_list()))}
+    # each [a, b] straight from its row's zip, with no list of tuples between
+    return {"nodes": g.n, "edges": list(map(list, itertools.chain.from_iterable(_row_edges(g.adj))))}
 
 
 def _check_node_types(nodes: Sequence[int]) -> None:
     """Raise unless every entry of a node selection is an int, a bool not
     being one: one C-level pass, and the loop that names the first culprit
     only on failure."""
-    if {*map(type, nodes)} - _INT:
+    try:
+        kinds = {*map(type, nodes)}
+    except TypeError:
+        raise ValueError(f"node selection {nodes!r} is not a sequence") from None
+    if kinds - _INT:
         v = next(v for v in nodes if type(v) is not int)
         raise ValueError(f"node {v!r} in selection is not an int")
 
@@ -558,6 +569,8 @@ def dynkin_graph(family: str, rank: int) -> Graph:
     D_{2m+1} attaches its one extra node to node 1. E6 and E8 attach nodes
     p and q to nodes 0 and 1 of the A-chain; E7 attaches one node to node 2.
     """
+    if type(rank) is not int:
+        raise ValueError(f"rank {rank!r} is not an int")
     if rank > MAX_NODES:  # before any edge list is built
         raise ValueError(f"{rank} nodes exceeds the node cap of {MAX_NODES}")
     if family == "A":
@@ -614,7 +627,9 @@ def all_graphs(n: int) -> Iterator[Graph]:
         yield Graph(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
 
 
-@lru_cache(maxsize=None)
+# typed: True and 2.0 equal 1 and 2, and a keyword call's key is a tuple
+# that would match, so they must reach the type check, not a cached tuple
+@lru_cache(maxsize=None, typed=True)
 def graph_classes(n: int) -> tuple[Graph, ...]:
     """One representative per isomorphism class of graphs on n nodes.
 
@@ -666,6 +681,8 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
     sequence 1, 2, 4, 11, 34, 156, 1044, 12346, and n is capped at
     ``MAX_CLASS_NODES``.
     """
+    if type(n) is not int:
+        raise ValueError(f"node count {n!r} is not an int")
     if n < 0:
         raise ValueError("negative node count")
     if n > MAX_CLASS_NODES:

@@ -403,6 +403,8 @@ def standard_space(n: int, k: int) -> SympSpace:
 
     The greedy pairing of ``_basis`` picks the coordinate vectors in that
     order, so the radical is the z coordinates."""
+    if type(n) is not int or type(k) is not int:
+        raise ValueError(f"space type ({n!r}, {k!r}) is not a pair of ints")
     if n < 0 or k < 0:
         raise ValueError(f"negative space type ({n}, {k})")
     dim = 2 * n + k

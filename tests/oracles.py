@@ -61,14 +61,18 @@ def bit_matrix_rows(rows, ncols: int | None = None) -> tuple[int, tuple[int, ...
 def graph_rows(n: int, edges) -> tuple[int, ...]:
     """The adjacency rows of ``Graph(n, edges)``, with each edge checked in
     turn, as ``Graph`` did before its checks ran in bulk: the first edge
-    with an endpoint that is not an int (a bool being one here), out of
-    range, a self-loop or a duplicate names the error."""
+    that is not a pair, with an endpoint that is not an int (a bool being
+    one here), out of range, a self-loop or a duplicate names the error."""
     if n < 0:
         raise ValueError(f"negative node count {n}")
     if n > MAX_NODES:
         raise ValueError(f"{n} nodes exceeds the node cap of {MAX_NODES}")
     adj = [0] * n
-    for a, b in edges:
+    for edge in edges:
+        try:
+            a, b = edge
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {edge!r} is not a pair") from None
         if not (isinstance(a, int) and isinstance(b, int)):
             raise ValueError(f"edge ({a!r}, {b!r}) has an endpoint that is not an int")
         if not (0 <= a < n and 0 <= b < n):

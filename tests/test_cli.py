@@ -590,6 +590,18 @@ class _Count(int):
     pass
 
 
+_BLOCK_EDGES = (1, 63, 64, 65, 128, 129)
+
+
+def _pairs(count: int, last=None) -> list[list]:
+    """``count`` [int, int] pairs, with ``last`` (if given) as the second
+    entry of the last pair."""
+    pairs = [[p, (p * 7919) % 1000 - 500] for p in range(count)]
+    if last is not None:
+        pairs[-1][1] = last
+    return pairs
+
+
 big_ints = st.integers() | st.sampled_from([1 << 64, -(1 << 64) - 1, 3**90, -(3**90)])
 odd_text = st.text(max_size=6) | st.sampled_from(['"', "\\", "\n\t\x00\x7f", "é", "漢字", "\U0001f600"])
 int_pairs = st.lists(st.tuples(big_ints, big_ints).map(list), max_size=4)
@@ -613,6 +625,13 @@ json_text_payloads = st.recursive(
 @example({"": [], "e": {}, "f": [{}], "g": [[]], "h": (1, [2, (3,)])})
 @example([{1: "a", 2: [1.5, -0.0]}, [_Count(3), 4], [[_Count(1), 2]], [[1, 2, 3]], [[1], [2]]])
 @example([["a", 1], [1, "a"], ["a", None], [[0, 1], "a"], [[0, 1], [2]]])
+# pair lists around the 64-pair blocks of the fast join, and the same lists
+# with one item in the last block that must send the list to the fallback
+@example({f"{count}": _pairs(count) for count in _BLOCK_EDGES})
+@example({f"{count}": _pairs(count, True) for count in _BLOCK_EDGES})
+@example({f"{count}": _pairs(count, 2.0) for count in _BLOCK_EDGES})
+@example({f"{count}": _pairs(count, _Count(5)) for count in _BLOCK_EDGES})
+@example([_pairs(count, odd) for count in _BLOCK_EDGES for odd in (None, False, -1.5, _Count(0))])
 def test_json_text_matches_json_dumps(payload):
     assert _json_text(payload) == json.dumps(payload, sort_keys=True, indent=2)
 

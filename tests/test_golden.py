@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import contextlib
 import io
+import random
 from pathlib import Path
 
 import pytest
 
-from symprs.cli import main
+from symprs.cli import _build_parser, main
 from symprs.gf2 import BitMat
 from symprs.graph import Graph
 from symprs.srs import SRS
@@ -86,8 +87,12 @@ CASES = {
 }
 
 
+def _inputs(argv: list[str]) -> list[str]:
+    return [str(INPUTS / a[1:]) if a.startswith("@") else a for a in argv]
+
+
 def _argv(case: str) -> list[str]:
-    return [str(INPUTS / a[1:]) if a.startswith("@") else a for a in CASES[case]]
+    return _inputs(CASES[case])
 
 
 def _render(case: str) -> bytes:
@@ -102,6 +107,48 @@ def _render(case: str) -> bytes:
 def test_golden_stdout(case):
     expected = (GOLDEN / f"{case}.out").read_bytes()
     assert _render(case) == expected
+
+
+# each exits before any stdout: argparse rejects the first group (exit 2),
+# and the library or the file system the second (exit 1)
+USAGE_ERRORS = [
+    ["ade", "--family", "A", "--rank", "x"],
+    ["type"],
+    ["nosuchverb"],
+    ["minimal", "--graph", "@path4.g", "--format", "xml"],
+    ["verify", "--suite", "nosuchsuite"],
+]
+COMPUTATION_ERRORS = [
+    ["ade", "--family", "A", "--rank", "0"],
+    ["type", "--graph", "@nosuchfile.g"],
+    ["group", "--graph", "@path4.g", "--diagonal", "10"],
+    ["weyl", "--family", "G", "--rank", "3"],
+]
+
+
+def _exit_code(argv: list[str]) -> tuple[int, str]:
+    """The exit code of ``main`` on argv, usage errors included, and its stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(_inputs(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def test_golden_cases_rerun_in_one_process():
+    """The parser is built once per process and shared: every case, run
+    twice in a shuffled order with failed calls between them, still gives
+    the bytes and the exit code of its golden file."""
+    expected = {case: (GOLDEN / f"{case}.out").read_bytes() for case in CASES}
+    order = sorted(CASES) * 2
+    random.Random(0).shuffle(order)
+    for i, case in enumerate(order):
+        assert _render(case) == expected[case], case
+        assert _exit_code(USAGE_ERRORS[i % len(USAGE_ERRORS)]) == (2, "")
+        assert _exit_code(COMPUTATION_ERRORS[i % len(COMPUTATION_ERRORS)]) == (1, "")
+    assert _build_parser() is _build_parser()
 
 
 def test_every_verb_has_a_golden_case():

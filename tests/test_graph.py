@@ -17,8 +17,8 @@ import oracles
 import symprs.graph as graph_module
 from conftest import CLASS_DIGESTS, class_digest, random_graph_edges
 from symprs.cartan import ade_srs, cartan_datum
-from symprs.extend import double_extend_extraspecial, extend_minimal
-from symprs.gf2 import BitVec
+from symprs.extend import build_by_extension, double_extend_extraspecial, extend_minimal
+from symprs.gf2 import BitMat, BitVec
 from symprs.graph import (
     MAX_AUTOMORPHISMS,
     MAX_CLASS_NODES,
@@ -38,6 +38,7 @@ from symprs.graph import (
     parse_graph,
 )
 from symprs.srs import minimal_srs
+from symprs.symplectic import standard_space
 
 EDGE_TEXT = """
 # a 4-cycle
@@ -126,6 +127,41 @@ def test_edge_endpoints_must_be_ints(edges):
         Graph(3, edges)
     # a bool endpoint is taken as 0 or 1, as the lean pass takes it
     assert Graph(3, [(True, 2)]) == Graph(3, [(1, 2)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Graph(3, [None]), "edge None is not a pair"),
+    (lambda: Graph(3, [5]), "edge 5 is not a pair"),
+    (lambda: Graph(3, [(0, 1, 2)]), r"edge \(0, 1, 2\) is not a pair"),
+    (lambda: Graph(3, [(0, 1), [2]]), r"edge \[2\] is not a pair"),
+    (lambda: BitVec.from_bits(None), "bits None are not an iterable"),
+    (lambda: BitMat.from_rows([None]), "bits None are not an iterable"),
+    (lambda: Graph(2).relabel(None), "node selection None is not a sequence"),
+    (lambda: graph_classes(True), "node count True is not an int"),
+    (lambda: graph_classes(2.0), "node count 2.0 is not an int"),
+    (lambda: graph_classes(n=True), "node count True is not an int"),
+    (lambda: graph_classes(n=2.0), "node count 2.0 is not an int"),
+    (lambda: standard_space(True, True), r"space type \(True, True\) is not a pair of ints"),
+    (lambda: standard_space(1.0, 0), r"space type \(1.0, 0\) is not a pair of ints"),
+    (lambda: dynkin_graph("A", 2.0), "rank 2.0 is not an int"),
+    (lambda: dynkin_graph("D", True), "rank True is not an int"),
+    (lambda: BitMat.identity(2.0), "size 2.0 is not an int"),
+    (lambda: build_by_extension(dynkin_graph("A", 2), [True, 0]), "node True in selection is not an int"),
+    (lambda: build_by_extension(dynkin_graph("A", 2), [1.0, 0]), "node 1.0 in selection is not an int"),
+], ids=[
+    "edge-None", "edge-int", "edge-triple", "edge-single", "from_bits-None", "from_rows-None",
+    "relabel-None", "graph_classes-bool", "graph_classes-float", "graph_classes-n-bool",
+    "graph_classes-n-float", "standard_space-bool",
+    "standard_space-float", "dynkin-float", "dynkin-bool", "identity-float",
+    "build_by_extension-bool", "build_by_extension-float",
+])
+def test_bad_arguments_raise_value_error(call, message):
+    # True == 1 and 2.0 == 2 hash alike, so the memo of graph_classes must
+    # not answer them from the entries for 1 and 2; an untyped memo would
+    # for a keyword call, whose key is a tuple
+    graph_classes(1), graph_classes(2), graph_classes(n=1), graph_classes(n=2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_induced_subgraph_keeps_order():

@@ -444,9 +444,15 @@ def _containers(edges: list):
 @example(3, [[-1, 0]])
 @example(2, [[True, False]])
 @example(0, [[0, 1]])
+@example(3, [None])
+@example(3, [5])
+@example(3, [(0, 1, 2)])
+@example(3, [[0, 1], [2]])
 def test_graph_checks_match_per_edge_oracle(n, edges):
     for make in _containers(edges):
-        assert _result(lambda: Graph(n, make()).adj) == _result(oracles.graph_rows, n, make())
+        got = _result(lambda: Graph(n, make()).adj)
+        assert got == _result(oracles.graph_rows, n, make())
+        assert got[0] in ("ok", ValueError)  # an edge that is not a pair names itself too
     for payload in ({"nodes": n, "edges": edges}, {"nodes": n, "edges": tuple(edges)}):
         assert _result(lambda: _graph_from_json(payload).adj) == _result(oracles.graph_json_rows, payload)
 
