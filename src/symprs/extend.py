@@ -219,7 +219,10 @@ def build_by_extension(g: Graph, order: list[int] | None = None) -> SRS:
     ``order`` fixes the insertion sequence (default 0..n-1); the result is
     always minimal and isomorphic to minimal_srs(g) whatever the order.
     """
-    sequence = list(order) if order is not None else list(range(g.n))
+    try:
+        sequence = list(order) if order is not None else list(range(g.n))
+    except TypeError:
+        raise ValueError(f"order {order!r} is not an iterable") from None
     _check_node_types(sequence)
     if sorted(sequence) != list(range(g.n)):
         raise ValueError("order must be a permutation of the nodes")

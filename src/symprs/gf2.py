@@ -187,7 +187,10 @@ class BitMat:
             raise ValueError(f"column count {ncols!r} is not an int")
         if ncols < 0:
             raise ValueError(f"negative column count {ncols}")
-        row_tuple = tuple(rows)
+        try:
+            row_tuple = tuple(rows)
+        except TypeError:
+            raise ValueError(f"rows {rows!r} are not an iterable") from None
         # the type test rides in the range loop: from 2 to 160 rows, that
         # measured faster than a separate C-level pass, {*map(type, rows)}
         for r in row_tuple:
@@ -224,8 +227,12 @@ class BitMat:
     def from_rows(cls, rows: Sequence[Sequence[int] | str | BitVec], ncols: int | None = None) -> "BitMat":
         """The matrix with these rows, each a wire-form string, a ``BitVec``
         or a sequence of bits; a string row becomes an int directly."""
+        try:
+            each = iter(rows)
+        except TypeError:
+            raise ValueError(f"rows {rows!r} are not an iterable") from None
         dims, values = [], []
-        for r in rows:
+        for r in each:
             if isinstance(r, str):
                 values.append(_string_bits(r))
                 dims.append(len(r))

@@ -122,7 +122,10 @@ class Graph:
         # tried), a negative one no shift count, and each edge sets two
         # new bits unless it is a self-loop or a duplicate. Any failure
         # reruns the per-edge checks, which name the first culprit.
-        pairs = list(edges)
+        try:
+            pairs = list(edges)
+        except TypeError:
+            raise ValueError(f"edges {edges!r} are not an iterable") from None
         adj = [0] * n
         try:
             for a, b in pairs:

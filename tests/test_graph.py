@@ -137,6 +137,10 @@ def test_edge_endpoints_must_be_ints(edges):
     (lambda: BitVec.from_bits(None), "bits None are not an iterable"),
     (lambda: BitMat.from_rows([None]), "bits None are not an iterable"),
     (lambda: Graph(2).relabel(None), "node selection None is not a sequence"),
+    (lambda: Graph(3, None), "edges None are not an iterable"),
+    (lambda: Graph(3, 5), "edges 5 are not an iterable"),
+    (lambda: BitMat(2, None), "rows None are not an iterable"),
+    (lambda: BitMat.from_rows(None), "rows None are not an iterable"),
     (lambda: graph_classes(True), "node count True is not an int"),
     (lambda: graph_classes(2.0), "node count 2.0 is not an int"),
     (lambda: graph_classes(n=True), "node count True is not an int"),
@@ -148,12 +152,14 @@ def test_edge_endpoints_must_be_ints(edges):
     (lambda: BitMat.identity(2.0), "size 2.0 is not an int"),
     (lambda: build_by_extension(dynkin_graph("A", 2), [True, 0]), "node True in selection is not an int"),
     (lambda: build_by_extension(dynkin_graph("A", 2), [1.0, 0]), "node 1.0 in selection is not an int"),
+    (lambda: build_by_extension(dynkin_graph("A", 2), 5), "order 5 is not an iterable"),
 ], ids=[
     "edge-None", "edge-int", "edge-triple", "edge-single", "from_bits-None", "from_rows-None",
-    "relabel-None", "graph_classes-bool", "graph_classes-float", "graph_classes-n-bool",
+    "relabel-None", "edges-None", "edges-int", "rows-None", "from_rows-rows-None",
+    "graph_classes-bool", "graph_classes-float", "graph_classes-n-bool",
     "graph_classes-n-float", "standard_space-bool",
     "standard_space-float", "dynkin-float", "dynkin-bool", "identity-float",
-    "build_by_extension-bool", "build_by_extension-float",
+    "build_by_extension-bool", "build_by_extension-float", "build_by_extension-int",
 ])
 def test_bad_arguments_raise_value_error(call, message):
     # True == 1 and 2.0 == 2 hash alike, so the memo of graph_classes must
