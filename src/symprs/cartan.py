@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .gf2 import BitMat, BitVec, _echelon_rows, _gather, byte_table, inverse
 from .graph import Graph, automorphisms, dynkin_graph
@@ -240,8 +240,7 @@ def ade_table(family: str, rank: int) -> dict[tuple[int, int], int]:
     return _quotient_type_counts(*SympSpace._trusted(dynkin_graph(family, rank).adjacency()).type)
 
 
-@dataclass(frozen=True)
-class WeylRep:
+class WeylRep(NamedTuple):
     """The Weyl group acting symplectically on the parity graph's SRS.
 
     ``generators[i]`` is the matrix of the i-th simple reflection on the

@@ -48,9 +48,9 @@ minimal one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .gf2 import BitMat, BitVec, _gather, _new, row_combination
+from .gf2 import BitMat, BitVec, _gather, row_combination
 from .graph import Graph, _check_node_types
 from .srs import SRS, SRSError, minimal_srs
 
@@ -69,8 +69,7 @@ NEW_NULLVECTOR = "new_nullvector"
 NEW_HYPERBOLIC = "new_hyperbolic"
 
 
-@dataclass(frozen=True)
-class ExtensionWitness:
+class ExtensionWitness(NamedTuple):
     """The choices behind one extension step.
 
     ``w0`` and ``z0`` live in the old space (z0 is the radical part that
@@ -84,21 +83,6 @@ class ExtensionWitness:
     z0: BitVec
     new_deco: BitVec
     x_choice: BitVec | None = None
-
-    @classmethod
-    def _trusted(
-        cls, case: str, w0: BitVec, z0: BitVec, new_deco: BitVec, x_choice: BitVec | None
-    ) -> "ExtensionWitness":
-        """``ExtensionWitness(...)`` for the witness of a step just taken, its
-        fields filled as ``SRS._trusted`` fills them."""
-        w = _new(cls)
-        fields = w.__dict__
-        fields["case"] = case
-        fields["w0"] = w0
-        fields["z0"] = z0
-        fields["new_deco"] = new_deco
-        fields["x_choice"] = x_choice
-        return w
 
 
 def _require_minimal(s: SRS, lam: BitVec):
@@ -179,7 +163,7 @@ def extend_minimal(
     assert (len(out.space._radical) < len(radical)) == bool(pairings), "case and type disagree"
     case = NEW_HYPERBOLIC if pairings else NEW_NULLVECTOR
     x_choice = BitVec(d + 1, pairings & -pairings) if pairings else None
-    return out, ExtensionWitness._trusted(case, BitVec(d, w0), BitVec(d, z0), out.deco.row(d), x_choice)
+    return out, ExtensionWitness(case, BitVec(d, w0), BitVec(d, z0), out.deco.row(d), x_choice)
 
 
 def double_extend_extraspecial(
@@ -207,9 +191,9 @@ def double_extend_extraspecial(
     n, d = s.graph.n, s.space.dim
     mid, step_p = extend_minimal(s, lam_p)
     out, step_q = extend_minimal(mid, BitVec(n + 1, lam_q.bits | pq_edge << n))
-    wit_q = replace(step_q, w0=BitVec(d, step_q.w0.bits), z0=BitVec.zero(d))
+    wit_q = step_q._replace(w0=BitVec(d, step_q.w0.bits), z0=BitVec.zero(d))
     x_choice = BitVec.basis(d + 2, d + 1) if step_q.case == NEW_HYPERBOLIC else None
-    wit_p = replace(wit_q, w0=step_p.w0, new_deco=step_p.new_deco.pad(d + 2), x_choice=x_choice)
+    wit_p = wit_q._replace(w0=step_p.w0, new_deco=step_p.new_deco.pad(d + 2), x_choice=x_choice)
     return out, wit_p, wit_q
 
 

@@ -27,8 +27,7 @@ combination with one lookup per byte of the selector.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "BitVec",
@@ -441,8 +440,7 @@ def table_combination(table: Sequence[Sequence[int]], bits: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class RowEchelon:
+class RowEchelon(NamedTuple):
     """Result of Gaussian elimination: ``transform @ original == rref``.
 
     ``pivots`` lists the pivot column of each leading row in increasing

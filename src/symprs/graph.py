@@ -33,6 +33,7 @@ __all__ = [
     "all_graphs",
     "graph_classes",
     "DYNKIN_FAMILIES",
+    "DYNKIN_RANKS",
 ]
 
 MAX_NODES = 1 << 14  # far above any graph meant for this package; checked before allocating
@@ -47,7 +48,9 @@ MAX_AUTOMORPHISMS = 362_880
 # graph_classes(9) makes about 2.2M candidates (slow, but it ends); checked before any recursion
 MAX_CLASS_NODES = 9
 
-DYNKIN_FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+# The lowest and highest rank of each family; None: no highest
+DYNKIN_RANKS = {"A": (1, None), "B": (2, None), "C": (2, None), "D": (4, None), "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+DYNKIN_FAMILIES = tuple(DYNKIN_RANKS)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -332,29 +335,31 @@ def max_coclique(g: Graph) -> tuple[int, ...]:
     if g.n > MAX_COCLIQUE_NODES:
         raise ValueError(f"{g.n} nodes exceeds the coclique cap of {MAX_COCLIQUE_NODES}")
     best: list[int] = []
-
-    def grow(chosen: list[int], allowed: int, start: int):
-        nonlocal best
-        remaining = allowed >> start
-        if len(chosen) + remaining.bit_count() <= len(best):
-            return
-        v = start
-        rem = remaining
-        while rem:
-            if rem & 1:
-                chosen.append(v)
-                if len(chosen) > len(best):
-                    best = chosen.copy()
-                grow(chosen, allowed & ~g.adj[v], v + 1)
-                chosen.pop()
-                # after skipping v the bound may already be hopeless
-                if len(chosen) + (allowed >> (v + 1)).bit_count() <= len(best):
-                    return
-            rem >>= 1
-            v += 1
-
-    grow([], (1 << g.n) - 1 if g.n else 0, 0)
+    _grow(g.adj, best, [], (1 << g.n) - 1, 0)
     return tuple(best)
+
+
+def _grow(adj: Sequence[int], best: list[int], chosen: list[int], allowed: int, start: int) -> None:
+    """Extend the coclique ``chosen`` by the nodes of ``allowed`` from
+    ``start`` on, writing each one larger than ``best`` into ``best``.
+    Module level, not nested in ``max_coclique``: a nested function that
+    calls itself is a reference cycle left for the collector per call."""
+    remaining = allowed >> start
+    if len(chosen) + remaining.bit_count() <= len(best):
+        return
+    v = start
+    while remaining:
+        if remaining & 1:
+            chosen.append(v)
+            if len(chosen) > len(best):
+                best[:] = chosen
+            _grow(adj, best, chosen, allowed & ~adj[v], v + 1)
+            chosen.pop()
+            # after skipping v the bound may already be hopeless
+            if len(chosen) + (allowed >> (v + 1)).bit_count() <= len(best):
+                return
+        remaining >>= 1
+        v += 1
 
 
 def _node_invariants(adj: Sequence[int]) -> list[int]:
@@ -576,13 +581,18 @@ def dynkin_graph(family: str, rank: int) -> Graph:
         raise ValueError(f"rank {rank!r} is not an int")
     if rank > MAX_NODES:  # before any edge list is built
         raise ValueError(f"{rank} nodes exceeds the node cap of {MAX_NODES}")
+    if family not in DYNKIN_FAMILIES:  # by ==, so an unhashable family is no TypeError
+        raise ValueError(f"unknown family {family!r}")
+    low, high = DYNKIN_RANKS[family]
+    if rank < low or high is not None and rank > high:
+        if high is None:
+            raise ValueError(f"{family} requires rank >= {low}")
+        # the range spelled out, as a set prints in hash order: {8, 6, 7}
+        wanted = low if low == high else "in {" + ", ".join(map(str, range(low, high + 1))) + "}"
+        raise ValueError(f"{family} requires rank {wanted}")
     if family == "A":
-        if rank < 1:
-            raise ValueError("A requires rank >= 1")
         return _path(rank)
     if family == "D":
-        if rank < 4:
-            raise ValueError("D requires rank >= 4")
         chain = rank - 2 if rank % 2 == 0 else rank - 1
         edges = [(i, i + 1) for i in range(chain - 1)]
         if rank % 2 == 0:
@@ -591,8 +601,6 @@ def dynkin_graph(family: str, rank: int) -> Graph:
             edges += [(rank - 1, 1)]
         return Graph(rank, edges)
     if family == "E":
-        if rank not in (6, 7, 8):
-            raise ValueError("E requires rank in {6, 7, 8}")
         chain = 4 if rank == 6 else 6
         edges = [(i, i + 1) for i in range(chain - 1)]
         if rank == 7:
@@ -601,22 +609,12 @@ def dynkin_graph(family: str, rank: int) -> Graph:
             edges += [(chain, 0), (chain + 1, 1)]
         return Graph(rank, edges)
     if family == "B":
-        if rank < 2:
-            raise ValueError("B requires rank >= 2")
         return Graph(rank, [])
     if family == "C":
-        if rank < 2:
-            raise ValueError("C requires rank >= 2")
         return Graph(rank, [(i, i + 1) for i in range(rank - 2)])
     if family == "F":
-        if rank != 4:
-            raise ValueError("F requires rank 4")
         return Graph(4, [(2, 3)])
-    if family == "G":
-        if rank != 2:
-            raise ValueError("G requires rank 2")
-        return Graph(2, [(0, 1)])
-    raise ValueError(f"unknown family {family!r}")
+    return Graph(2, [(0, 1)])  # G
 
 
 def _path(n: int) -> Graph:

@@ -34,8 +34,7 @@ counts the mismatches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .gf2 import BitMat, BitVec, _eliminate, _transpose, row_combination
 from .srs import SRS
@@ -270,8 +269,7 @@ def lift_decoration(s: SRS, grp: CocycleGroup) -> list[Element]:
     return [(s.deco.row(p), 0) for p in range(s.deco.nrows)]
 
 
-@dataclass(frozen=True)
-class BurnsideReport:
+class BurnsideReport(NamedTuple):
     """Whether a set of elements generates, and how redundantly.
 
     ``quotient_dim`` is the F_2-dimension of G modulo its Frattini

@@ -60,7 +60,7 @@ checking one, so the test suite still validates each result in full.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .gf2 import (
     BitMat,
@@ -479,8 +479,7 @@ def universal_map(a: SRS, b: SRS) -> SympMap:
     return SympMap(a.space, b.space, m)
 
 
-@dataclass(frozen=True)
-class CocliqueReport:
+class CocliqueReport(NamedTuple):
     """The coclique bound n <= nodes - gamma for a graph's minimal SRS."""
 
     n: int
@@ -489,25 +488,13 @@ class CocliqueReport:
     holds: bool
     witness: tuple[int, ...]
 
-    @classmethod
-    def _trusted(cls, n: int, gamma: int, bound: int, holds: bool, witness: tuple[int, ...]) -> "CocliqueReport":
-        """``CocliqueReport(...)``, its fields filled as ``SRS._trusted`` fills them."""
-        r = _new(cls)
-        fields = r.__dict__
-        fields["n"] = n
-        fields["gamma"] = gamma
-        fields["bound"] = bound
-        fields["holds"] = holds
-        fields["witness"] = witness
-        return r
-
 
 def coclique_bound_check(g: Graph) -> CocliqueReport:
     witness = max_coclique(g)  # first: it enforces the node cap
     n = SympSpace._trusted(g.adjacency()).type.n
     gamma = len(witness)
     bound = g.n - gamma
-    return CocliqueReport._trusted(n, gamma, bound, n <= bound, witness)
+    return CocliqueReport(n, gamma, bound, n <= bound, witness)
 
 
 def srs_to_json(s: SRS) -> dict:

@@ -20,7 +20,7 @@ from collections import Counter
 from .cartan import MAX_ROOTS, cartan_datum, parity_graph, roots, weyl_rep
 from .extend import NEW_NULLVECTOR, build_by_extension, double_extend_extraspecial, extend_minimal
 from .gf2 import BitVec
-from .graph import MAX_CLASS_NODES, Graph, dynkin_graph, graph_classes
+from .graph import DYNKIN_RANKS, MAX_CLASS_NODES, Graph, dynkin_graph, graph_classes
 from .grp2 import _commutator_mismatches, burnside_check, extraspecial_sign, lift_decoration, make_group
 from .srs import coclique_bound_check, enumerate_quotients, minimal_srs, restrict, srs_isomorphic
 from .symplectic import random_completion_choices
@@ -105,11 +105,8 @@ def _extension(max_nodes: int, trials: int, rng: random.Random):
 
 
 def _weyl(max_rank: int):
-    # The lowest and highest rank of each Cartan type, in DYNKIN_FAMILIES order.
-    ranks = {"A": (1, max_rank), "B": (2, max_rank), "C": (2, max_rank), "D": (4, max_rank),
-             "E": (6, 8), "F": (4, 4), "G": (2, 2)}
-    for family, (low, high) in ranks.items():
-        for rank in range(low, min(high, max_rank) + 1):
+    for family, (low, high) in DYNKIN_RANKS.items():
+        for rank in range(low, max_rank + 1 if high is None else min(high, max_rank) + 1):
             c = cartan_datum(family, rank)
             rep = weyl_rep(c)
             gram = rep.srs.space.gram

@@ -20,6 +20,7 @@ from symprs.cartan import ade_srs, cartan_datum
 from symprs.extend import build_by_extension, double_extend_extraspecial, extend_minimal
 from symprs.gf2 import BitMat, BitVec
 from symprs.graph import (
+    DYNKIN_RANKS,
     MAX_AUTOMORPHISMS,
     MAX_CLASS_NODES,
     MAX_ISOMORPHISM_NODES,
@@ -273,10 +274,28 @@ def test_dynkin_shapes():
         assert d.is_connected()
 
 
-def test_dynkin_rank_validation():
-    for family, rank in [("A", 0), ("D", 3), ("E", 5), ("E", 9), ("B", 1), ("C", 1), ("F", 3), ("G", 4), ("H", 2)]:
-        with pytest.raises(ValueError):
+@pytest.mark.parametrize(
+    "family, lowest, refused, message",
+    [
+        ("A", 1, [0], "A requires rank >= 1"),
+        ("B", 2, [1], "B requires rank >= 2"),
+        ("C", 2, [1], "C requires rank >= 2"),
+        ("D", 4, [3], "D requires rank >= 4"),
+        ("E", 6, [5, 9], "E requires rank in {6, 7, 8}"),
+        ("F", 4, [3, 5], "F requires rank 4"),
+        ("G", 2, [1, 3, 4], "G requires rank 2"),
+        ("H", None, [2], "unknown family 'H'"),
+        ("Z", None, [2], "unknown family 'Z'"),
+    ],
+)
+def test_dynkin_rank_rules(family, lowest, refused, message):
+    if lowest is not None:
+        assert DYNKIN_RANKS[family][0] == lowest
+        assert dynkin_graph(family, lowest).n == lowest
+    for rank in refused:
+        with pytest.raises(ValueError) as raised:
             dynkin_graph(family, rank)
+        assert str(raised.value) == message
 
 
 def test_dynkin_rejects_rank_past_the_cap_before_building_edges(monkeypatch):
@@ -785,6 +804,23 @@ def test_the_search_leaves_no_reference_cycles(cold_classes):
     try:
         assert len(automorphisms(disjoint_union([cycle(4), cycle(4)]))) == 128
         assert is_isomorphic(cycle(6), cycle(6).relabel([3, 1, 5, 0, 2, 4]))
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_max_coclique_leaves_no_reference_cycles():
+    """The branch and bound is a module-level function, so the 209 classes
+    on at most 6 nodes leave nothing for the cyclic collector."""
+    classes = [g for n in range(7) for g in graph_classes(n)]
+    assert len(classes) == 209
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for g in classes:
+            max_coclique(g)
         assert gc.collect() == 0
     finally:
         if was_enabled:
